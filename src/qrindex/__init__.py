@@ -44,11 +44,8 @@ from .indexing import (
 )
 from .numbertheory import (
     crt_combine,
-    ext_gcd,
     hensel_lift_sqrt,
     is_prime,
-    mod_inverse,
-    mod_pow,
     sqrt_mod_2k,
     sqrt_mod_prime,
 )
@@ -92,11 +89,8 @@ __all__ = [
     "radix_schedule",
     "residue_to_profile",
     "crt_combine",
-    "ext_gcd",
     "hensel_lift_sqrt",
     "is_prime",
-    "mod_inverse",
-    "mod_pow",
     "sqrt_mod_2k",
     "sqrt_mod_prime",
     "BitSource",

@@ -8,9 +8,8 @@ so a bug in the fast path cannot hide itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import FactorizationError
 from .indexing import FactoredModulus, decode_index, encode_residue, index_space_size
@@ -21,17 +20,13 @@ _ENUMERATION_CAP = 10**6
 def enumerate_qr(n: int) -> list[int]:
     """All quadratic residues modulo n, sorted, by squaring every unit.
 
-    Capped at n <= 10**6 to keep the scan and its memory bounded; the
-    squares of int64 values below the cap stay well inside int64.
+    Capped at n <= 10**6 to keep the scan and its memory bounded.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if n > _ENUMERATION_CAP:
         raise ValueError(f"modulus {n} exceeds the enumeration cap {_ENUMERATION_CAP}")
-    x = np.arange(1, n, dtype=np.int64)
-    units = x[np.gcd(x, n) == 1]
-    squares = np.unique(units * units % n)
-    return [int(v) for v in squares]
+    return sorted({x * x % n for x in range(1, n) if math.gcd(x, n) == 1})
 
 
 def factor_trial_division(n: int) -> FactoredModulus:

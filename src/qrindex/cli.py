@@ -8,8 +8,9 @@ The modulus always arrives as a factorization string such as
 
 Exit codes: 0 success, 1 selftest found violations, 2 command line
 usage error, 3 domain error (index out of range, not a residue, not a
-unit), 4 validation error (bad factorization string).  Errors print
-``error: <ErrorName>: <detail>`` on stderr.
+unit), 4 validation error (bad factorization string, or a modulus over
+the size bound).  Errors print ``error: <ErrorName>: <detail>`` on
+stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .bruteforce import certify_bijection, factor_trial_division
+from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_division
 from .errors import FactorizationError
 from .indexing import decode_index, encode_residue, index_space_size, parse_factorization
 from .sampling import (
@@ -147,6 +148,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _max_n(text: str) -> int:
+    value = _positive(text)
+    if value > _ENUMERATION_CAP:
+        raise argparse.ArgumentTypeError(f"expected at most {_ENUMERATION_CAP}, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrindex",
@@ -207,7 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="certify the bijection against brute force for all N up to --max-n",
     )
-    p.add_argument("--max-n", type=_positive, default=3000, help="largest modulus checked")
+    p.add_argument(
+        "--max-n",
+        type=_max_n,
+        default=3000,
+        help=f"largest modulus checked, at most {_ENUMERATION_CAP}",
+    )
     p.set_defaults(handler=_cmd_selftest)
 
     p = sub.add_parser(
@@ -223,6 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Moduli of tens of thousands of bits are read and printed in
+        # decimal; the modulus size bound keeps that conversion cheap.
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -37,6 +37,10 @@ from . import mixedradix
 from .errors import FactorizationError, IndexRangeError, NotAResidueError, NotCoprimeError
 from .numbertheory import crt_combine, hensel_lift_sqrt, is_prime, sqrt_mod_2k, sqrt_mod_prime
 
+# Largest modulus accepted, in bits: tens of thousands of bits are in
+# scope, while a larger claimed factorization is refused before any work.
+_MAX_MODULUS_BITS = 1 << 16
+
 
 class PrimePower(NamedTuple):
     p: int
@@ -59,6 +63,11 @@ class RootProfile:
 class FactoredModulus:
     """A modulus N >= 2 together with its complete prime factorization.
 
+    The single validator of a factorization: ``parse_factorization`` and
+    ``factor_trial_division`` hand their ``(p, k)`` pairs here.  Each base
+    is primality-tested once, after the ``_MAX_MODULUS_BITS`` size check.
+    Raises FactorizationError on any invalid factorization.
+
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
     of distinct odd primes) and ``phi`` (Euler's totient).  Immutable
@@ -68,23 +77,31 @@ class FactoredModulus:
     def __init__(self, two_exponent: int = 0, odd_parts=()):
         if two_exponent < 0:
             raise FactorizationError(f"exponent of 2 must be >= 0, got {two_exponent}")
-        seen = []
+        parts: dict[int, int] = {}
         for p, k in odd_parts:
+            p, k = int(p), int(k)
             if k < 1:
                 raise FactorizationError(f"zero exponent on base {p}")
-            if p % 2 == 0:
-                raise FactorizationError(f"base {p} belongs in the 2-part, not the odd parts")
+            if p in parts:
+                raise FactorizationError(f"repeated base {p}")
+            parts[p] = k
+        # Checked before any primality test or power is computed, so a
+        # hostile exponent is refused at once.
+        bits = two_exponent + sum(k * p.bit_length() for p, k in parts.items())
+        if bits > _MAX_MODULUS_BITS:
+            raise FactorizationError(
+                f"modulus too large: its factors total {bits} bits,"
+                f" over the bound of {_MAX_MODULUS_BITS}"
+            )
+        for p in parts:
             if not is_prime(p):
                 raise FactorizationError(f"base {p} is not prime")
-            seen.append(PrimePower(int(p), int(k)))
-        seen.sort()
-        for left, right in zip(seen, seen[1:]):
-            if left.p == right.p:
-                raise FactorizationError(f"repeated base {left.p}")
+            if p == 2:
+                raise FactorizationError(f"base {p} belongs in the 2-part, not the odd parts")
 
         self.two_exponent = int(two_exponent)
-        self.odd_parts = tuple(seen)
-        self.r = len(seen)
+        self.odd_parts = tuple(sorted(PrimePower(p, k) for p, k in parts.items()))
+        self.r = len(self.odd_parts)
 
         n = 1 << self.two_exponent
         phi = 1 << max(self.two_exponent - 1, 0)
@@ -142,29 +159,27 @@ def parse_factorization(text: str) -> FactoredModulus:
 
     Grammar: terms joined by ``*``, each ``base`` or ``base^exponent``,
     decimal digits, optional whitespace around ``*`` and ``^``.  Bases may
-    arrive in any order; they must be distinct primes (2 allowed) with
-    exponents >= 1.  Raises FactorizationError otherwise.
+    arrive in any order.  This function only parses: it routes base 2
+    into the 2-exponent and rejects the two faults only the text shows,
+    a repeated or zero-exponent base 2; every other check is left to
+    FactoredModulus.  Raises FactorizationError.
     """
     two_exponent = 0
     odd_parts = []
-    seen = set()
     for term in text.split("*"):
         match = _TERM_RE.fullmatch(term)
         if not match or not term.strip():
             raise FactorizationError(f"bad factor term {term.strip()!r}")
         base = int(match.group(1))
         exponent = int(match.group(2)) if match.group(2) is not None else 1
-        if exponent < 1:
-            raise FactorizationError(f"zero exponent on base {base}")
-        if base in seen:
-            raise FactorizationError(f"repeated base {base}")
-        seen.add(base)
-        if not is_prime(base):
-            raise FactorizationError(f"base {base} is not prime")
-        if base == 2:
-            two_exponent = exponent
-        else:
+        if base != 2:
             odd_parts.append((base, exponent))
+        elif exponent < 1:
+            raise FactorizationError(f"zero exponent on base {base}")
+        elif two_exponent:
+            raise FactorizationError(f"repeated base {base}")
+        else:
+            two_exponent = exponent
     return FactoredModulus(two_exponent, odd_parts)
 
 
@@ -211,11 +226,11 @@ def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
     """Rebuild the residue: lift roots per factor, recombine, square."""
     _check_shape(m, profile)
     parts = []
-    for (p, _), q, (x, c) in zip(m.odd_parts, m._part_moduli, profile.odd_roots):
+    for (p, k), q, (x, c) in zip(m.odd_parts, m._part_moduli, profile.odd_roots):
         if not 1 <= x <= (p - 1) // 2:
             raise IndexRangeError(f"root {x} not canonical for prime {p}")
         if not 0 <= c < q // p:
-            raise IndexRangeError(f"lift digit {c} out of range for {p}**{_exp_of(q, p)}")
+            raise IndexRangeError(f"lift digit {c} out of range for {p}**{k}")
         parts.append((x + c * p, q))
     if m.two_exponent >= 1:
         y = 1
@@ -243,14 +258,8 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     odd_roots = []
     for (p, k), q in zip(m.odd_parts, m._part_moduli):
         x = sqrt_mod_prime(z % p, p)
-        if k == 1:
-            y = x
-        else:
-            y = hensel_lift_sqrt(x, z % q, p, k)
-            if y % p > (p - 1) // 2:
-                # Guard for lifts landing on the conjugate root; the
-                # lift above preserves x, so this is normally dead.
-                y = q - y
+        # The lift keeps y = x (mod p), so x stays the canonical root.
+        y = x if k == 1 else hensel_lift_sqrt(x, z % q, p, k)
         c, x = divmod(y, p)
         odd_roots.append((x, c))
     two_part_digit = None
@@ -300,11 +309,3 @@ def _check_shape(m: FactoredModulus, profile: RootProfile):
         )
     if (profile.two_part_digit is not None) != (m.two_exponent > 3):
         raise ValueError("profile 2-part digit does not match the modulus shape")
-
-
-def _exp_of(q: int, p: int) -> int:
-    k = 0
-    while q > 1:
-        q //= p
-        k += 1
-    return k

@@ -2,8 +2,7 @@
 
 Everything here operates on plain ``int`` values with no fixed word size,
 so moduli of thousands of bits behave exactly like small ones.  All public
-results are reduced, non-negative representatives; signed intermediates
-stay internal to the Bezout computation.
+results are reduced, non-negative representatives.
 
 Every function is pure and safe to call from any number of threads.
 """
@@ -26,58 +25,6 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm on naturals.
-
-    Returns ``(g, s, t)`` with ``g == gcd(a, b)`` and ``s*a + t*b == g``.
-    The Bezout pair is the usual textbook one, e.g. ``ext_gcd(240, 46)``
-    is ``(2, -9, 47)``.  Raises ValueError when both arguments are zero
-    (the gcd is undefined) or when either is negative.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("ext_gcd is defined on naturals, got a negative argument")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """``base**exp mod m`` by square-and-multiply.
-
-    Thin validated wrapper over the builtin three-argument ``pow``, which
-    implements exactly that in O(log exp) multiplications.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if base < 0 or exp < 0:
-        raise ValueError("base and exponent must be naturals")
-    return pow(base, exp, m)
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Multiplicative inverse of ``a`` modulo ``m``, in (0, m).
-
-    Raises NotCoprimeError (carrying the offending gcd) when no inverse
-    exists.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        g = math.gcd(a, m)
-        raise NotCoprimeError(f"{a} has no inverse modulo {m} (gcd {g})", gcd=g) from None
 
 
 def crt_combine(parts) -> int:

@@ -1,7 +1,7 @@
 """Brute-force oracles and generators shared across the test modules.
 
-Everything here is deliberately naive: exhaustive scans and repeated
-multiplication, no shortcuts borrowed from the code under test.
+Everything here is deliberately naive: exhaustive scans, no shortcuts
+borrowed from the code under test.
 """
 
 import random
@@ -10,13 +10,6 @@ from qrindex import is_prime
 
 # Enough odd primes to build every small test modulus from.
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def naive_pow(base, exponent, modulus):
-    result = 1 % modulus
-    for _ in range(exponent):
-        result = result * base % modulus
-    return result
 
 
 def all_roots(a, m):

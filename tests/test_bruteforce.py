@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -121,3 +123,13 @@ def test_enumeration_confirms_size_formula_sample():
     for n in (7, 32, 99, 128, 255, 1024, 3465):
         m = factor_trial_division(n)
         assert index_space_size(m) == len(enumerate_qr(n))
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qrindex; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -36,6 +36,12 @@ class TestDecodeCommand:
             " index space is 1..2\n"
         )
 
+    def test_modulus_beyond_the_int_str_digit_limit(self, capsys):
+        code, out, err = run(capsys, "decode", "--modulus", "2^16000", "--index", "5")
+        assert code == 0
+        assert " residue=" in out
+        assert err == ""
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "decode", "--json", "--modulus", "3*5", "--index", "2")
         assert code == 0
@@ -72,6 +78,8 @@ class TestSizeCommand:
         code, _, err = run(capsys, "size", "--modulus", "3*3")
         assert code == 4
         code, _, err = run(capsys, "size", "--modulus", "junk")
+        assert code == 4
+        code, _, err = run(capsys, "size", "--modulus", "3^40000")
         assert code == 4
 
 
@@ -145,6 +153,11 @@ class TestSelftestCommand:
         record = json.loads(out)
         assert record["result"] == "all N passed"
         assert record["moduli_checked"] == 19
+
+    def test_max_n_above_the_enumeration_cap_is_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", "--max-n", "1000001"])
+        assert excinfo.value.code == 2
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         def rigged(m):

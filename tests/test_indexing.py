@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrindex.indexing as indexing
 from helpers import ODD_PRIMES, all_roots, squarefree_semiprime_modulus
 from qrindex import (
     FactorizationError,
@@ -19,6 +20,7 @@ from qrindex import (
     enumerate_qr,
     index_space_size,
     index_to_profile,
+    is_prime,
     is_quadratic_residue,
     parse_factorization,
     profile_to_index,
@@ -52,11 +54,25 @@ class TestParseFactorization:
 
     @pytest.mark.parametrize(
         "text",
-        ["4 * 3", "9", "1", "3 * 3", "3^0", "", " * ", "3 ** 5", "a * 3", "3^", "-3"],
+        [
+            "4 * 3", "9", "1", "3 * 3", "3^0", "", " * ", "3 ** 5", "a * 3", "3^", "-3",
+            "2^0", "2 * 3 * 2^3", "3^40000",
+        ],
     )
     def test_rejections(self, text):
         with pytest.raises(FactorizationError):
             parse_factorization(text)
+
+    def test_each_base_is_primality_tested_once(self, monkeypatch):
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(indexing, "is_prime", counting_is_prime)
+        assert parse_factorization("3^2 * 5 * 7").n == 315
+        assert sorted(tested) == [3, 5, 7]
 
     def test_phi_and_r_fields(self):
         m = parse_factorization("2^4 * 3^2 * 7")
@@ -81,6 +97,7 @@ class TestFactoredModulus:
             (0, [(3, 1), (3, 2)]),
             (0, [(4, 1)]),
             (0, [(2, 1)]),
+            (65537, []),
         ],
     )
     def test_invalid_shapes(self, two_exponent, odd_parts):
@@ -90,6 +107,9 @@ class TestFactoredModulus:
     def test_minimal_moduli(self):
         assert FactoredModulus(1).n == 2
         assert FactoredModulus(0, [(3, 1)]).n == 3
+
+    def test_size_bound_is_inclusive(self):
+        assert FactoredModulus(1 << 16).n == 1 << (1 << 16)
 
     def test_equality_and_hash(self):
         a = parse_factorization("2^3 * 5")

@@ -1,98 +1,17 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_roots, canonical_root_table, naive_pow, sieve_primes
+from helpers import all_roots, canonical_root_table, sieve_primes
 from qrindex import (
     NotAResidueError,
     NotCoprimeError,
     crt_combine,
-    ext_gcd,
     hensel_lift_sqrt,
     is_prime,
-    mod_inverse,
-    mod_pow,
     sqrt_mod_2k,
     sqrt_mod_prime,
 )
-
-
-class TestExtGcd:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            (240, 46, (2, -9, 47)),
-            (1, 0, (1, 1, 0)),
-            (35, 15, (5, 1, -2)),
-            (0, 7, (7, 0, 1)),
-            (12, 12, (12, 0, 1)),
-        ],
-    )
-    def test_known_triples(self, a, b, expected):
-        assert ext_gcd(a, b) == expected
-
-    @given(st.integers(0, 10**12), st.integers(0, 10**12))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-    def test_rejects_negatives_and_double_zero(self):
-        with pytest.raises(ValueError):
-            ext_gcd(-1, 5)
-        with pytest.raises(ValueError):
-            ext_gcd(5, -1)
-        with pytest.raises(ValueError):
-            ext_gcd(0, 0)
-
-
-class TestModPow:
-    def test_matches_repeated_multiplication(self):
-        for m in range(1, 24):
-            for base in range(0, 24):
-                for exp in range(0, 24):
-                    assert mod_pow(base, exp, m) == naive_pow(base, exp, m)
-
-    def test_zero_power_zero_is_one_mod_m(self):
-        assert mod_pow(0, 0, 7) == 1
-        assert mod_pow(0, 0, 1) == 0
-
-    def test_big_operands(self):
-        m = (1 << 127) - 1
-        assert mod_pow(3, m - 1, m) == 1
-
-    def test_rejects_bad_domains(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
-        with pytest.raises(ValueError):
-            mod_pow(-2, 3, 5)
-
-
-class TestModInverse:
-    def test_exhaustive_small(self):
-        for m in range(2, 60):
-            for a in range(0, m):
-                if math.gcd(a, m) == 1:
-                    inv = mod_inverse(a, m)
-                    assert 0 <= inv < m
-                    assert a * inv % m == 1
-                else:
-                    with pytest.raises(NotCoprimeError) as excinfo:
-                        mod_inverse(a, m)
-                    assert excinfo.value.gcd == math.gcd(a, m)
-
-    def test_reduces_input_first(self):
-        assert mod_inverse(3 + 7 * 10, 7) == mod_inverse(3, 7)
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            mod_inverse(0, 1)
 
 
 class TestCrtCombine:
