@@ -21,21 +21,22 @@ The schedule lists, in ascending-prime order, the pair ``(p-1)/2`` and
 ``x - 1``, ``c`` per odd factor, then the 2-part digit.  Indices are
 1-based at the public boundary and 0-based inside the codec.
 
-``decode_index`` maps an index to its residue in O(log^3 N) bit work;
-``encode_residue`` inverts it via Euler's criterion, Tonelli-Shanks and
-Hensel lifting.
+``decode_index`` maps an index to its residue in O(log^3 N) bit work,
+over a CRT basis prepared with the modulus; ``encode_residue`` inverts
+it via Tonelli-Shanks and Hensel lifting.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import mixedradix
 from .errors import FactorizationError, IndexRangeError, NotAResidueError, NotCoprimeError
-from .numbertheory import crt_combine, hensel_lift_sqrt, is_prime, sqrt_mod_2k, sqrt_mod_prime
+from .numbertheory import hensel_lift_sqrt, is_prime, sqrt_mod_2k, sqrt_mod_prime
 
 # Largest modulus accepted, in bits: tens of thousands of bits are in
 # scope, while a larger claimed factorization is refused before any work.
@@ -70,8 +71,8 @@ class FactoredModulus:
 
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
-    of distinct odd primes) and ``phi`` (Euler's totient).  Immutable
-    after construction and freely shareable across threads.
+    of distinct odd primes) and ``phi`` (Euler's totient).  The CRT basis
+    is built here once.  Immutable and freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -128,6 +129,8 @@ class FactoredModulus:
         self._size = size
         self._radices = tuple(radices)
         self._part_moduli = tuple(part_moduli)
+        # E_i is 1 mod q_i and 0 mod every other part: decode is one linear sum.
+        self._crt_basis = tuple((n // q) * pow(n // q, -1, q) for q in part_moduli)
 
     def factor_string(self) -> str:
         terms = []
@@ -170,8 +173,12 @@ def parse_factorization(text: str) -> FactoredModulus:
         match = _TERM_RE.fullmatch(term)
         if not match or not term.strip():
             raise FactorizationError(f"bad factor term {term.strip()!r}")
-        base = int(match.group(1))
-        exponent = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            base, exponent = int(match.group(1)), int(match.group(2) or 1)
+        except ValueError:  # only the interpreter's int/str digit limit
+            raise FactorizationError(
+                f"numeral longer than the int/str limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
         if base != 2:
             odd_parts.append((base, exponent))
         elif exponent < 1:
@@ -223,23 +230,21 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
 
 
 def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
-    """Rebuild the residue: lift roots per factor, recombine, square."""
+    """Rebuild the residue: lift roots per factor, sum y_i*E_i mod N, square."""
     _check_shape(m, profile)
-    parts = []
-    for (p, k), q, (x, c) in zip(m.odd_parts, m._part_moduli, profile.odd_roots):
+    root = 0
+    for (p, k), q, e, (x, c) in zip(m.odd_parts, m._part_moduli, m._crt_basis, profile.odd_roots):
         if not 1 <= x <= (p - 1) // 2:
             raise IndexRangeError(f"root {x} not canonical for prime {p}")
         if not 0 <= c < q // p:
             raise IndexRangeError(f"lift digit {c} out of range for {p}**{k}")
-        parts.append((x + c * p, q))
+        root += (x + c * p) * e
+    d = profile.two_part_digit
+    if d is not None and not 0 <= d < 1 << (m.two_exponent - 3):
+        raise IndexRangeError(f"2-part digit {d} out of range")
     if m.two_exponent >= 1:
-        y = 1
-        if profile.two_part_digit is not None:
-            if not 0 <= profile.two_part_digit < 1 << (m.two_exponent - 3):
-                raise IndexRangeError(f"2-part digit {profile.two_part_digit} out of range")
-            y = 1 + 2 * profile.two_part_digit
-        parts.append((y, m._part_moduli[-1]))
-    root = crt_combine(parts)
+        root += (1 + 2 * (d or 0)) * m._crt_basis[-1]
+    root %= m.n
     return root * root % m.n
 
 
@@ -264,9 +269,8 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
         odd_roots.append((x, c))
     two_part_digit = None
     k2 = m.two_exponent
-    if k2 == 2 and z % 4 != 1:
-        raise NotAResidueError(f"{z} is not a quadratic residue modulo 2**{k2}")
-    if k2 >= 3 and z % 8 != 1:
+    # A unit is a square modulo 2**k2 exactly when it is 1 modulo 2**min(k2, 3).
+    if k2 >= 2 and z % (4 if k2 == 2 else 8) != 1:
         raise NotAResidueError(f"{z} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
         y2 = sqrt_mod_2k(z % (1 << k2), k2)
@@ -295,11 +299,7 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     for p, _ in m.odd_parts:
         if pow(z, (p - 1) // 2, p) != 1:
             return False
-    if m.two_exponent == 2 and z % 4 != 1:
-        return False
-    if m.two_exponent >= 3 and z % 8 != 1:
-        return False
-    return True
+    return m.two_exponent < 2 or z % (4 if m.two_exponent == 2 else 8) == 1
 
 
 def _check_shape(m: FactoredModulus, profile: RootProfile):

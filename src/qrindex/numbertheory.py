@@ -33,7 +33,8 @@ def crt_combine(parts) -> int:
     ``parts`` is a non-empty sequence of ``(residue, modulus)`` pairs with
     ``0 <= residue < modulus``.  Returns the unique x in [0, prod moduli)
     congruent to every residue.  A non-coprime pair raises NotCoprimeError
-    naming the offenders.
+    naming the offenders.  The general-purpose primitive, and the tests'
+    reference for the CRT basis a FactoredModulus prepares for the codec.
     """
     parts = list(parts)
     if not parts:
@@ -105,59 +106,54 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=None)
 def _smallest_nonresidue(p: int) -> int:
     # Quadratic residues are closed under multiplication, so the smallest
-    # non-residue is prime; even candidates above 2 can never win.
-    if pow(2, (p - 1) // 2, p) == p - 1:
-        return 2
-    b = 3
-    while pow(b, (p - 1) // 2, p) != p - 1:
-        b += 2
+    # non-residue is prime; even candidates above 2 can never win.  Euler
+    # values other than 1 and p - 1 prove p composite, by its least factor.
+    b = 2
+    while (euler := pow(b, (p - 1) // 2, p)) == 1:
+        b += 1 if b == 2 else 2
+    if euler != p - 1:
+        raise ValueError(f"p must be an odd prime, got {p}")
     return b
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise NotAResidueError(f"{a} is not a quadratic residue modulo {p}")
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = pow(_smallest_nonresidue(p), q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return x
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
     """Canonical square root of a unit modulo an odd prime.
 
     Returns the root x with ``x*x % p == a`` and ``1 <= x <= (p-1)//2``.
-    Uses the ``a**((p+1)//4)`` shortcut for p = 3 mod 4 and Tonelli-Shanks
-    (deterministic non-residue scan 2, 3, 5, ...) for p = 1 mod 4.
+    One Tonelli-Shanks path for every odd prime ``p = q*2**s + 1``: one
+    exponentiation yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for
+    p = 3 mod 4 that is the ``a**((p+1)/4)`` shortcut); the non-residue
+    (scan 2, 3, 5, ...) is only needed when t != 1.
 
-    Raises NotAResidueError for non-residues; the caller is responsible
-    for p actually being an odd prime, though a composite p is caught
-    whenever the final squaring check fails.
+    Raises NotAResidueError for non-residues.  The caller must pass a
+    prime: a composite p raises ValueError once the scan proves it so.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         raise NotAResidueError(f"0 is not a unit modulo {p}")
-    if p % 4 == 3:
-        x = pow(a, (p + 1) // 4, p)
-    else:
-        x = _tonelli_shanks(a, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
+    q = (p - 1) >> s
+    w = pow(a, (q - 1) // 2, p)
+    x = a * w % p
+    t = x * w % p
+    if t != 1:
+        c = pow(_smallest_nonresidue(p), q, p)
+    m = s
+    while t != 1:
+        # A residue's t has order 2**i with i < m; reaching m bounds the loop.
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == m:
+                raise NotAResidueError(f"{a} is not a quadratic residue modulo {p}")
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
     if x * x % p != a:
         raise NotAResidueError(f"{a} is not a quadratic residue modulo {p}")
     return min(x, p - x)

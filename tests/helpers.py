@@ -40,6 +40,22 @@ def random_prime(bits, rng: random.Random):
             return candidate
 
 
+def hostile_factor_strings():
+    """Strings of digits, ``*``, ``^`` and whitespace, with valid terms mixed in.
+
+    Digit runs stay short, so bases stay cheap to primality-test; huge
+    exponents still arrive when runs meet after a ``^``.
+    """
+    from hypothesis import strategies as st
+
+    piece = st.one_of(
+        st.text("0123456789", min_size=1, max_size=8),
+        st.sampled_from(["*", "^", " ", "\t", "\n", " * "]),
+        st.sampled_from(["2", "2^5", "3", "3^2", "5", "7^3", "11", "13^2", "65537"]),
+    )
+    return st.lists(piece, max_size=10).map("".join)
+
+
 def squarefree_semiprime_modulus(bits, rng: random.Random):
     """A FactoredModulus P*Q with distinct primes of bits/2 each."""
     from qrindex import FactoredModulus

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import qrindex.cli as cli
+from helpers import hostile_factor_strings
 from qrindex import CertificationReport, enumerate_qr
 from qrindex.cli import main
 
@@ -81,6 +85,18 @@ class TestSizeCommand:
         assert code == 4
         code, _, err = run(capsys, "size", "--modulus", "3^40000")
         assert code == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(hostile_factor_strings())
+    def test_hostile_strings_exit_zero_or_four(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["size", "--modulus", text])
+        assert code in (0, 4)
+        if code == 0:
+            assert out.getvalue().startswith("size n=") and not err.getvalue()
+        else:
+            assert err.getvalue().startswith("error: FactorizationError: ")
 
 
 class TestSampleCommand:

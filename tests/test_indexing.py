@@ -1,12 +1,19 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrindex.indexing as indexing
-from helpers import ODD_PRIMES, all_roots, squarefree_semiprime_modulus
+from helpers import (
+    ODD_PRIMES,
+    all_roots,
+    hostile_factor_strings,
+    random_prime,
+    squarefree_semiprime_modulus,
+)
 from qrindex import (
     FactorizationError,
     FactoredModulus,
@@ -15,6 +22,7 @@ from qrindex import (
     NotCoprimeError,
     PrimePower,
     RootProfile,
+    crt_combine,
     decode_index,
     encode_residue,
     enumerate_qr,
@@ -28,6 +36,18 @@ from qrindex import (
     radix_schedule,
     residue_to_profile,
 )
+
+
+@pytest.fixture
+def default_int_str_limit():
+    # The command line lifts the interpreter's int/str digit limit for the
+    # whole process; tests of the library need it in force at its default.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 class TestParseFactorization:
@@ -62,6 +82,24 @@ class TestParseFactorization:
     def test_rejections(self, text):
         with pytest.raises(FactorizationError):
             parse_factorization(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3" * 4402, "3^" + "9" * 5000, "5 * " + "7" * 4402 + "^2"],
+        ids=["base", "exponent", "second-term"],
+    )
+    def test_numerals_over_the_int_str_limit(self, text, default_int_str_limit):
+        with pytest.raises(FactorizationError, match=f"{default_int_str_limit} digits"):
+            parse_factorization(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_factor_strings())
+    def test_hostile_strings_parse_or_raise_factorization_error(self, text):
+        try:
+            m = parse_factorization(text)
+        except FactorizationError:
+            return
+        assert parse_factorization(m.factor_string()) == m
 
     def test_each_base_is_primality_tested_once(self, monkeypatch):
         tested = []
@@ -331,6 +369,51 @@ class TestProfiles:
             y = 1 + 2 * profile.two_part_digit
             assert y % 2 == 1 and y < 32
             assert y * y % 128 == z
+
+
+def _basis_moduli():
+    # 2-parts with k <= 3 and k > 3, odd prime powers, and a 1285-bit
+    # modulus of four 256-bit primes (one squared) times 2^5.
+    rng = random.Random(1024)
+    big = [random_prime(256, rng) for _ in range(4)]
+    return [
+        parse_factorization("2"),
+        parse_factorization("2^3 * 3 * 5"),
+        parse_factorization("2^2 * 7^2"),
+        parse_factorization("2^7 * 3^2 * 7"),
+        parse_factorization("2^10"),
+        parse_factorization("3^5 * 5^3 * 7^2"),
+        parse_factorization("11^4"),
+        FactoredModulus(5, [(p, 1) for p in big[:3]] + [(big[3], 2)]),
+    ]
+
+
+class TestCrtBasis:
+    """The basis a FactoredModulus prepares, against crt_combine."""
+
+    @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
+    def test_basis_elements_are_idempotents(self, m):
+        moduli = [p**k for p, k in m.odd_parts]
+        if m.two_exponent:
+            moduli.append(1 << m.two_exponent)
+        assert math.prod(moduli) == m.n
+        assert len(m._crt_basis) == len(moduli)
+        for i, e in enumerate(m._crt_basis):
+            assert 0 <= e < m.n
+            for j, q in enumerate(moduli):
+                assert e % q == (1 if i == j else 0), (i, j)
+
+    @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
+    def test_decode_matches_crt_combine(self, m):
+        rng = random.Random(m.n)
+        for _ in range(25):
+            profile = index_to_profile(m, rng.randint(1, index_space_size(m)))
+            parts = [(x + c * p, p**k) for (p, k), (x, c) in zip(m.odd_parts, profile.odd_roots)]
+            if m.two_exponent:
+                d = profile.two_part_digit
+                parts.append((1 if d is None else 1 + 2 * d, 1 << m.two_exponent))
+            root = crt_combine(parts)
+            assert profile_to_residue(m, profile) == root * root % m.n
 
 
 class TestIsQuadraticResidue:

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrindex.numbertheory as numbertheory
 from helpers import all_roots, canonical_root_table, sieve_primes
 from qrindex import (
     NotAResidueError,
@@ -111,8 +115,9 @@ class TestSqrtModPrime:
             sqrt_mod_prime(1, 10)
 
     def test_both_branches_of_the_prime_shape(self):
-        # p = 3 mod 4 takes the direct-exponent path, p = 1 mod 4 the
-        # full root-finding loop; cover a nontrivial 2-adic valuation too.
+        # One path serves both shapes: for p = 3 mod 4 it reduces to the
+        # direct exponent, for p = 1 mod 4 it may run the root-finding
+        # loop; cover a nontrivial 2-adic valuation too.
         assert sqrt_mod_prime(2, 7) in (3, 4) and sqrt_mod_prime(2, 7) == 3
         assert sqrt_mod_prime(2, 17) == 6
         assert sqrt_mod_prime(5, 41) == 13
@@ -123,6 +128,87 @@ class TestSqrtModPrime:
         x = sqrt_mod_prime(a * a % p, p)
         assert x * x % p == a * a % p
         assert x <= (p - 1) // 2
+
+    def test_large_two_adic_valuation(self):
+        # p - 1 = k * 2**64 with k odd: the root-finding loop runs long.
+        p = _prime_with_two_adic_valuation(64)
+        for b in (3, 12345, p - 2, 2**100 + 7):
+            a = b * b % p
+            x = sqrt_mod_prime(a, p)
+            assert x == min(b % p, p - b % p)
+        with pytest.raises(NotAResidueError):
+            sqrt_mod_prime(numbertheory._smallest_nonresidue(p), p)
+
+    def test_full_size_exponentiations_per_path(self, monkeypatch):
+        # Builtin pow calls are counted the way the benchmark tracer
+        # counts them, by shadowing the module's global name.  The loop's
+        # pow(c, 2**j) calls have exponents below 2**s, so they are not
+        # full size.
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        def full_size_pows(a, p):
+            s = 0
+            while (p - 1) % (2 << s) == 0:
+                s += 1
+            calls.clear()
+            try:
+                sqrt_mod_prime(a, p)
+            except NotAResidueError:
+                pass
+            return sum(1 for _, e, _ in calls if e.bit_length() > s)
+
+        p3 = (1 << 127) - 1  # 3 mod 4
+        p5 = 2**255 - 19  # 5 mod 8, so 2 is a non-residue
+        p_high = _prime_with_two_adic_valuation(64)
+        for p in (p3, p5, p_high):
+            numbertheory._smallest_nonresidue(p)  # cache the non-residue
+        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
+
+        # p = 3 mod 4: one pow for a residue, the non-residue is not needed.
+        assert full_size_pows(25, p3) == 1 and len(calls) == 1
+        # p = 1 mod 4 with a**q = 1: one pow, nothing else.
+        assert full_size_pows(3**4, p5) == 1 and len(calls) == 1
+        assert full_size_pows(pow(3, 1 << 64, p_high), p_high) == 1 and len(calls) == 1
+        # Otherwise the non-residue's power is the only other full-size call.
+        assert full_size_pows(4, p5) <= 2
+        assert full_size_pows(2, p5) <= 2
+        assert full_size_pows(p3 - 1, p3) <= 2
+        assert full_size_pows(12345**2 % p_high, p_high) <= 2
+        assert full_size_pows(numbertheory._smallest_nonresidue(p_high), p_high) <= 2
+
+    def test_composite_p_is_refused_without_hanging(self):
+        # 561 and 1105 are Carmichael numbers: no base coprime to them has
+        # Euler value p - 1, so a scan for a non-residue alone never ends.
+        # Run in a subprocess so a regression fails on the timeout.
+        script = (
+            "from qrindex import sqrt_mod_prime\n"
+            "for a, p in ((4, 561), (16, 1105), (4, 65)):\n"
+            "    try:\n"
+            "        sqrt_mod_prime(a, p)\n"
+            "    except ValueError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ValueError p must be an odd prime, got 561",
+            "ValueError p must be an odd prime, got 1105",
+            "ValueError p must be an odd prime, got 65",
+        ]
+
+
+def _prime_with_two_adic_valuation(s):
+    """The first prime k * 2**s + 1 with k odd and k above 2**190."""
+    k = (1 << 190) + 1
+    while not is_prime(k << s | 1):
+        k += 2
+    return k << s | 1
 
 
 class TestHenselLiftSqrt:
