@@ -5,6 +5,15 @@ exact failure mode can catch one builtin type.
 """
 
 
+def _format_int(n: int) -> str:
+    """n in decimal for an error message, or its bit length past the
+    interpreter's int/str digit limit, where ``str(n)`` itself would raise."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit {'negative ' if n < 0 else ''}integer>"
+
+
 class NotCoprimeError(ValueError):
     """Two values that must be coprime share a nontrivial factor."""
 

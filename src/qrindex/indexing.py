@@ -35,7 +35,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import mixedradix
-from .errors import FactorizationError, IndexRangeError, NotAResidueError, NotCoprimeError
+from .errors import (
+    FactorizationError,
+    IndexRangeError,
+    NotAResidueError,
+    NotCoprimeError,
+    _format_int,
+)
 from .numbertheory import hensel_lift_sqrt, is_prime, sqrt_mod_2k, sqrt_mod_prime
 
 # Largest modulus accepted, in bits: tens of thousands of bits are in
@@ -77,26 +83,26 @@ class FactoredModulus:
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
         if two_exponent < 0:
-            raise FactorizationError(f"exponent of 2 must be >= 0, got {two_exponent}")
+            raise FactorizationError(f"exponent of 2 must be >= 0, got {_format_int(two_exponent)}")
         parts: dict[int, int] = {}
         for p, k in odd_parts:
             p, k = int(p), int(k)
             if k < 1:
-                raise FactorizationError(f"zero exponent on base {p}")
+                raise FactorizationError(f"zero exponent on base {_format_int(p)}")
             if p in parts:
-                raise FactorizationError(f"repeated base {p}")
+                raise FactorizationError(f"repeated base {_format_int(p)}")
             parts[p] = k
         # Checked before any primality test or power is computed, so a
         # hostile exponent is refused at once.
         bits = two_exponent + sum(k * p.bit_length() for p, k in parts.items())
         if bits > _MAX_MODULUS_BITS:
             raise FactorizationError(
-                f"modulus too large: its factors total {bits} bits,"
+                f"modulus too large: its factors total {_format_int(bits)} bits,"
                 f" over the bound of {_MAX_MODULUS_BITS}"
             )
         for p in parts:
             if not is_prime(p):
-                raise FactorizationError(f"base {p} is not prime")
+                raise FactorizationError(f"base {_format_int(p)} is not prime")
             if p == 2:
                 raise FactorizationError(f"base {p} belongs in the 2-part, not the odd parts")
 
@@ -208,7 +214,8 @@ def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
     """Unpack a 1-based index into its per-factor root choices."""
     if not 1 <= index <= m._size:
         raise IndexRangeError(
-            f"index {index} out of range for modulus {m.n}: index space is 1..{m._size}"
+            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
+            f" index space is 1..{_format_int(m._size)}"
         )
     digits = mixedradix.unpack(index - 1, m._radices)
     odd_roots = tuple(
@@ -235,13 +242,15 @@ def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
     root = 0
     for (p, k), q, e, (x, c) in zip(m.odd_parts, m._part_moduli, m._crt_basis, profile.odd_roots):
         if not 1 <= x <= (p - 1) // 2:
-            raise IndexRangeError(f"root {x} not canonical for prime {p}")
+            raise IndexRangeError(f"root {_format_int(x)} not canonical for prime {_format_int(p)}")
         if not 0 <= c < q // p:
-            raise IndexRangeError(f"lift digit {c} out of range for {p}**{k}")
+            raise IndexRangeError(
+                f"lift digit {_format_int(c)} out of range for {_format_int(p)}**{k}"
+            )
         root += (x + c * p) * e
     d = profile.two_part_digit
     if d is not None and not 0 <= d < 1 << (m.two_exponent - 3):
-        raise IndexRangeError(f"2-part digit {d} out of range")
+        raise IndexRangeError(f"2-part digit {_format_int(d)} out of range")
     if m.two_exponent >= 1:
         root += (1 + 2 * (d or 0)) * m._crt_basis[-1]
     root %= m.n
@@ -255,11 +264,14 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     unit and NotAResidueError when some local square root does not exist.
     """
     if z < 0:
-        raise ValueError(f"residue must be a natural, got {z}")
+        raise ValueError(f"residue must be a natural, got {_format_int(z)}")
     z %= m.n
     g = math.gcd(z, m.n)
     if g != 1:
-        raise NotCoprimeError(f"{z} is not a unit modulo {m.n} (gcd {g})", gcd=g)
+        raise NotCoprimeError(
+            f"{_format_int(z)} is not a unit modulo {_format_int(m.n)} (gcd {_format_int(g)})",
+            gcd=g,
+        )
     odd_roots = []
     for (p, k), q in zip(m.odd_parts, m._part_moduli):
         x = sqrt_mod_prime(z % p, p)
@@ -271,7 +283,7 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     k2 = m.two_exponent
     # A unit is a square modulo 2**k2 exactly when it is 1 modulo 2**min(k2, 3).
     if k2 >= 2 and z % (4 if k2 == 2 else 8) != 1:
-        raise NotAResidueError(f"{z} is not a quadratic residue modulo 2**{k2}")
+        raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
         y2 = sqrt_mod_2k(z % (1 << k2), k2)
         two_part_digit = (y2 - 1) // 2

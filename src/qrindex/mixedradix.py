@@ -6,7 +6,7 @@ digit is always 0.  The empty schedule addresses exactly one codeword, 0.
 Radix order is whatever the caller fixes; nothing here assumes sorting.
 """
 
-from .errors import IndexRangeError
+from .errors import IndexRangeError, _format_int
 
 
 def schedule_size(radices) -> int:
@@ -14,7 +14,7 @@ def schedule_size(radices) -> int:
     size = 1
     for position, radix in enumerate(radices):
         if radix < 1:
-            raise ValueError(f"radix at position {position} must be >= 1, got {radix}")
+            raise ValueError(f"radix at position {position} must be >= 1, got {_format_int(radix)}")
         size *= radix
     return size
 
@@ -26,7 +26,8 @@ def pack(digits, radices) -> int:
     for position, (digit, radix) in enumerate(zip(digits, radices)):
         if not 0 <= digit < radix:
             raise IndexRangeError(
-                f"digit {digit} at position {position} out of range for radix {radix}"
+                f"digit {_format_int(digit)} at position {position}"
+                f" out of range for radix {_format_int(radix)}"
             )
     value = 0
     for digit, radix in zip(reversed(digits), reversed(radices)):
@@ -38,7 +39,9 @@ def unpack(value: int, radices) -> tuple[int, ...]:
     """Recover the digit tuple from a packed value, by successive divmod."""
     size = schedule_size(radices)
     if not 0 <= value < size:
-        raise IndexRangeError(f"value {value} out of range for schedule of size {size}")
+        raise IndexRangeError(
+            f"value {_format_int(value)} out of range for schedule of size {_format_int(size)}"
+        )
     digits = []
     for radix in radices:
         value, digit = divmod(value, radix)

@@ -10,16 +10,15 @@ Every function is pure and safe to call from any number of threads.
 from __future__ import annotations
 
 import math
-import random
 from functools import lru_cache
 
-from .errors import NotAResidueError, NotCoprimeError
+from .errors import NotAResidueError, NotCoprimeError, _format_int
 
 # Miller-Rabin with the first 13 primes as bases is a proven deterministic
-# primality test below this bound (Sorenson and Webster, 2015).
+# primality test below this bound (Sorenson and Webster, 2015).  From the
+# bound up, Baillie-PSW (strong base 2 plus strong Lucas) decides.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_RANDOM_ROUNDS = 64
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -41,16 +40,20 @@ def crt_combine(parts) -> int:
         raise ValueError("crt_combine needs at least one congruence")
     for residue, modulus in parts:
         if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
+            raise ValueError(f"modulus must be >= 1, got {_format_int(modulus)}")
         if not 0 <= residue < modulus:
-            raise ValueError(f"residue {residue} not reduced modulo {modulus}")
+            raise ValueError(
+                f"residue {_format_int(residue)} not reduced modulo {_format_int(modulus)}"
+            )
     x = 0
     combined = 1
     for residue, modulus in parts:
         if math.gcd(combined, modulus) != 1:
             pair, g = _noncoprime_pair(parts)
             raise NotCoprimeError(
-                f"moduli {pair[0]} and {pair[1]} are not coprime (gcd {g})", gcd=g
+                f"moduli {_format_int(pair[0])} and {_format_int(pair[1])}"
+                f" are not coprime (gcd {_format_int(g)})",
+                gcd=g,
             )
         x += combined * ((residue - x) * pow(combined, -1, modulus) % modulus)
         combined *= modulus
@@ -67,11 +70,14 @@ def _noncoprime_pair(parts):
 
 
 def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin.
+    """Primality test with no randomness: the same n always gets the same verdict.
 
-    Deterministic (proven base set) below ~3.3e24; above that, 64 rounds
-    with bases drawn from an RNG seeded by n itself, so verdicts are
-    reproducible run to run.
+    Below ~3.3e24 it is Miller-Rabin with the first 13 primes as bases,
+    proven deterministic there.  From that bound up it is Baillie-PSW: a
+    strong Miller-Rabin test to base 2, then a strong Lucas test with
+    Selfridge's parameters.  No composite is known to pass Baillie-PSW,
+    and it costs one full-size exponentiation plus a Lucas ladder of a
+    few multiplications per bit of n.
     """
     if n < 2:
         return False
@@ -85,12 +91,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_DETERMINISTIC_BASES
-    else:
-        rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS)]
-    for a in bases:
+    baillie_psw = n >= _MR_DETERMINISTIC_BOUND
+    for a in (2,) if baillie_psw else _MR_DETERMINISTIC_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -100,7 +102,67 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return not baillie_psw or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n % 8 in (3, 5):
+            result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2 (Selfridge's method A).
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes when U_d = 0
+    or V_{d*2**r} = 0 (mod n) for some 0 <= r < s.
+    """
+    # A square has no D with (D/n) = -1, so the search would never end.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) < n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4 % n
+    D %= n
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # Binary ladder over the bits of d from k = 1: U_2k = U_k*V_k,
+    # V_2k = V_k**2 - 2*Q**k, and with P = 1, U_k+1 = (U_k + V_k)/2,
+    # V_k+1 = (D*U_k + V_k)/2; halving mod odd n adds n to odd values.
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = U >> 1, V >> 1, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+    return False
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +174,7 @@ def _smallest_nonresidue(p: int) -> int:
     while (euler := pow(b, (p - 1) // 2, p)) == 1:
         b += 1 if b == 2 else 2
     if euler != p - 1:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     return b
 
 
@@ -129,10 +191,10 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     prime: a composite p raises ValueError once the scan proves it so.
     """
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     a %= p
     if a == 0:
-        raise NotAResidueError(f"0 is not a unit modulo {p}")
+        raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
     q = (p - 1) >> s
     w = pow(a, (q - 1) // 2, p)
@@ -148,14 +210,18 @@ def sqrt_mod_prime(a: int, p: int) -> int:
             t2 = t2 * t2 % p
             i += 1
             if i == m:
-                raise NotAResidueError(f"{a} is not a quadratic residue modulo {p}")
+                raise NotAResidueError(
+                    f"{_format_int(a)} is not a quadratic residue modulo {_format_int(p)}"
+                )
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p
         t = t * c % p
         m = i
     if x * x % p != a:
-        raise NotAResidueError(f"{a} is not a quadratic residue modulo {p}")
+        raise NotAResidueError(
+            f"{_format_int(a)} is not a quadratic residue modulo {_format_int(p)}"
+        )
     return min(x, p - x)
 
 
@@ -167,16 +233,19 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     Newton-style correction per power step; k = 1 returns x unchanged.
     """
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {_format_int(k)}")
     pk = p ** k
     z %= pk
     if z % p == 0:
-        raise ValueError(f"z must be a unit modulo {p}")
+        raise ValueError(f"z must be a unit modulo {_format_int(p)}")
     x %= p
     if (x * x - z) % p:
-        raise ValueError(f"{x} is not a square root of {z} modulo {p}")
+        raise ValueError(
+            f"{_format_int(x)} is not a square root of {_format_int(z)}"
+            f" modulo {_format_int(p)}"
+        )
     y = x
     inv2x = pow(2 * x % p, -1, p)
     pj = p
@@ -200,10 +269,10 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     into the canonical window.
     """
     if k < 4:
-        raise ValueError(f"k must be >= 4, got {k}")
+        raise ValueError(f"k must be >= 4, got {_format_int(k)}")
     z %= 1 << k
     if z % 8 != 1:
-        raise NotAResidueError(f"{z} is not a quadratic residue modulo 2**{k}")
+        raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k}")
     y = 1
     for j in range(3, k):
         if (y * y - z) % (1 << (j + 1)):
@@ -214,4 +283,4 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     for candidate in (y, n - y, (y + half) % n, (n - y + half) % n):
         if candidate < window:
             return candidate
-    raise AssertionError(f"no canonical root for {z} mod 2**{k}")
+    raise AssertionError(f"no canonical root for {_format_int(z)} mod 2**{k}")

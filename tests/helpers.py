@@ -32,11 +32,39 @@ def sieve_primes(limit):
     return [i for i in range(limit) if flags[i]]
 
 
-def random_prime(bits, rng: random.Random):
-    """Uniform odd prime with the top bit set, by rejection on is_prime."""
+def miller_rabin_reference(n):
+    """Miller-Rabin with 64 bases drawn from an RNG seeded by n itself.
+
+    The reference for ``is_prime`` above its deterministic bound: slow,
+    and independent of the strong Lucas test the library runs there.
+    """
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    rng = random.Random(n)
+    for _ in range(64):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(bits, rng: random.Random, test=is_prime):
+    """Uniform odd prime with the top bit set, by rejection on ``test``."""
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(candidate):
+        if test(candidate):
             return candidate
 
 

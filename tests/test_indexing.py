@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrindex.indexing as indexing
+from qrindex import mixedradix
 from helpers import (
     ODD_PRIMES,
     all_roots,
@@ -35,6 +36,7 @@ from qrindex import (
     profile_to_residue,
     radix_schedule,
     residue_to_profile,
+    sqrt_mod_2k,
 )
 
 
@@ -161,6 +163,47 @@ class TestFactoredModulus:
         assert parse_factorization("5 * 2^6 * 3").factor_string() == "2^6 * 3 * 5"
         assert parse_factorization("2 * 7").factor_string() == "2 * 7"
         assert "3^2" in repr(parse_factorization("3^2"))
+
+
+class TestMessagesPastTheIntStrLimit:
+    # An error message names values too long to print in decimal under
+    # the interpreter's default int/str limit by their bit length, so the
+    # library raises its own error and not the interpreter's ValueError.
+
+    def test_decode_out_of_range(self, default_int_str_limit):
+        with pytest.raises(IndexRangeError) as excinfo:
+            decode_index(parse_factorization("2^16000"), 0)
+        assert str(excinfo.value) == (
+            "index 0 out of range for modulus <16001-bit integer>:"
+            " index space is 1..<15998-bit integer>"
+        )
+
+    def test_encode_non_unit(self, default_int_str_limit):
+        with pytest.raises(NotCoprimeError) as excinfo:
+            encode_residue(parse_factorization("2^16000"), 2)
+        assert str(excinfo.value) == "2 is not a unit modulo <16001-bit integer> (gcd 2)"
+
+    def test_encode_non_residue(self, default_int_str_limit):
+        with pytest.raises(NotAResidueError) as excinfo:
+            encode_residue(parse_factorization("2^16000"), (1 << 15999) + 3)
+        assert str(excinfo.value) == (
+            "<16000-bit integer> is not a quadratic residue modulo 2**16000"
+        )
+
+    def test_long_composite_base(self, default_int_str_limit):
+        c = 3**9100  # 4,342 decimal digits
+        with pytest.raises(FactorizationError) as excinfo:
+            FactoredModulus(odd_parts=[(c, 1)])
+        assert str(excinfo.value) == f"base <{c.bit_length()}-bit integer> is not prime"
+
+    def test_primitives(self, default_int_str_limit):
+        with pytest.raises(IndexRangeError, match=r"^value <20001-bit integer> out of range"):
+            mixedradix.unpack(1 << 20000, (2, 3))
+        with pytest.raises(NotAResidueError, match=r"^<16000-bit integer> is not"):
+            sqrt_mod_2k((1 << 15999) + 3, 16000)
+        with pytest.raises(ValueError) as excinfo:
+            encode_residue(parse_factorization("3*5"), -(1 << 20000))
+        assert str(excinfo.value) == "residue must be a natural, got <20001-bit negative integer>"
 
 
 class TestIndexSpaceSize:

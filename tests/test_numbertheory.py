@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrindex.numbertheory as numbertheory
-from helpers import all_roots, canonical_root_table, sieve_primes
+from helpers import (
+    all_roots,
+    canonical_root_table,
+    miller_rabin_reference,
+    random_prime,
+    sieve_primes,
+)
 from qrindex import (
     NotAResidueError,
     NotCoprimeError,
@@ -82,6 +89,88 @@ class TestIsPrime:
         assert not is_prime(0)
         assert not is_prime(1)
         assert is_prime(2)
+
+    def test_deterministic_bound_itself_is_composite(self):
+        # A strong pseudoprime to all 13 deterministic bases, and the
+        # first n that takes the Baillie-PSW path.
+        assert numbertheory._MR_DETERMINISTIC_BOUND == 3_317_044_064_679_887_385_961_981
+        assert not is_prime(3_317_044_064_679_887_385_961_981)
+
+    @pytest.mark.parametrize("p", [83, 97, 101, 1277])
+    def test_composite_mersenne_numbers(self, p):
+        # 2**p - 1 passes the strong base-2 test for every prime p, so
+        # only the Lucas half can reject these composites.
+        n = (1 << p) - 1
+        assert pow(2, n - 1, n) == 1
+        assert not is_prime(n)
+
+    def test_fermat_composite(self):
+        assert not is_prime(2**128 + 1)
+
+    @pytest.mark.parametrize("k", [14_000_240, 14_000_461, 2**40 + 980, 10**9])
+    def test_chernick_products_above_the_bound(self, k):
+        # Composite by construction; for the first three k all factors
+        # are prime, so n is a Carmichael number.
+        n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        assert n >= numbertheory._MR_DETERMINISTIC_BOUND
+        assert not is_prime(n)
+
+    def test_square_of_a_large_prime_is_refused_without_hanging(self):
+        # A square has no Selfridge D, so without its guard the Lucas
+        # parameter search never ends.  A square reaches the Lucas half of
+        # is_prime only if it passes the strong base-2 test, as the squares
+        # of the Wieferich primes 1093 and 3511 do, so the helper is also
+        # called directly.  Run in a subprocess so a regression fails on
+        # the timeout.
+        script = (
+            "from qrindex import is_prime\n"
+            "from qrindex.numbertheory import _strong_lucas\n"
+            "n = ((1 << 521) - 1) ** 2\n"
+            "print(is_prime(n), [_strong_lucas(m) for m in (1093**2, 3511**2, n)])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False [False, False, False]\n"
+
+    @pytest.mark.parametrize(
+        "n", [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    )
+    def test_strong_lucas_pseudoprimes(self, n):
+        # OEIS A217255: composites that pass the strong Lucas test alone.
+        assert numbertheory._strong_lucas(n)
+        assert not is_prime(n)
+
+    def test_agrees_with_the_miller_rabin_reference(self):
+        rng = random.Random(20260417)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randrange(80, 1101)) | 1
+            if n >= numbertheory._MR_DETERMINISTIC_BOUND:
+                assert is_prime(n) == miller_rabin_reference(n), n
+        primes = [
+            random_prime(bits, rng, test=miller_rabin_reference)
+            for bits in (82, 83, 128, 200, 300, 521, 700)
+        ]
+        for p in primes:
+            assert is_prime(p), p
+        for p in primes:
+            for q in primes:
+                assert not is_prime(p * q) and not miller_rabin_reference(p * q), (p, q)
+
+    def test_one_full_size_exponentiation_above_the_bound(self, monkeypatch):
+        # Baillie-PSW's one full-size exponentiation is the strong base-2
+        # test; the Lucas ladder uses only multiplications.
+        p = random_prime(1024, random.Random(1024), test=miller_rabin_reference)
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
+        assert is_prime(p)
+        assert len(calls) == 1
 
 
 class TestSqrtModPrime:
