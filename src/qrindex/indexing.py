@@ -29,6 +29,7 @@ it via Tonelli-Shanks and Hensel lifting.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -82,11 +83,12 @@ class FactoredModulus:
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
+        two_exponent = _integer(two_exponent)
         if two_exponent < 0:
             raise FactorizationError(f"exponent of 2 must be >= 0, got {_format_int(two_exponent)}")
         parts: dict[int, int] = {}
         for p, k in odd_parts:
-            p, k = int(p), int(k)
+            p, k = _integer(p), _integer(k)
             if k < 1:
                 raise FactorizationError(f"zero exponent on base {_format_int(p)}")
             if p in parts:
@@ -106,7 +108,7 @@ class FactoredModulus:
             if p == 2:
                 raise FactorizationError(f"base {p} belongs in the 2-part, not the odd parts")
 
-        self.two_exponent = int(two_exponent)
+        self.two_exponent = two_exponent
         self.odd_parts = tuple(sorted(PrimePower(p, k) for p, k in parts.items()))
         self.r = len(self.odd_parts)
 
@@ -158,6 +160,14 @@ class FactoredModulus:
 
     def __hash__(self):
         return hash((self.two_exponent, self.odd_parts))
+
+
+def _integer(value) -> int:
+    # operator.index refuses floats and strings that int() would round or parse.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise FactorizationError(f"factorization entries must be integers, got {value!r}") from None
 
 
 _TERM_RE = re.compile(r"\s*(\d+)\s*(?:\^\s*(\d+)\s*)?")
@@ -212,6 +222,7 @@ def radix_schedule(m: FactoredModulus) -> tuple[int, ...]:
 
 def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
     """Unpack a 1-based index into its per-factor root choices."""
+    index = operator.index(index)  # a float raises TypeError, as range(2.0) does
     if not 1 <= index <= m._size:
         raise IndexRangeError(
             f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"

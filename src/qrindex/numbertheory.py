@@ -218,10 +218,6 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         c = b * b % p
         t = t * c % p
         m = i
-    if x * x % p != a:
-        raise NotAResidueError(
-            f"{_format_int(a)} is not a quadratic residue modulo {_format_int(p)}"
-        )
     return min(x, p - x)
 
 
@@ -229,8 +225,10 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     """Lift a square root modulo an odd prime p to one modulo p**k.
 
     Given ``x*x = z (mod p)`` with z a unit, returns the unique y with
-    ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.  One
-    Newton-style correction per power step; k = 1 returns x unchanged.
+    ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.
+    Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)`` from
+    ``1/x`` mod p doubles the correct p-adic digits per step (halving is a
+    product by ``(q+1)/2`` modulo the odd q): O(log k) steps, then z*r.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
@@ -246,17 +244,11 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    y = x
-    inv2x = pow(2 * x % p, -1, p)
-    pj = p
-    while pj < pk:
-        pj_next = pj * p
-        d = (z - y * y) % pj_next
-        # d is divisible by pj because y*y = z (mod pj) held at the
-        # previous step; the correction is unique modulo p.
-        y += (d // pj) * inv2x % p * pj
-        pj = pj_next
-    return y
+    r, q = pow(x, -1, p), p
+    while q < pk:
+        q = min(q * q, pk)
+        r = r * (3 - z * r * r) * ((q + 1) // 2) % q
+    return z * r % pk
 
 
 def sqrt_mod_2k(z: int, k: int) -> int:
@@ -264,23 +256,21 @@ def sqrt_mod_2k(z: int, k: int) -> int:
 
     Residues modulo 2**k (k >= 3) are exactly the classes 1 mod 8, and
     each has exactly one odd root below 2**(k-2); that root is returned.
-    Starts from the root 1 modulo 8 and fixes one bit per power of two,
-    then folds the four-root orbit {y, -y, y + 2**(k-1), -y + 2**(k-1)}
-    into the canonical window.
+    Newton's iteration ``r <- r*(3 - z*r*r)/2`` (an exact halving, as
+    z*r*r is odd) on ``r = z**(-1/2)`` from 1 mod 8 goes from 2**j to
+    2**(2j-2) per step: O(log k) steps.  ``y = z*r`` mod 2**(k-1) gives the
+    roots y, -y, y + 2**(k-1) and -y + 2**(k-1); ``min(y, 2**(k-1) - y)``
+    is the one below 2**(k-2).
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {_format_int(k)}")
     z %= 1 << k
     if z % 8 != 1:
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k}")
-    y = 1
-    for j in range(3, k):
-        if (y * y - z) % (1 << (j + 1)):
-            y += 1 << (j - 1)
-    n = 1 << k
+    r, j = 1, 3
+    while j < k:
+        j = min(2 * j - 2, k)
+        r = r * (3 - z * r * r) // 2 % (1 << j)
     half = 1 << (k - 1)
-    window = 1 << (k - 2)
-    for candidate in (y, n - y, (y + half) % n, (n - y + half) % n):
-        if candidate < window:
-            return candidate
-    raise AssertionError(f"no canonical root for {_format_int(z)} mod 2**{k}")
+    y = z * r % half
+    return min(y, half - y)

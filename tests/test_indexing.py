@@ -1,5 +1,6 @@
 import math
 import random
+import subprocess
 import sys
 
 import pytest
@@ -138,6 +139,9 @@ class TestFactoredModulus:
             (0, [(4, 1)]),
             (0, [(2, 1)]),
             (65537, []),
+            (2.5, []),
+            (0, [(5.9, 1)]),
+            (0, [(5, 1.0)]),
         ],
     )
     def test_invalid_shapes(self, two_exponent, odd_parts):
@@ -280,6 +284,11 @@ class TestDecodeIndex:
         with pytest.raises(IndexRangeError):
             decode_index(parse_factorization("3*5"), index)
 
+    def test_float_index_is_a_type_error(self):
+        # Refused as range(2.0) is, not rounded into a float "residue".
+        with pytest.raises(TypeError):
+            decode_index(parse_factorization("3*5"), 2.0)
+
     def test_error_message_names_the_range(self):
         with pytest.raises(IndexRangeError) as excinfo:
             decode_index(parse_factorization("3*5"), 3)
@@ -366,6 +375,26 @@ class TestRoundtrips:
                 continue
             z = x * x % m.n
             assert decode_index(m, encode_residue(m, z)) == z
+
+    def test_roundtrip_at_the_size_bound_does_not_hang(self):
+        # The 2-adic root and the Hensel lift take O(log k) Newton steps;
+        # lifting one power of the prime at a time took minutes at these
+        # sizes.  Run in a subprocess so a regression fails on the timeout.
+        script = (
+            "import random\n"
+            "from qrindex import decode_index, encode_residue, index_space_size,"
+            " parse_factorization\n"
+            "rng = random.Random(5)\n"
+            "for text in ('2^65536', '3^32768'):\n"
+            "    m = parse_factorization(text)\n"
+            "    index = rng.randrange(1, index_space_size(m) + 1)\n"
+            "    print(text, encode_residue(m, decode_index(m, index)) == index)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["2^65536 True", "3^32768 True"]
 
 
 class TestProfiles:

@@ -326,6 +326,25 @@ class TestHenselLiftSqrt:
                     assert y in roots
                     assert y % p == x
 
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from([3, 5, (1 << 61) - 1, (1 << 64) - 59, (1 << 127) - 1]),
+        st.integers(1, 300),
+        st.integers(1, 1 << 20000),
+    )
+    def test_random_lifts(self, p, k, y_raw):
+        k = min(k, 20000 // p.bit_length())
+        q = p**k
+        y = y_raw % q
+        if y % p == 0:
+            y += 1
+        z = y * y % q
+        x = sqrt_mod_prime(z % p, p)
+        result = hensel_lift_sqrt(x, z, p, k)
+        assert result * result % q == z
+        assert result % p == x
+        assert 0 < result < q
+
     def test_preserves_base_root_choice(self):
         # Lifting the conjugate base root lands on the conjugate lift.
         p, k, z = 7, 3, 2
@@ -373,7 +392,7 @@ class TestSqrtMod2k:
                 sqrt_mod_2k(1, k)
 
     @settings(max_examples=50)
-    @given(st.integers(4, 256), st.integers(0, 1 << 254))
+    @given(st.integers(4, 4096), st.integers(0, 1 << 4094))
     def test_random_roundtrip(self, k, y_raw):
         y = (2 * y_raw + 1) % (1 << (k - 2))
         z = y * y % (1 << k)
