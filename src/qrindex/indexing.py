@@ -141,17 +141,29 @@ class FactoredModulus:
         self._crt_basis = tuple((n // q) * pow(n // q, -1, q) for q in part_moduli)
 
     def factor_string(self) -> str:
+        """The factorization as ``parse_factorization`` reads it, bases
+        ascending, such as ``"2^6 * 3 * 5"``.  A base with more decimal
+        digits than the interpreter's int/str limit raises
+        FactorizationError, as ``parse_factorization`` does for it."""
+        try:
+            return self._terms(str)
+        except ValueError:  # only the interpreter's int/str digit limit
+            raise FactorizationError(
+                f"base longer than the int/str limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
+
+    def __repr__(self):
+        return f"FactoredModulus({self._terms(_format_int)!r})"
+
+    def _terms(self, fmt) -> str:
         terms = []
         if self.two_exponent == 1:
             terms.append("2")
         elif self.two_exponent > 1:
             terms.append(f"2^{self.two_exponent}")
         for p, k in self.odd_parts:
-            terms.append(str(p) if k == 1 else f"{p}^{k}")
+            terms.append(fmt(p) if k == 1 else f"{fmt(p)}^{k}")
         return " * ".join(terms)
-
-    def __repr__(self):
-        return f"FactoredModulus({self.factor_string()!r})"
 
     def __eq__(self, other):
         if not isinstance(other, FactoredModulus):
@@ -228,7 +240,7 @@ def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
             f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
             f" index space is 1..{_format_int(m._size)}"
         )
-    digits = mixedradix.unpack(index - 1, m._radices)
+    digits = mixedradix._digits(index - 1, m._radices)
     odd_roots = tuple(
         (digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r)
     )
@@ -277,15 +289,18 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     if z < 0:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
     z %= m.n
-    g = math.gcd(z, m.n)
-    if g != 1:
+    # z is a unit exactly when no prime of N divides it; the full-width gcd
+    # is only needed for the error.
+    residues = [z % p for p, _ in m.odd_parts]
+    if 0 in residues or (m.two_exponent and not z & 1):
+        g = math.gcd(z, m.n)
         raise NotCoprimeError(
             f"{_format_int(z)} is not a unit modulo {_format_int(m.n)} (gcd {_format_int(g)})",
             gcd=g,
         )
     odd_roots = []
-    for (p, k), q in zip(m.odd_parts, m._part_moduli):
-        x = sqrt_mod_prime(z % p, p)
+    for (p, k), q, zp in zip(m.odd_parts, m._part_moduli, residues):
+        x = sqrt_mod_prime(zp, p)
         # The lift keeps y = x (mod p), so x stays the canonical root.
         y = x if k == 1 else hensel_lift_sqrt(x, z % q, p, k)
         c, x = divmod(y, p)

@@ -166,7 +166,9 @@ def _strong_lucas(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _smallest_nonresidue(p: int) -> int:
+def _nonresidue_power(p: int) -> int:
+    """``c = b**q mod p`` for the smallest non-residue b, where
+    ``p - 1 = q*2**s`` with q odd: an element of order exactly 2**s."""
     # Quadratic residues are closed under multiplication, so the smallest
     # non-residue is prime; even candidates above 2 can never win.  Euler
     # values other than 1 and p - 1 prove p composite, by its least factor.
@@ -175,7 +177,8 @@ def _smallest_nonresidue(p: int) -> int:
         b += 1 if b == 2 else 2
     if euler != p - 1:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
-    return b
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    return pow(b, (p - 1) >> s, p)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -184,8 +187,11 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     Returns the root x with ``x*x % p == a`` and ``1 <= x <= (p-1)//2``.
     One Tonelli-Shanks path for every odd prime ``p = q*2**s + 1``: one
     exponentiation yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for
-    p = 3 mod 4 that is the ``a**((p+1)/4)`` shortcut); the non-residue
-    (scan 2, 3, 5, ...) is only needed when t != 1.
+    p = 3 mod 4 that is the ``a**((p+1)/4)`` shortcut); when t != 1 the
+    loop also needs ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...),
+    which a per-process cache keyed by p holds, unbounded.  Once p has
+    been seen, every call costs exactly one full-size exponentiation: the
+    loop's other powers have exponents below ``2**s``.
 
     Raises NotAResidueError for non-residues.  The caller must pass a
     prime: a composite p raises ValueError once the scan proves it so.
@@ -201,7 +207,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     x = a * w % p
     t = x * w % p
     if t != 1:
-        c = pow(_smallest_nonresidue(p), q, p)
+        c = _nonresidue_power(p)
     m = s
     while t != 1:
         # A residue's t has order 2**i with i < m; reaching m bounds the loop.

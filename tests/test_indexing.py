@@ -200,6 +200,15 @@ class TestMessagesPastTheIntStrLimit:
             FactoredModulus(odd_parts=[(c, 1)])
         assert str(excinfo.value) == f"base <{c.bit_length()}-bit integer> is not prime"
 
+    def test_repr_and_factor_string(self, default_int_str_limit, monkeypatch):
+        # 2**19937 - 1 is a Mersenne prime of 6,002 digits; proving it here
+        # would take about 30 s, and primality is not under test.
+        monkeypatch.setattr(indexing, "is_prime", lambda n: True)
+        m = FactoredModulus(1, [(2**19937 - 1, 1), (3, 2)])
+        assert repr(m) == "FactoredModulus('2 * 3^2 * <19937-bit integer>')"
+        with pytest.raises(FactorizationError, match=f"{default_int_str_limit} digits"):
+            m.factor_string()
+
     def test_primitives(self, default_int_str_limit):
         with pytest.raises(IndexRangeError, match=r"^value <20001-bit integer> out of range"):
             mixedradix.unpack(1 << 20000, (2, 3))
@@ -325,6 +334,18 @@ class TestEncodeResidue:
         with pytest.raises(NotCoprimeError) as excinfo:
             encode_residue(parse_factorization("3*5"), 6)
         assert excinfo.value.gcd == 3
+
+    @pytest.mark.parametrize(
+        "factors,z,gcd", [("3*5*7", 14, 7), ("2^4*3*5", 8, 8)], ids=["odd-part", "two-part"]
+    )
+    def test_non_unit_wins_over_an_earlier_non_residue(self, factors, z, gcd):
+        # z = 2 mod 3 is a non-residue modulo the first prime, yet a later
+        # factor divides it: the unit check comes first.
+        m = parse_factorization(factors)
+        with pytest.raises(NotCoprimeError) as excinfo:
+            encode_residue(m, z)
+        assert excinfo.value.gcd == gcd
+        assert str(excinfo.value) == f"{z} is not a unit modulo {m.n} (gcd {gcd})"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

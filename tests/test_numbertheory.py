@@ -226,13 +226,13 @@ class TestSqrtModPrime:
             x = sqrt_mod_prime(a, p)
             assert x == min(b % p, p - b % p)
         with pytest.raises(NotAResidueError):
-            sqrt_mod_prime(numbertheory._smallest_nonresidue(p), p)
+            sqrt_mod_prime(_nonresidue(p), p)
 
     def test_full_size_exponentiations_per_path(self, monkeypatch):
         # Builtin pow calls are counted the way the benchmark tracer
         # counts them, by shadowing the module's global name.  The loop's
         # pow(c, 2**j) calls have exponents below 2**s, so they are not
-        # full size.
+        # full size; the non-residue's power is cached per prime.
         calls = []
 
         def counting_pow(*args):
@@ -254,7 +254,9 @@ class TestSqrtModPrime:
         p5 = 2**255 - 19  # 5 mod 8, so 2 is a non-residue
         p_high = _prime_with_two_adic_valuation(64)
         for p in (p3, p5, p_high):
-            numbertheory._smallest_nonresidue(p)  # cache the non-residue
+            with pytest.raises(NotAResidueError):
+                sqrt_mod_prime(_nonresidue(p), p)  # the first call per prime
+        nonresidue_high = _nonresidue(p_high)
         monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
 
         # p = 3 mod 4: one pow for a residue, the non-residue is not needed.
@@ -262,12 +264,18 @@ class TestSqrtModPrime:
         # p = 1 mod 4 with a**q = 1: one pow, nothing else.
         assert full_size_pows(3**4, p5) == 1 and len(calls) == 1
         assert full_size_pows(pow(3, 1 << 64, p_high), p_high) == 1 and len(calls) == 1
-        # Otherwise the non-residue's power is the only other full-size call.
-        assert full_size_pows(4, p5) <= 2
-        assert full_size_pows(2, p5) <= 2
-        assert full_size_pows(p3 - 1, p3) <= 2
-        assert full_size_pows(12345**2 % p_high, p_high) <= 2
-        assert full_size_pows(numbertheory._smallest_nonresidue(p_high), p_high) <= 2
+        # Otherwise the loop runs on the cached power: still one full-size pow.
+        assert full_size_pows(4, p5) == 1
+        assert full_size_pows(2, p5) == 1
+        assert full_size_pows(p3 - 1, p3) == 1
+        assert full_size_pows(12345**2 % p_high, p_high) == 1
+        assert full_size_pows(nonresidue_high, p_high) == 1
+
+    def test_cached_power_has_order_two_to_the_s(self):
+        # c**(2**(s-1)) = -1 means c has order exactly 2**s, p - 1 = q*2**s.
+        for p in (17, 41, 2**255 - 19, _prime_with_two_adic_valuation(64)):
+            s = ((p - 1) & (1 - p)).bit_length() - 1
+            assert pow(numbertheory._nonresidue_power(p), 1 << (s - 1), p) == p - 1
 
     def test_composite_p_is_refused_without_hanging(self):
         # 561 and 1105 are Carmichael numbers: no base coprime to them has
@@ -290,6 +298,11 @@ class TestSqrtModPrime:
             "ValueError p must be an odd prime, got 1105",
             "ValueError p must be an odd prime, got 65",
         ]
+
+
+def _nonresidue(p):
+    """The smallest non-residue modulo the odd prime p, by Euler's criterion."""
+    return next(b for b in range(2, p) if pow(b, (p - 1) // 2, p) == p - 1)
 
 
 def _prime_with_two_adic_valuation(s):
