@@ -21,9 +21,14 @@ The schedule lists, in ascending-prime order, the pair ``(p-1)/2`` and
 ``x - 1``, ``c`` per odd factor, then the 2-part digit.  Indices are
 1-based at the public boundary and 0-based inside the codec.
 
-``decode_index`` maps an index to its residue in O(log^3 N) bit work,
-over a CRT basis prepared with the modulus; ``encode_residue`` inverts
-it via Tonelli-Shanks and Hensel lifting.
+``decode_index`` maps an index to its residue in O(log^3 N) bit work.
+The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
+v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
+``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
+the x digit, p for the c digit and 2 for the 2-part digit; radix-1
+digits take no step.  ``encode_residue`` inverts it via Tonelli-Shanks
+and Hensel lifting.  The ``RootProfile`` functions are views over the
+same digit lists.
 """
 
 from __future__ import annotations
@@ -78,8 +83,11 @@ class FactoredModulus:
 
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
-    of distinct odd primes) and ``phi`` (Euler's totient).  The CRT basis
-    is built here once.  Immutable and freely shareable across threads.
+    of distinct odd primes) and ``phi`` (Euler's totient).  Built here
+    once: ``|QR(N)|``, the radix schedule, the CRT basis ``E_i`` (1 modulo
+    its own prime-power part, 0 modulo the others) and the decode steps,
+    one ``(radix, scale, E_i)`` per radix above 1 that share the basis'
+    integers.  Immutable and freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -139,6 +147,14 @@ class FactoredModulus:
         self._part_moduli = tuple(part_moduli)
         # E_i is 1 mod q_i and 0 mod every other part: decode is one linear sum.
         self._crt_basis = tuple((n // q) * pow(n // q, -1, q) for q in part_moduli)
+        # Each step shares its E_i with the basis and keeps the scale apart:
+        # storing p*E_i would add a modulus-sized integer per odd part.
+        steps = []
+        for i, ((p, _), e) in enumerate(zip(self.odd_parts, self._crt_basis)):
+            steps += [(radices[2 * i], 1, e), (radices[2 * i + 1], p, e)]
+        if self.two_exponent > 3:
+            steps.append((radices[-1], 2, self._crt_basis[-1]))
+        self._decode_steps = tuple(step for step in steps if step[0] > 1)
 
     def factor_string(self) -> str:
         """The factorization as ``parse_factorization`` reads it, bases
@@ -234,50 +250,29 @@ def radix_schedule(m: FactoredModulus) -> tuple[int, ...]:
 
 def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
     """Unpack a 1-based index into its per-factor root choices."""
-    index = operator.index(index)  # a float raises TypeError, as range(2.0) does
-    if not 1 <= index <= m._size:
-        raise IndexRangeError(
-            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
-            f" index space is 1..{_format_int(m._size)}"
-        )
-    digits = mixedradix._digits(index - 1, m._radices)
-    odd_roots = tuple(
-        (digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r)
-    )
-    two_part_digit = digits[-1] if m.two_exponent > 3 else None
-    return RootProfile(odd_roots, two_part_digit)
+    return _profile(m, mixedradix._digits(_zero_based(m, index), m._radices))
 
 
 def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     """Pack per-factor root choices back into their 1-based index."""
     _check_shape(m, profile)
-    digits = []
-    for x, c in profile.odd_roots:
-        digits += [x - 1, c]
-    if profile.two_part_digit is not None:
-        digits.append(profile.two_part_digit)
-    return mixedradix.pack(digits, m._radices) + 1
+    return mixedradix.pack(_profile_digits(profile), m._radices) + 1
 
 
 def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
-    """Rebuild the residue: lift roots per factor, sum y_i*E_i mod N, square."""
+    """Rebuild the residue the profile's roots square to."""
     _check_shape(m, profile)
-    root = 0
-    for (p, k), q, e, (x, c) in zip(m.odd_parts, m._part_moduli, m._crt_basis, profile.odd_roots):
+    for (p, k), q, (x, c) in zip(m.odd_parts, m._part_moduli, profile.odd_roots):
         if not 1 <= x <= (p - 1) // 2:
             raise IndexRangeError(f"root {_format_int(x)} not canonical for prime {_format_int(p)}")
         if not 0 <= c < q // p:
             raise IndexRangeError(
                 f"lift digit {_format_int(c)} out of range for {_format_int(p)}**{k}"
             )
-        root += (x + c * p) * e
     d = profile.two_part_digit
     if d is not None and not 0 <= d < 1 << (m.two_exponent - 3):
         raise IndexRangeError(f"2-part digit {_format_int(d)} out of range")
-    if m.two_exponent >= 1:
-        root += (1 + 2 * (d or 0)) * m._crt_basis[-1]
-    root %= m.n
-    return root * root % m.n
+    return _decode(m, mixedradix._value(_profile_digits(profile), m._radices))
 
 
 def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
@@ -286,44 +281,69 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     z is reduced modulo N first.  Raises NotCoprimeError when z is not a
     unit and NotAResidueError when some local square root does not exist.
     """
+    return _profile(m, _residue_digits(m, z))
+
+
+def decode_index(m: FactoredModulus, index: int) -> int:
+    """Map an index in [1, |QR(N)|] to its quadratic residue modulo N.
+
+    Evaluates the linear form ``1 + sum(digit * scale * E)`` mod N over
+    the modulus' prepared decode steps, then squares: no profile is built.
+    """
+    return _decode(m, _zero_based(m, index))
+
+
+def encode_residue(m: FactoredModulus, z: int) -> int:
+    """Map a quadratic residue modulo N to its index; inverse of decode_index."""
+    return mixedradix._value(_residue_digits(m, z), m._radices) + 1
+
+
+def _zero_based(m: FactoredModulus, index: int) -> int:
+    index = operator.index(index)  # a float raises TypeError, as range(2.0) does
+    if not 1 <= index <= m._size:
+        raise IndexRangeError(
+            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
+            f" index space is 1..{_format_int(m._size)}"
+        )
+    return index - 1
+
+
+def _decode(m: FactoredModulus, value: int) -> int:
+    # The roots are 1 + digit*scale per part and the basis sums to 1 mod N.
+    root = 1
+    for radix, scale, e in m._decode_steps:
+        value, digit = divmod(value, radix)
+        root += digit * scale * e
+    root %= m.n
+    return root * root % m.n
+
+
+def _residue_digits(m: FactoredModulus, z: int) -> list[int]:
+    # The digits of z's index, each in range by construction: x <= (p-1)/2,
+    # c < p**(k-1) as y < p**k, and the 2-adic root is below 2**(k2-2).
     if z < 0:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
     z %= m.n
-    # z is a unit exactly when no prime of N divides it; the full-width gcd
-    # is only needed for the error.
-    residues = [z % p for p, _ in m.odd_parts]
-    if 0 in residues or (m.two_exponent and not z & 1):
+    residues = _unit_residues(m, z)
+    if residues is None:
         g = math.gcd(z, m.n)
         raise NotCoprimeError(
             f"{_format_int(z)} is not a unit modulo {_format_int(m.n)} (gcd {_format_int(g)})",
             gcd=g,
         )
-    odd_roots = []
+    digits = []
     for (p, k), q, zp in zip(m.odd_parts, m._part_moduli, residues):
         x = sqrt_mod_prime(zp, p)
         # The lift keeps y = x (mod p), so x stays the canonical root.
         y = x if k == 1 else hensel_lift_sqrt(x, z % q, p, k)
         c, x = divmod(y, p)
-        odd_roots.append((x, c))
-    two_part_digit = None
+        digits += [x - 1, c]
     k2 = m.two_exponent
-    # A unit is a square modulo 2**k2 exactly when it is 1 modulo 2**min(k2, 3).
-    if k2 >= 2 and z % (4 if k2 == 2 else 8) != 1:
+    if not _two_part_is_square(k2, z):
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
-        y2 = sqrt_mod_2k(z % (1 << k2), k2)
-        two_part_digit = (y2 - 1) // 2
-    return RootProfile(tuple(odd_roots), two_part_digit)
-
-
-def decode_index(m: FactoredModulus, index: int) -> int:
-    """Map an index in [1, |QR(N)|] to its quadratic residue modulo N."""
-    return profile_to_residue(m, index_to_profile(m, index))
-
-
-def encode_residue(m: FactoredModulus, z: int) -> int:
-    """Map a quadratic residue modulo N to its index; inverse of decode_index."""
-    return profile_to_index(m, residue_to_profile(m, z))
+        digits.append((sqrt_mod_2k(z % (1 << k2), k2) - 1) // 2)
+    return digits
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
@@ -332,12 +352,41 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     if z < 0:
         return False
     z %= m.n
-    if math.gcd(z, m.n) != 1:
+    residues = _unit_residues(m, z)
+    if residues is None:
         return False
-    for p, _ in m.odd_parts:
-        if pow(z, (p - 1) // 2, p) != 1:
+    for (p, _), zp in zip(m.odd_parts, residues):
+        if pow(zp, (p - 1) // 2, p) != 1:
             return False
-    return m.two_exponent < 2 or z % (4 if m.two_exponent == 2 else 8) == 1
+    return _two_part_is_square(m.two_exponent, z)
+
+
+def _unit_residues(m: FactoredModulus, z: int) -> list[int] | None:
+    # z mod each odd prime of N, or None when z (reduced mod N) is not a
+    # unit, which is exactly when one of them is 0 or z is even with 2 | N.
+    residues = [z % p for p, _ in m.odd_parts]
+    if 0 in residues or (m.two_exponent and not z & 1):
+        return None
+    return residues
+
+
+def _two_part_is_square(k2: int, z: int) -> bool:
+    # A unit is a square modulo 2**k2 exactly when it is 1 modulo 2**min(k2, 3).
+    return k2 < 2 or z % (4 if k2 == 2 else 8) == 1
+
+
+def _profile(m: FactoredModulus, digits) -> RootProfile:
+    odd_roots = tuple((digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r))
+    return RootProfile(odd_roots, digits[-1] if m.two_exponent > 3 else None)
+
+
+def _profile_digits(profile: RootProfile) -> list[int]:
+    digits = []
+    for x, c in profile.odd_roots:
+        digits += [x - 1, c]
+    if profile.two_part_digit is not None:
+        digits.append(profile.two_part_digit)
+    return digits
 
 
 def _check_shape(m: FactoredModulus, profile: RootProfile):

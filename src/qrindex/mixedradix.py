@@ -29,10 +29,7 @@ def pack(digits, radices) -> int:
                 f"digit {_format_int(digit)} at position {position}"
                 f" out of range for radix {_format_int(radix)}"
             )
-    value = 0
-    for digit, radix in zip(reversed(digits), reversed(radices)):
-        value = value * radix + digit
-    return value
+    return _value(digits, radices)
 
 
 def unpack(value: int, radices) -> tuple[int, ...]:
@@ -52,3 +49,11 @@ def _digits(value: int, radices) -> tuple[int, ...]:
         value, digit = divmod(value, radix)
         digits.append(digit)
     return tuple(digits)
+
+
+def _value(digits, radices) -> int:
+    # pack without its checks, for a caller whose digits are in range by construction.
+    value = 0
+    for digit, radix in zip(reversed(digits), reversed(radices)):
+        value = value * radix + digit
+    return value

@@ -9,6 +9,7 @@ Every function is pure and safe to call from any number of threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -49,24 +50,21 @@ def crt_combine(parts) -> int:
     combined = 1
     for residue, modulus in parts:
         if math.gcd(combined, modulus) != 1:
-            pair, g = _noncoprime_pair(parts)
+            # A prime shared with the product of earlier moduli is shared
+            # with one of them, so some pair is found.
+            g, a, b = next(
+                (math.gcd(a, b), a, b)
+                for (_, a), (_, b) in itertools.combinations(parts, 2)
+                if math.gcd(a, b) != 1
+            )
             raise NotCoprimeError(
-                f"moduli {_format_int(pair[0])} and {_format_int(pair[1])}"
+                f"moduli {_format_int(a)} and {_format_int(b)}"
                 f" are not coprime (gcd {_format_int(g)})",
                 gcd=g,
             )
         x += combined * ((residue - x) * pow(combined, -1, modulus) % modulus)
         combined *= modulus
     return x
-
-
-def _noncoprime_pair(parts):
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            g = math.gcd(parts[i][1], parts[j][1])
-            if g != 1:
-                return (parts[i][1], parts[j][1]), g
-    raise AssertionError("no offending pair found")
 
 
 def is_prime(n: int) -> bool:

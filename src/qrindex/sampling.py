@@ -1,8 +1,9 @@
 """Uniform residue sampling with exact random-bit accounting.
 
-All randomness flows through a BitSource, one bit per call, so consumers
-can count precisely how much entropy each strategy spends.  Two
-strategies are implemented on top of the same rejection primitive:
+All randomness flows through a BitSource, one bit per next_bit call or
+a k-bit word per next_bits call from the same stream, so consumers can
+count precisely how much entropy each strategy spends.  Two strategies
+are implemented on top of the same rejection primitive:
 
 * index sampling: draw a uniform index in [1, |QR(N)|] and decode it,
   spending ceil(log2 |QR(N)|) bits per attempt;
@@ -24,9 +25,18 @@ from .indexing import FactoredModulus, decode_index, index_space_size
 
 _MAX_REJECTIONS = 128
 
+# Maps a byte to the ASCII digit of its top bit.
+_TOP_BIT_DIGIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
+
 
 class BitSourceExhaustedError(RuntimeError):
-    """A finite bit source was asked for more bits than it holds."""
+    """A finite bit source was asked for more bits than it holds.
+
+    ``served`` counts the bits the failing ``next_bits`` call had already
+    taken from the source before it ran dry.
+    """
+
+    served = 0
 
 
 class RejectionLimitError(RuntimeError):
@@ -34,10 +44,28 @@ class RejectionLimitError(RuntimeError):
 
 
 class BitSource:
-    """Interface: next_bit() returns 0 or 1."""
+    """Interface: next_bit() returns 0 or 1.
+
+    next_bits(k) returns the next k bits of the same stream as one
+    integer, the first bit most significant, exactly as k calls of
+    next_bit would; k = 0 returns 0 and takes nothing.  The default makes
+    those k calls; a source may override it to serve the word at once.
+    A finite source that runs dry raises BitSourceExhaustedError, and
+    from next_bits sets its ``served`` to the bits already taken.
+    """
 
     def next_bit(self) -> int:
         raise NotImplementedError
+
+    def next_bits(self, k: int) -> int:
+        value = 0
+        try:
+            for served in range(k):
+                value = value << 1 | self.next_bit()
+        except BitSourceExhaustedError as exc:
+            exc.served = served
+            raise
+        return value
 
 
 class SystemBitSource(BitSource):
@@ -69,6 +97,15 @@ class SeededBitSource(BitSource):
 
     def next_bit(self) -> int:
         return self._rng.getrandbits(1)
+
+    def next_bits(self, k: int) -> int:
+        # getrandbits(1) is bit 31 of one 32-bit output, and getrandbits(32*k)
+        # packs k outputs little-endian: the stream's bits are the top bits of
+        # every fourth byte, first output first.
+        if k == 0:
+            return 0
+        words = self._rng.getrandbits(32 * k)
+        return int(words.to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
 
 
 class ScriptedBitSource(BitSource):
@@ -107,20 +144,24 @@ class RandomBitLedger:
 def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     """Uniform integer in [0, n) by rejection on ceil(log2 n)-bit words.
 
-    Bits are assembled most significant first.  Each attempt counts one
-    ledger attempt and exactly b bits; values >= n are rejected.  n = 1
-    draws zero bits and accepts immediately.  Gives up after 128
-    rejections, which a fair source reaches with probability < 2**-128.
+    Each attempt is one ``next_bits(b)`` word, most significant bit first,
+    and counts one ledger attempt and exactly b bits; values >= n are
+    rejected.  A source running dry mid-word leaves the bits it served on
+    the ledger.  n = 1 draws zero bits and accepts immediately.  Gives up
+    after 128 rejections, which a fair source reaches with probability
+    < 2**-128.
     """
     if n < 1:
         raise ValueError(f"range must be positive, got {n}")
     b = (n - 1).bit_length()
     for _ in range(_MAX_REJECTIONS):
         ledger.attempts += 1
-        value = 0
-        for _ in range(b):
-            value = value << 1 | source.next_bit()
-            ledger.bits_consumed += 1
+        try:
+            value = source.next_bits(b)
+        except BitSourceExhaustedError as exc:
+            ledger.bits_consumed += exc.served
+            raise
+        ledger.bits_consumed += b
         if value < n:
             return value
     raise RejectionLimitError(f"no draw below {n} within {_MAX_REJECTIONS} attempts")

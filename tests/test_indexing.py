@@ -28,6 +28,7 @@ from qrindex import (
     decode_index,
     encode_residue,
     enumerate_qr,
+    factor_trial_division,
     index_space_size,
     index_to_profile,
     is_prime,
@@ -500,13 +501,35 @@ class TestCrtBasis:
     def test_decode_matches_crt_combine(self, m):
         rng = random.Random(m.n)
         for _ in range(25):
-            profile = index_to_profile(m, rng.randint(1, index_space_size(m)))
+            index = rng.randint(1, index_space_size(m))
+            profile = index_to_profile(m, index)
             parts = [(x + c * p, p**k) for (p, k), (x, c) in zip(m.odd_parts, profile.odd_roots)]
             if m.two_exponent:
                 d = profile.two_part_digit
                 parts.append((1 if d is None else 1 + 2 * d, 1 << m.two_exponent))
             root = crt_combine(parts)
             assert profile_to_residue(m, profile) == root * root % m.n
+            assert decode_index(m, index) == root * root % m.n
+
+    @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
+    def test_decode_steps_share_the_basis(self, m):
+        # A step holds its basis element itself, not a new N-sized multiple.
+        assert [radix for radix, _, _ in m._decode_steps] == [r for r in m._radices if r > 1]
+        for _, _, e in m._decode_steps:
+            assert any(e is basis for basis in m._crt_basis)
+
+    @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
+    def test_encode_matches_the_checked_pack_path(self, m):
+        rng = random.Random(m.n)
+        for _ in range(25):
+            z = decode_index(m, rng.randint(1, index_space_size(m)))
+            assert encode_residue(m, z) == profile_to_index(m, residue_to_profile(m, z))
+
+    def test_encode_matches_the_checked_pack_path_below_400(self):
+        for n in range(2, 401):
+            m = factor_trial_division(n)
+            for z in enumerate_qr(n):
+                assert encode_residue(m, z) == profile_to_index(m, residue_to_profile(m, z)), (n, z)
 
 
 class TestIsQuadraticResidue:
@@ -527,8 +550,6 @@ class TestIsQuadraticResidue:
         assert is_quadratic_residue(parse_factorization(factors), z) is expected
 
     def test_agrees_with_enumeration(self):
-        from qrindex import factor_trial_division
-
         for n in range(2, 300):
             m = factor_trial_division(n)
             table = set(enumerate_qr(n))

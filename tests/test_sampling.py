@@ -53,6 +53,25 @@ class TestBitSources:
         with pytest.raises(ValueError):
             SeededBitSource(1 << 64)
 
+    def test_seeded_words_are_the_one_bit_stream(self):
+        # next_bits(k) serves the next k bits of the next_bit stream, first
+        # bit most significant, with the two calls interleaved freely.
+        for seed in range(20):
+            words, bits = SeededBitSource(seed), SeededBitSource(seed)
+            for k in (0, 1, 2, 7, 8, 13, 64, 2047):
+                expected = 0
+                for _ in range(k):
+                    expected = expected << 1 | bits.next_bit()
+                assert words.next_bits(k) == expected, (seed, k)
+                assert words.next_bit() == bits.next_bit()
+
+    def test_scripted_runs_dry_inside_a_word(self):
+        source = ScriptedBitSource("101")
+        with pytest.raises(BitSourceExhaustedError) as excinfo:
+            source.next_bits(5)
+        assert source.position == 3
+        assert excinfo.value.served == 3
+
     def test_system_source_yields_bits(self):
         source = SystemBitSource()
         bits = [source.next_bit() for _ in range(100)]
@@ -64,6 +83,10 @@ class TestDrawUniform:
         ledger = RandomBitLedger()
         assert draw_uniform(1, ScriptedBitSource(""), ledger) == 0
         assert ledger.bits_consumed == 0
+        source = SeededBitSource(7)
+        assert draw_uniform(1, source, ledger) == 0
+        assert ledger.bits_consumed == 0
+        assert source.next_bits(64) == SeededBitSource(7).next_bits(64)
 
     def test_single_bit_range(self):
         ledger = RandomBitLedger()
