@@ -26,9 +26,14 @@ The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
-digits take no step.  ``encode_residue`` inverts it via Tonelli-Shanks
-and Hensel lifting.  The ``RootProfile`` functions are views over the
-same digit lists.
+digits take no step.  ``encode_residue`` inverts it in one pass over
+one prepared root step per odd part, in ascending-prime order: a
+Tonelli-Shanks root that also yields its inverse, which starts the
+Newton lift to ``p**e``, each digit added at its place value as it
+comes, then the 2-part digit at the top place.  No digit list is built,
+no modular inverse is taken, and the unit test (a gcd with N) runs only
+on the error path.  The ``RootProfile`` functions are views over the
+same digits.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import (
     NotCoprimeError,
     _format_int,
 )
-from .numbertheory import hensel_lift_sqrt, is_prime, sqrt_mod_2k, sqrt_mod_prime
+from .numbertheory import _lift_inverse_root, _tonelli_shanks, is_prime, sqrt_mod_2k
 
 # Largest modulus accepted, in bits: tens of thousands of bits are in
 # scope, while a larger claimed factorization is refused before any work.
@@ -85,8 +90,11 @@ class FactoredModulus:
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
     of distinct odd primes) and ``phi`` (Euler's totient).  Built here
     once: ``|QR(N)|``, the radix schedule, the CRT basis ``E_i`` (1 modulo
-    its own prime-power part, 0 modulo the others) and the decode steps,
+    its own prime-power part, 0 modulo the others), the decode steps,
     one ``(radix, scale, E_i)`` per radix above 1 that share the basis'
+    integers, and the encode root steps, one ``(p, p**k, (p-1)/2,
+    p**(k-1), s, e)`` per odd part with ``p - 1 = (2e+1) * 2**s``, whose
+    power and radices are the part modulus' and the schedule's own
     integers.  Immutable and freely shareable across threads.
     """
 
@@ -125,14 +133,17 @@ class FactoredModulus:
         size = 1 << max(self.two_exponent - 3, 0)
         radices: list[int] = []
         part_moduli: list[int] = []
+        root_steps = []
         for p, k in self.odd_parts:
             q = p ** k
-            lower = q // p
+            half, lower = (p - 1) // 2, q // p
             n *= q
             phi *= (p - 1) * lower
-            size *= (p - 1) // 2 * lower
-            radices += [(p - 1) // 2, lower]
+            size *= half * lower
+            radices += [half, lower]
             part_moduli.append(q)
+            s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = (2e+1) * 2**s
+            root_steps.append((p, q, half, lower, s, half >> s))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
         if self.two_exponent >= 1:
@@ -146,7 +157,7 @@ class FactoredModulus:
         self._radices = tuple(radices)
         self._part_moduli = tuple(part_moduli)
         # E_i is 1 mod q_i and 0 mod every other part: decode is one linear sum.
-        self._crt_basis = tuple((n // q) * pow(n // q, -1, q) for q in part_moduli)
+        self._crt_basis = tuple((c := n // q) * pow(c, -1, q) for q in part_moduli)
         # Each step shares its E_i with the basis and keeps the scale apart:
         # storing p*E_i would add a modulus-sized integer per odd part.
         steps = []
@@ -155,6 +166,7 @@ class FactoredModulus:
         if self.two_exponent > 3:
             steps.append((radices[-1], 2, self._crt_basis[-1]))
         self._decode_steps = tuple(step for step in steps if step[0] > 1)
+        self._root_steps = tuple(root_steps)
 
     def factor_string(self) -> str:
         """The factorization as ``parse_factorization`` reads it, bases
@@ -281,7 +293,7 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     z is reduced modulo N first.  Raises NotCoprimeError when z is not a
     unit and NotAResidueError when some local square root does not exist.
     """
-    return _profile(m, _residue_digits(m, z))
+    return _profile(m, mixedradix._digits(_residue_value(m, z), m._radices))
 
 
 def decode_index(m: FactoredModulus, index: int) -> int:
@@ -294,8 +306,13 @@ def decode_index(m: FactoredModulus, index: int) -> int:
 
 
 def encode_residue(m: FactoredModulus, z: int) -> int:
-    """Map a quadratic residue modulo N to its index; inverse of decode_index."""
-    return mixedradix._value(_residue_digits(m, z), m._radices) + 1
+    """Map a quadratic residue modulo N to its index; inverse of decode_index.
+
+    One pass over the modulus' prepared root steps adds each digit at its
+    place value: no digit list, no modular inverse, and the gcd with N
+    only when a step fails.  Raises as ``residue_to_profile`` does.
+    """
+    return _residue_value(m, z) + 1
 
 
 def _zero_based(m: FactoredModulus, index: int) -> int:
@@ -318,32 +335,49 @@ def _decode(m: FactoredModulus, value: int) -> int:
     return root * root % m.n
 
 
-def _residue_digits(m: FactoredModulus, z: int) -> list[int]:
-    # The digits of z's index, each in range by construction: x <= (p-1)/2,
-    # c < p**(k-1) as y < p**k, and the 2-adic root is below 2**(k2-2).
+def _residue_value(m: FactoredModulus, z: int) -> int:
+    # The 0-based index of z, each digit in range by construction:
+    # x <= (p-1)/2, c < p**(k-1) as y < p**k, and the 2-adic root is below
+    # 2**(k2-2).  Ascending steps make the first failing prime the one named.
     if z < 0:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
-    z %= m.n
-    residues = _unit_residues(m, z)
-    if residues is None:
-        g = math.gcd(z, m.n)
-        raise NotCoprimeError(
-            f"{_format_int(z)} is not a unit modulo {_format_int(m.n)} (gcd {_format_int(g)})",
-            gcd=g,
-        )
-    digits = []
-    for (p, k), q, zp in zip(m.odd_parts, m._part_moduli, residues):
-        x = sqrt_mod_prime(zp, p)
-        # The lift keeps y = x (mod p), so x stays the canonical root.
-        y = x if k == 1 else hensel_lift_sqrt(x, z % q, p, k)
-        c, x = divmod(y, p)
-        digits += [x - 1, c]
+    n = m.n
+    z %= n
+    if m.two_exponent and not z & 1:
+        raise _not_a_unit(z, n)
+    value, place = 0, 1
+    try:
+        for p, q, x_radix, c_radix, s, e in m._root_steps:
+            # One full-width reduction per part: z mod p comes from z mod p**k.
+            zq = z % q
+            a = zq % p
+            if not a:
+                raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
+            x, r = _tonelli_shanks(a, p, s, e)
+            value += (x - 1) * place
+            place *= x_radix
+            if c_radix > 1:
+                # The lift keeps y = x (mod p), so x stays the canonical root.
+                value += _lift_inverse_root(r, zq, p, q) // p * place
+                place *= c_radix
+    except NotAResidueError:
+        # A non-unit outranks a non-residue at any earlier prime.
+        if math.gcd(z, n) != 1:
+            raise _not_a_unit(z, n) from None
+        raise
     k2 = m.two_exponent
     if not _two_part_is_square(k2, z):
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
-        digits.append((sqrt_mod_2k(z % (1 << k2), k2) - 1) // 2)
-    return digits
+        value += (sqrt_mod_2k(z % (1 << k2), k2) - 1) // 2 * place
+    return value
+
+
+def _not_a_unit(z: int, n: int) -> NotCoprimeError:
+    g = math.gcd(z, n)
+    return NotCoprimeError(
+        f"{_format_int(z)} is not a unit modulo {_format_int(n)} (gcd {_format_int(g)})", gcd=g
+    )
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
@@ -352,22 +386,13 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     if z < 0:
         return False
     z %= m.n
-    residues = _unit_residues(m, z)
-    if residues is None:
+    if m.two_exponent and not z & 1:
         return False
-    for (p, _), zp in zip(m.odd_parts, residues):
-        if pow(zp, (p - 1) // 2, p) != 1:
+    # Euler's criterion also refuses z = 0 mod p, as 0**((p-1)/2) = 0.
+    for p, _, half, *_ in m._root_steps:
+        if pow(z % p, half, p) != 1:
             return False
     return _two_part_is_square(m.two_exponent, z)
-
-
-def _unit_residues(m: FactoredModulus, z: int) -> list[int] | None:
-    # z mod each odd prime of N, or None when z (reduced mod N) is not a
-    # unit, which is exactly when one of them is 0 or z is even with 2 | N.
-    residues = [z % p for p, _ in m.odd_parts]
-    if 0 in residues or (m.two_exponent and not z & 1):
-        return None
-    return residues
 
 
 def _two_part_is_square(k2: int, z: int) -> bool:

@@ -183,13 +183,15 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """Canonical square root of a unit modulo an odd prime.
 
     Returns the root x with ``x*x % p == a`` and ``1 <= x <= (p-1)//2``.
-    One Tonelli-Shanks path for every odd prime ``p = q*2**s + 1``: one
-    exponentiation yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for
-    p = 3 mod 4 that is the ``a**((p+1)/4)`` shortcut); when t != 1 the
-    loop also needs ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...),
-    which a per-process cache keyed by p holds, unbounded.  Once p has
-    been seen, every call costs exactly one full-size exponentiation: the
-    loop's other powers have exponents below ``2**s``.
+    The checked wrapper of ``_tonelli_shanks``, the core that encoding
+    calls with the constants its modulus prepared: one Tonelli-Shanks
+    path for every odd prime ``p = q*2**s + 1``.  One exponentiation
+    yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for p = 3 mod 4 that is
+    the ``a**((p+1)/4)`` shortcut); when t != 1 the loop also needs
+    ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...), which a
+    per-process cache keyed by p holds, unbounded.  Once p has been seen,
+    every call costs exactly one full-size exponentiation: the loop's
+    other powers have exponents below ``2**s``.
 
     Raises NotAResidueError for non-residues.  The caller must pass a
     prime: a composite p raises ValueError once the scan proves it so.
@@ -200,10 +202,21 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     if a == 0:
         raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
-    q = (p - 1) >> s
-    w = pow(a, (q - 1) // 2, p)
+    return _tonelli_shanks(a, p, s, (p - 1) >> (s + 1))[0]
+
+
+def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:
+    """The canonical root x of the unit ``a < p`` and ``r = x**-1 mod p``,
+    where ``p - 1 = q*2**s`` with q odd and ``e = (q-1)/2``.
+
+    r starts at ``w = a**e`` and takes every factor x takes, so
+    ``x*r = t`` throughout and the loop exits at t = 1 with r the inverse.
+    Raises NotAResidueError for a non-residue.
+    """
+    w = pow(a, e, p)
     x = a * w % p
     t = x * w % p
+    r = w
     if t != 1:
         c = _nonresidue_power(p)
     m = s
@@ -219,20 +232,21 @@ def sqrt_mod_prime(a: int, p: int) -> int:
                 )
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
+        r = r * b % p
         c = b * b % p
         t = t * c % p
         m = i
-    return min(x, p - x)
+    return (x, r) if x <= p - x else (p - x, p - r)
 
 
 def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     """Lift a square root modulo an odd prime p to one modulo p**k.
 
     Given ``x*x = z (mod p)`` with z a unit, returns the unique y with
-    ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.
-    Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)`` from
-    ``1/x`` mod p doubles the correct p-adic digits per step (halving is a
-    product by ``(q+1)/2`` modulo the odd q): O(log k) steps, then z*r.
+    ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.  The
+    checked wrapper of ``_lift_inverse_root``, the core that encoding
+    calls with the inverse root Tonelli-Shanks already returns; here the
+    start ``1/x`` mod p costs one modular inverse.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
@@ -248,7 +262,18 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    r, q = pow(x, -1, p), p
+    return _lift_inverse_root(pow(x, -1, p), z, p, pk)
+
+
+def _lift_inverse_root(r: int, z: int, p: int, pk: int) -> int:
+    """The root ``z*r`` modulo ``pk = p**k`` of the unit ``z < pk``, where
+    ``r*r*z = 1 (mod p)``; it is congruent to ``1/r`` modulo p.
+
+    Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)``
+    doubles the correct p-adic digits per step (halving is a product by
+    ``(q+1)/2`` modulo the odd q): O(log k) steps, then z*r.
+    """
+    q = p
     while q < pk:
         q = min(q * q, pk)
         r = r * (3 - z * r * r) * ((q + 1) // 2) % q

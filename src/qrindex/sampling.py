@@ -69,9 +69,15 @@ class BitSource:
 
 
 class SystemBitSource(BitSource):
-    """Bits from os.urandom, delivered most significant first per byte."""
+    """Bits from os.urandom, delivered most significant first per byte.
+
+    next_bits(k) serves the buffered bits first, then reads the bytes the
+    rest of the word needs with one os.urandom call and keeps the unused
+    low bits of the last byte for the next call.
+    """
 
     def __init__(self):
+        # The unserved bits are the low _remaining bits of _buffer.
         self._buffer = 0
         self._remaining = 0
 
@@ -81,6 +87,19 @@ class SystemBitSource(BitSource):
             self._remaining = 8
         self._remaining -= 1
         return (self._buffer >> self._remaining) & 1
+
+    def next_bits(self, k: int) -> int:
+        take = min(k, self._remaining)
+        self._remaining -= take
+        value = self._buffer >> self._remaining & ((1 << take) - 1)
+        need = k - take
+        if need == 0:
+            return value
+        nbytes = (need + 7) // 8
+        word = int.from_bytes(os.urandom(nbytes), "big")
+        self._remaining = 8 * nbytes - need
+        self._buffer = word & ((1 << self._remaining) - 1)
+        return value << need | word >> self._remaining
 
 
 class SeededBitSource(BitSource):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrindex.indexing as indexing
+import qrindex.numbertheory as numbertheory
 from qrindex import mixedradix
 from helpers import (
     ODD_PRIMES,
@@ -348,6 +349,45 @@ class TestEncodeResidue:
         assert excinfo.value.gcd == gcd
         assert str(excinfo.value) == f"{z} is not a unit modulo {m.n} (gcd {gcd})"
 
+    def test_outcome_spec_below_300(self):
+        # Every z in 0..2N-1 for every N in 2..300, against a reference
+        # outcome built from gcd and Euler's criterion alone: the index, or
+        # the exact error, gcd and message, from both encode entry points.
+        for n in range(2, 301):
+            m = factor_trial_division(n)
+            for z in range(2 * n):
+                expected = _expected_encode_outcome(m, z)
+                for encode in (encode_residue, residue_to_profile):
+                    try:
+                        result = encode(m, z)
+                    except (NotCoprimeError, NotAResidueError) as exc:
+                        outcome = (type(exc), str(exc), getattr(exc, "gcd", None))
+                        assert outcome == expected, (n, z, encode.__name__)
+                        continue
+                    if encode is residue_to_profile:
+                        result = profile_to_index(m, result)
+                    assert not isinstance(expected, tuple), (n, z, encode.__name__)
+                    assert 1 <= result <= index_space_size(m), (n, z)
+                    assert decode_index(m, result) == z % n, (n, z)
+
+    @pytest.mark.parametrize("factors", ["3^5 * 5^3 * 7^2", "2^7 * 3^2 * 7"])
+    def test_no_modular_inverse(self, factors, monkeypatch):
+        # Builtin pow is shadowed in the modules encode runs through.
+        inverses = []
+
+        def counting_pow(*args):
+            if len(args) == 3 and args[1] < 0:
+                inverses.append(args)
+            return pow(*args)
+
+        m = parse_factorization(factors)
+        indices = range(1, index_space_size(m) + 1, 7)
+        residues = [decode_index(m, i) for i in indices]
+        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(indexing, "pow", counting_pow, raising=False)
+        assert [encode_residue(m, z) for z in residues] == list(indices)
+        assert inverses == []
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_residue(parse_factorization("3*5"), -4)
@@ -356,6 +396,22 @@ class TestEncodeResidue:
         m = parse_factorization("3*5")
         assert encode_residue(m, 4 + 15) == encode_residue(m, 4)
         assert encode_residue(m, 1 + 15 * 7) == 1
+
+
+def _expected_encode_outcome(m, z):
+    """What encoding z must give: None for an index, else (type, message, gcd)."""
+    n = m.n
+    z %= n
+    g = math.gcd(z, n)
+    if g != 1:
+        return NotCoprimeError, f"{z} is not a unit modulo {n} (gcd {g})", g
+    for p, _ in m.odd_parts:
+        if pow(z % p, (p - 1) // 2, p) != 1:
+            return NotAResidueError, f"{z % p} is not a quadratic residue modulo {p}", None
+    k2 = m.two_exponent
+    if k2 >= 2 and z % (4 if k2 == 2 else 8) != 1:
+        return NotAResidueError, f"{z} is not a quadratic residue modulo 2**{k2}", None
+    return None
 
 
 class TestRoundtrips:
@@ -517,6 +573,17 @@ class TestCrtBasis:
         assert [radix for radix, _, _ in m._decode_steps] == [r for r in m._radices if r > 1]
         for _, _, e in m._decode_steps:
             assert any(e is basis for basis in m._crt_basis)
+
+    @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
+    def test_root_steps_share_the_schedule(self, m):
+        # A root step holds the part modulus and radices themselves.
+        assert len(m._root_steps) == m.r
+        for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
+            sp, q, x_radix, c_radix, s, e = step
+            assert sp == p and q == p**k
+            assert q is m._part_moduli[i]
+            assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
+            assert (2 * e + 1) << s == p - 1 and s >= 1
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_encode_matches_the_checked_pack_path(self, m):

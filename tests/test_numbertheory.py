@@ -227,6 +227,27 @@ class TestSqrtModPrime:
             assert x == min(b % p, p - b % p)
         with pytest.raises(NotAResidueError):
             sqrt_mod_prime(_nonresidue(p), p)
+        s, e = 64, p >> 65
+        for b in (3, 12345, p - 2, 2**100 + 7):
+            x, r = numbertheory._tonelli_shanks(b * b % p, p, s, e)
+            assert x * r % p == 1
+            assert x == sqrt_mod_prime(b * b % p, p)
+
+    def test_core_returns_the_inverse_root(self):
+        for p in sieve_primes(500)[1:]:
+            s = ((p - 1) & (1 - p)).bit_length() - 1
+            e = (p - 1) >> (s + 1)
+            assert (2 * e + 1) << s == p - 1
+            table = canonical_root_table(p)
+            for a in range(1, p):
+                if a in table:
+                    x, r = numbertheory._tonelli_shanks(a, p, s, e)
+                    assert x * r % p == 1, (a, p)
+                    assert x == sqrt_mod_prime(a, p) == table[a], (a, p)
+                else:
+                    with pytest.raises(NotAResidueError) as excinfo:
+                        numbertheory._tonelli_shanks(a, p, s, e)
+                    assert str(excinfo.value) == f"{a} is not a quadratic residue modulo {p}"
 
     def test_full_size_exponentiations_per_path(self, monkeypatch):
         # Builtin pow calls are counted the way the benchmark tracer
@@ -357,6 +378,7 @@ class TestHenselLiftSqrt:
         assert result * result % q == z
         assert result % p == x
         assert 0 < result < q
+        assert numbertheory._lift_inverse_root(pow(x, -1, p), z, p, q) == result
 
     def test_preserves_base_root_choice(self):
         # Lifting the conjugate base root lands on the conjugate lift.

@@ -1,8 +1,12 @@
+import io
 import itertools
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
+import qrindex.sampling as sampling
 from qrindex import (
     BitSourceExhaustedError,
     RandomBitLedger,
@@ -71,6 +75,26 @@ class TestBitSources:
             source.next_bits(5)
         assert source.position == 3
         assert excinfo.value.served == 3
+
+    def test_system_words_are_the_one_bit_stream(self, monkeypatch):
+        # A fixed byte stream stands in for os.urandom: next_bits(k), with
+        # next_bit calls interleaved, must serve the one-bit stream.
+        def replay(data):
+            monkeypatch.setattr(sampling, "os", SimpleNamespace(urandom=io.BytesIO(data).read))
+            return SystemBitSource()
+
+        for seed in range(5):
+            data = random.Random(seed).randbytes(512)
+            bits, expected = replay(data), []
+            for k in (0, 1, 7, 8, 9, 13, 64, 2047):
+                word = 0
+                for _ in range(k):
+                    word = word << 1 | bits.next_bit()
+                expected += [word, bits.next_bit()]
+            words, served = replay(data), []
+            for k in (0, 1, 7, 8, 9, 13, 64, 2047):
+                served += [words.next_bits(k), words.next_bit()]
+            assert served == expected, seed
 
     def test_system_source_yields_bits(self):
         source = SystemBitSource()
