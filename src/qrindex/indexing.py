@@ -53,7 +53,9 @@ from .errors import (
     NotCoprimeError,
     _format_int,
 )
-from .numbertheory import _lift_inverse_root, _tonelli_shanks, is_prime, sqrt_mod_2k
+from .numbertheory import (
+    _lift_inverse_root, _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k,
+)
 
 # Largest modulus accepted, in bits: tens of thousands of bits are in
 # scope, while a larger claimed factorization is refused before any work.
@@ -94,8 +96,8 @@ class FactoredModulus:
     one ``(radix, scale, E_i)`` per radix above 1 that share the basis'
     integers, and the encode root steps, one ``(p, p**k, (p-1)/2,
     p**(k-1), s, e)`` per odd part with ``p - 1 = (2e+1) * 2**s``, whose
-    power and radices are the part modulus' and the schedule's own
-    integers.  Immutable and freely shareable across threads.
+    radices are the schedule's own integers.  Immutable and freely
+    shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -142,8 +144,7 @@ class FactoredModulus:
             size *= half * lower
             radices += [half, lower]
             part_moduli.append(q)
-            s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = (2e+1) * 2**s
-            root_steps.append((p, q, half, lower, s, half >> s))
+            root_steps.append((p, q, half, lower, *_two_adic_split(p)))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
         if self.two_exponent >= 1:
@@ -155,7 +156,6 @@ class FactoredModulus:
         self.phi = phi
         self._size = size
         self._radices = tuple(radices)
-        self._part_moduli = tuple(part_moduli)
         # E_i is 1 mod q_i and 0 mod every other part: decode is one linear sum.
         self._crt_basis = tuple((c := n // q) * pow(c, -1, q) for q in part_moduli)
         # Each step shares its E_i with the basis and keeps the scale apart:
@@ -266,25 +266,21 @@ def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
 
 
 def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
-    """Pack per-factor root choices back into their 1-based index."""
-    _check_shape(m, profile)
+    """Pack per-factor root choices back into their 1-based index.
+
+    Validates through ``mixedradix.pack``: ValueError when the profile's
+    shape does not match the modulus, TypeError for a non-integer entry,
+    IndexRangeError for a root or digit out of range.
+    """
     return mixedradix.pack(_profile_digits(profile), m._radices) + 1
 
 
 def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
-    """Rebuild the residue the profile's roots square to."""
-    _check_shape(m, profile)
-    for (p, k), q, (x, c) in zip(m.odd_parts, m._part_moduli, profile.odd_roots):
-        if not 1 <= x <= (p - 1) // 2:
-            raise IndexRangeError(f"root {_format_int(x)} not canonical for prime {_format_int(p)}")
-        if not 0 <= c < q // p:
-            raise IndexRangeError(
-                f"lift digit {_format_int(c)} out of range for {_format_int(p)}**{k}"
-            )
-    d = profile.two_part_digit
-    if d is not None and not 0 <= d < 1 << (m.two_exponent - 3):
-        raise IndexRangeError(f"2-part digit {_format_int(d)} out of range")
-    return _decode(m, mixedradix._value(_profile_digits(profile), m._radices))
+    """Rebuild the residue the profile's roots square to.
+
+    Raises exactly as ``profile_to_index`` does, through the same pack.
+    """
+    return _decode(m, mixedradix.pack(_profile_digits(profile), m._radices))
 
 
 def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
@@ -412,12 +408,3 @@ def _profile_digits(profile: RootProfile) -> list[int]:
     if profile.two_part_digit is not None:
         digits.append(profile.two_part_digit)
     return digits
-
-
-def _check_shape(m: FactoredModulus, profile: RootProfile):
-    if len(profile.odd_roots) != m.r:
-        raise ValueError(
-            f"profile has {len(profile.odd_roots)} odd roots, modulus has {m.r} odd parts"
-        )
-    if (profile.two_part_digit is not None) != (m.two_exponent > 3):
-        raise ValueError("profile 2-part digit does not match the modulus shape")

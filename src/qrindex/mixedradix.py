@@ -4,7 +4,12 @@ The first digit is the least significant: ``pack((d0, d1, d2), (r0, r1, r2))``
 equals ``d0 + r0*(d1 + r1*d2)``.  Radix-1 positions are legal and their
 digit is always 0.  The empty schedule addresses exactly one codeword, 0.
 Radix order is whatever the caller fixes; nothing here assumes sorting.
+
+``pack`` is the one checker of a digit tuple, the ``RootProfile`` functions'
+included; it and ``unpack`` raise TypeError for non-integers, as ``range`` does.
 """
+
+import operator
 
 from .errors import IndexRangeError, _format_int
 
@@ -20,20 +25,33 @@ def schedule_size(radices) -> int:
 
 
 def pack(digits, radices) -> int:
-    """Pack digits into their little-endian mixed-radix value."""
+    """Pack digits into their little-endian mixed-radix value.
+
+    Raises ValueError when the digit and radix counts differ, TypeError
+    for a non-integer digit, and IndexRangeError naming the first digit
+    outside ``0 <= digit < radix``.
+    """
     if len(digits) != len(radices):
         raise ValueError(f"{len(digits)} digits against {len(radices)} radices")
+    value, place = 0, 1
     for position, (digit, radix) in enumerate(zip(digits, radices)):
+        digit = operator.index(digit)
         if not 0 <= digit < radix:
             raise IndexRangeError(
                 f"digit {_format_int(digit)} at position {position}"
                 f" out of range for radix {_format_int(radix)}"
             )
-    return _value(digits, radices)
+        value += digit * place
+        place *= radix
+    return value
 
 
 def unpack(value: int, radices) -> tuple[int, ...]:
-    """Recover the digit tuple from a packed value, by successive divmod."""
+    """Recover the digit tuple from a packed value, by successive divmod.
+
+    Raises TypeError for a non-integer value, IndexRangeError past the schedule.
+    """
+    value = operator.index(value)
     size = schedule_size(radices)
     if not 0 <= value < size:
         raise IndexRangeError(
@@ -49,11 +67,3 @@ def _digits(value: int, radices) -> tuple[int, ...]:
         value, digit = divmod(value, radix)
         digits.append(digit)
     return tuple(digits)
-
-
-def _value(digits, radices) -> int:
-    # pack without its checks, for a caller whose digits are in range by construction.
-    value = 0
-    for digit, radix in zip(reversed(digits), reversed(radices)):
-        value = value * radix + digit
-    return value

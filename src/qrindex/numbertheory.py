@@ -175,8 +175,8 @@ def _nonresidue_power(p: int) -> int:
         b += 1 if b == 2 else 2
     if euler != p - 1:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    return pow(b, (p - 1) >> s, p)
+    _, e = _two_adic_split(p)
+    return pow(b, 2 * e + 1, p)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -201,8 +201,13 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
-    return _tonelli_shanks(a, p, s, (p - 1) >> (s + 1))[0]
+    return _tonelli_shanks(a, p, *_two_adic_split(p))[0]
+
+
+def _two_adic_split(p: int) -> tuple[int, int]:
+    """The Tonelli-Shanks constants ``(s, e)`` with ``p - 1 = (2e+1) * 2**s``."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    return s, (p - 1) >> (s + 1)
 
 
 def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:

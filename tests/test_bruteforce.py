@@ -126,10 +126,18 @@ def test_enumeration_confirms_size_formula_sample():
 
 
 def test_import_leaves_numpy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qrindex; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    # The library and CLI load only the standard library: numpy and the
+    # other test-oracle packages are never a runtime dependency.  Modules
+    # the interpreter's site hooks load before the import are left out.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qrindex, qrindex.cli\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted(name for name in loaded if name.partition('.')[0]"
+        " not in sys.stdlib_module_names | {'qrindex'}))\n"
+        "print('numpy' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\nFalse\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -503,14 +504,54 @@ class TestProfiles:
 
     def test_profile_shape_validation(self):
         m = parse_factorization("3*5")
-        with pytest.raises(ValueError):
-            profile_to_residue(m, RootProfile(((1, 0),)))
-        with pytest.raises(ValueError):
-            profile_to_residue(m, RootProfile(((1, 0), (1, 0)), two_part_digit=0))
-        with pytest.raises(IndexRangeError):
-            profile_to_residue(m, RootProfile(((1, 0), (3, 0))))
-        with pytest.raises(IndexRangeError):
-            profile_to_residue(m, RootProfile(((1, 1), (1, 0))))
+        for view in (profile_to_index, profile_to_residue):
+            with pytest.raises(ValueError):
+                view(m, RootProfile(((1, 0),)))
+            with pytest.raises(ValueError):
+                view(m, RootProfile(((1, 0), (1, 0)), two_part_digit=0))
+            with pytest.raises(IndexRangeError):
+                view(m, RootProfile(((1, 0), (3, 0))))
+            with pytest.raises(IndexRangeError):
+                view(m, RootProfile(((1, 1), (1, 0))))
+            with pytest.raises(TypeError):
+                view(m, RootProfile(((1, 0), (2.5, 0))))
+            with pytest.raises(TypeError):
+                view(m, RootProfile(((1.0, 0), (2, 0))))
+
+    @pytest.mark.parametrize("text", ["3*5", "2^5 * 3^2 * 7", "3^3 * 5", "2^4"])
+    def test_profile_views_accept_and_refuse_alike(self, text):
+        # Every digit in -1..radix at every position, plus wrong shapes: the
+        # two views raise the same type or agree with decode_index, and they
+        # accept exactly the in-range tuples, each index once.
+        m = parse_factorization(text)
+        radices = radix_schedule(m)
+        profiles = []
+        for digits in itertools.product(*(range(-1, radix + 1) for radix in radices)):
+            odd_roots = tuple((digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r))
+            two_part = digits[-1] if m.two_exponent > 3 else None
+            in_range = all(0 <= d < radix for d, radix in zip(digits, radices))
+            profiles.append((RootProfile(odd_roots, two_part), in_range))
+        valid = index_to_profile(m, 1)
+        roots, two_part = valid.odd_roots, valid.two_part_digit
+        wrong_shapes = [(roots + ((1, 0),), two_part), (roots, 0 if two_part is None else None)]
+        if roots:
+            wrong_shapes.append((roots[:-1], two_part))
+        profiles += [(RootProfile(*shape), False) for shape in wrong_shapes]
+        accepted = []
+        for profile, in_range in profiles:
+            outcomes = []
+            for view in (profile_to_index, profile_to_residue):
+                try:
+                    outcomes.append(view(m, profile))
+                except Exception as exc:
+                    outcomes.append(type(exc))
+            index, residue = outcomes
+            if isinstance(index, type) or isinstance(residue, type):
+                assert index is residue and not in_range, profile
+            else:
+                assert in_range and residue == decode_index(m, index), profile
+                accepted.append(index)
+        assert sorted(accepted) == list(range(1, index_space_size(m) + 1))
 
     def test_two_part_root_is_canonical_odd(self):
         m = parse_factorization("2^7")
@@ -576,12 +617,11 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the part modulus and radices themselves.
+        # A root step holds the schedule's radices themselves.
         assert len(m._root_steps) == m.r
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
             sp, q, x_radix, c_radix, s, e = step
             assert sp == p and q == p**k
-            assert q is m._part_moduli[i]
             assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
             assert (2 * e + 1) << s == p - 1 and s >= 1
 

@@ -66,6 +66,16 @@ def test_digit_out_of_range_names_the_position():
         pack((-1, 0), (3, 4))
 
 
+def test_non_integers_are_refused():
+    # A float that int() would accept is still refused, as range(2.0) is.
+    with pytest.raises(TypeError):
+        pack((1.0, 0), (2, 3))
+    with pytest.raises(TypeError):
+        pack((1, 0.0), (2, 3))
+    with pytest.raises(TypeError):
+        unpack(1.0, (2, 3))
+
+
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         pack((1,), (3, 4))

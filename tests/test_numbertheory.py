@@ -233,6 +233,14 @@ class TestSqrtModPrime:
             assert x * r % p == 1
             assert x == sqrt_mod_prime(b * b % p, p)
 
+    def test_two_adic_split(self):
+        for p in sieve_primes(500)[1:] + [2**255 - 19, _prime_with_two_adic_valuation(64)]:
+            s, e = numbertheory._two_adic_split(p)
+            odd, twos = p - 1, 0
+            while odd % 2 == 0:
+                odd, twos = odd // 2, twos + 1
+            assert (s, 2 * e + 1) == (twos, odd), p
+
     def test_core_returns_the_inverse_root(self):
         for p in sieve_primes(500)[1:]:
             s = ((p - 1) & (1 - p)).bit_length() - 1
