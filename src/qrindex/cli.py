@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_division
@@ -252,4 +253,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # A reader closing the pipe early ends us quietly, as coreutils filters.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

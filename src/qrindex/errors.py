@@ -29,6 +29,10 @@ class NotAResidueError(ValueError):
 class IndexRangeError(ValueError):
     """An index or digit lies outside its allowed range."""
 
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
+
 
 class FactorizationError(ValueError):
     """A claimed factorization is malformed or inconsistent."""

@@ -91,12 +91,12 @@ class FactoredModulus:
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
     of distinct odd primes) and ``phi`` (Euler's totient).  Built here
-    once: ``|QR(N)|``, the radix schedule, the CRT basis ``E_i`` (1 modulo
-    its own prime-power part, 0 modulo the others), the decode steps,
-    one ``(radix, scale, E_i)`` per radix above 1 that share the basis'
-    integers, and the encode root steps, one ``(p, p**k, (p-1)/2,
-    p**(k-1), s, e)`` per odd part with ``p - 1 = (2e+1) * 2**s``, whose
-    radices are the schedule's own integers.  Immutable and freely
+    once: ``|QR(N)|``, the radix schedule, the decode steps, one
+    ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
+    element of its part (1 modulo that part, 0 modulo the others, one
+    integer per part), and the encode root steps, one ``(p, p**k,
+    (p-1)/2, p**(k-1), s, e)`` per odd part with ``p - 1 = (2e+1) * 2**s``.
+    Both hold the schedule's own radix integers.  Immutable and freely
     shareable across threads.
     """
 
@@ -134,8 +134,8 @@ class FactoredModulus:
         phi = 1 << max(self.two_exponent - 1, 0)
         size = 1 << max(self.two_exponent - 3, 0)
         radices: list[int] = []
-        part_moduli: list[int] = []
         root_steps = []
+        two_part = []
         for p, k in self.odd_parts:
             q = p ** k
             half, lower = (p - 1) // 2, q // p
@@ -143,12 +143,11 @@ class FactoredModulus:
             phi *= (p - 1) * lower
             size *= half * lower
             radices += [half, lower]
-            part_moduli.append(q)
             root_steps.append((p, q, half, lower, *_two_adic_split(p)))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
-        if self.two_exponent >= 1:
-            part_moduli.append(1 << self.two_exponent)
+            # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
+            two_part.append((2, 1 << self.two_exponent, 1, radices[-1]))
         if n < 2:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
 
@@ -156,16 +155,15 @@ class FactoredModulus:
         self.phi = phi
         self._size = size
         self._radices = tuple(radices)
-        # E_i is 1 mod q_i and 0 mod every other part: decode is one linear sum.
-        self._crt_basis = tuple((c := n // q) * pow(c, -1, q) for q in part_moduli)
-        # Each step shares its E_i with the basis and keeps the scale apart:
-        # storing p*E_i would add a modulus-sized integer per odd part.
+        # E is 1 mod its part q and 0 mod every other part: decode is one
+        # linear sum.  The steps of a part share its E and keep the scale
+        # apart, as storing p*E would add a modulus-sized integer per part.
         steps = []
-        for i, ((p, _), e) in enumerate(zip(self.odd_parts, self._crt_basis)):
-            steps += [(radices[2 * i], 1, e), (radices[2 * i + 1], p, e)]
-        if self.two_exponent > 3:
-            steps.append((radices[-1], 2, self._crt_basis[-1]))
-        self._decode_steps = tuple(step for step in steps if step[0] > 1)
+        for p, q, half, lower, *_ in root_steps + two_part:
+            if half * lower > 1:  # the part has a digit
+                e = (c := n // q) * pow(c, -1, q)
+                steps += [(r, scale, e) for r, scale in ((half, 1), (lower, p)) if r > 1]
+        self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
 
     def factor_string(self) -> str:
@@ -184,13 +182,8 @@ class FactoredModulus:
         return f"FactoredModulus({self._terms(_format_int)!r})"
 
     def _terms(self, fmt) -> str:
-        terms = []
-        if self.two_exponent == 1:
-            terms.append("2")
-        elif self.two_exponent > 1:
-            terms.append(f"2^{self.two_exponent}")
-        for p, k in self.odd_parts:
-            terms.append(fmt(p) if k == 1 else f"{fmt(p)}^{k}")
+        terms = [_power(2, self.two_exponent, fmt)] if self.two_exponent else []
+        terms += [_power(p, k, fmt) for p, k in self.odd_parts]
         return " * ".join(terms)
 
     def __eq__(self, other):
@@ -200,6 +193,10 @@ class FactoredModulus:
 
     def __hash__(self):
         return hash((self.two_exponent, self.odd_parts))
+
+
+def _power(p: int, k: int, fmt) -> str:
+    return fmt(p) if k == 1 else f"{fmt(p)}^{k}"
 
 
 def _integer(value) -> int:
@@ -270,9 +267,9 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
 
     Validates through ``mixedradix.pack``: ValueError when the profile's
     shape does not match the modulus, TypeError for a non-integer entry,
-    IndexRangeError for a root or digit out of range.
+    IndexRangeError naming a root or digit out of range and its part.
     """
-    return mixedradix.pack(_profile_digits(profile), m._radices) + 1
+    return _pack_profile(m, profile) + 1
 
 
 def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
@@ -280,7 +277,7 @@ def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
 
     Raises exactly as ``profile_to_index`` does, through the same pack.
     """
-    return _decode(m, mixedradix.pack(_profile_digits(profile), m._radices))
+    return _decode(m, _pack_profile(m, profile))
 
 
 def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
@@ -348,7 +345,7 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
             zq = z % q
             a = zq % p
             if not a:
-                raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
+                raise _not_a_unit(z, n)
             x, r = _tonelli_shanks(a, p, s, e)
             value += (x - 1) * place
             place *= x_radix
@@ -401,10 +398,24 @@ def _profile(m: FactoredModulus, digits) -> RootProfile:
     return RootProfile(odd_roots, digits[-1] if m.two_exponent > 3 else None)
 
 
-def _profile_digits(profile: RootProfile) -> list[int]:
+def _pack_profile(m: FactoredModulus, profile: RootProfile) -> int:
+    # The profile's 0-based index, checked by pack; a digit out of range is
+    # re-raised naming the value the caller passed (x, not x - 1).
     digits = []
     for x, c in profile.odd_roots:
         digits += [x - 1, c]
     if profile.two_part_digit is not None:
         digits.append(profile.two_part_digit)
-    return digits
+    try:
+        return mixedradix.pack(digits, m._radices)
+    except IndexRangeError as exc:
+        position = exc.position
+    i, lift = divmod(position, 2)
+    p, k = m.odd_parts[i] if i < m.r else (2, m.two_exponent)
+    name = ("root x", "lift digit c")[lift] if i < m.r else "2-part digit"
+    low = 1 if name == "root x" else 0
+    raise IndexRangeError(
+        f"{name} = {_format_int(digits[position] + low)} out of range"
+        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
+        f" for prime power {_power(p, k, _format_int)}"
+    )

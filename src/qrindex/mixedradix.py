@@ -29,7 +29,7 @@ def pack(digits, radices) -> int:
 
     Raises ValueError when the digit and radix counts differ, TypeError
     for a non-integer digit, and IndexRangeError naming the first digit
-    outside ``0 <= digit < radix``.
+    outside ``0 <= digit < radix``, with its ``position`` set.
     """
     if len(digits) != len(radices):
         raise ValueError(f"{len(digits)} digits against {len(radices)} radices")
@@ -39,7 +39,8 @@ def pack(digits, radices) -> int:
         if not 0 <= digit < radix:
             raise IndexRangeError(
                 f"digit {_format_int(digit)} at position {position}"
-                f" out of range for radix {_format_int(radix)}"
+                f" out of range for radix {_format_int(radix)}",
+                position=position,
             )
         value += digit * place
         place *= radix

@@ -84,11 +84,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, e = _two_adic_split(n)
+    d = 2 * e + 1
     baillie_psw = n >= _MR_DETERMINISTIC_BOUND
     for a in (2,) if baillie_psw else _MR_DETERMINISTIC_BASES:
         x = pow(a, d, n)

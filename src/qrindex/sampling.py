@@ -1,9 +1,9 @@
 """Uniform residue sampling with exact random-bit accounting.
 
-All randomness flows through a BitSource, one bit per next_bit call or
-a k-bit word per next_bits call from the same stream, so consumers can
-count precisely how much entropy each strategy spends.  Two strategies
-are implemented on top of the same rejection primitive:
+All randomness flows through a BitSource as k-bit words, one per
+next_bits call, so consumers can count precisely how much entropy each
+strategy spends.  Two strategies are implemented on top of the same
+rejection primitive:
 
 * index sampling: draw a uniform index in [1, |QR(N)|] and decode it,
   spending ceil(log2 |QR(N)|) bits per attempt;
@@ -44,28 +44,20 @@ class RejectionLimitError(RuntimeError):
 
 
 class BitSource:
-    """Interface: next_bit() returns 0 or 1.
+    """Interface: next_bits(k) returns the next k bits of the stream as
+    one integer, the first bit most significant; k = 0 returns 0 and
+    takes nothing, and k < 0 raises ValueError.
 
-    next_bits(k) returns the next k bits of the same stream as one
-    integer, the first bit most significant, exactly as k calls of
-    next_bit would; k = 0 returns 0 and takes nothing.  The default makes
-    those k calls; a source may override it to serve the word at once.
-    A finite source that runs dry raises BitSourceExhaustedError, and
-    from next_bits sets its ``served`` to the bits already taken.
+    next_bits is the one method a source implements; next_bit() is
+    next_bits(1).  A finite source that runs dry raises
+    BitSourceExhaustedError with ``served`` set to the bits already taken.
     """
 
-    def next_bit(self) -> int:
+    def next_bits(self, k: int) -> int:
         raise NotImplementedError
 
-    def next_bits(self, k: int) -> int:
-        value = 0
-        try:
-            for served in range(k):
-                value = value << 1 | self.next_bit()
-        except BitSourceExhaustedError as exc:
-            exc.served = served
-            raise
-        return value
+    def next_bit(self) -> int:
+        return self.next_bits(1)
 
 
 class SystemBitSource(BitSource):
@@ -77,35 +69,27 @@ class SystemBitSource(BitSource):
     """
 
     def __init__(self):
-        # The unserved bits are the low _remaining bits of _buffer.
+        # _buffer holds the _remaining unserved bits: it is below 2**_remaining.
         self._buffer = 0
         self._remaining = 0
 
-    def next_bit(self) -> int:
-        if self._remaining == 0:
-            self._buffer = os.urandom(1)[0]
-            self._remaining = 8
-        self._remaining -= 1
-        return (self._buffer >> self._remaining) & 1
-
     def next_bits(self, k: int) -> int:
-        take = min(k, self._remaining)
-        self._remaining -= take
-        value = self._buffer >> self._remaining & ((1 << take) - 1)
-        need = k - take
-        if need == 0:
-            return value
-        nbytes = (need + 7) // 8
-        word = int.from_bytes(os.urandom(nbytes), "big")
-        self._remaining = 8 * nbytes - need
-        self._buffer = word & ((1 << self._remaining) - 1)
-        return value << need | word >> self._remaining
+        if k < 0:
+            raise ValueError(f"bit count must be >= 0, got {k}")
+        if k > self._remaining:
+            nbytes = (k - self._remaining + 7) // 8
+            self._buffer = self._buffer << 8 * nbytes | int.from_bytes(os.urandom(nbytes), "big")
+            self._remaining += 8 * nbytes
+        self._remaining -= k
+        value, self._buffer = divmod(self._buffer, 1 << self._remaining)
+        return value
 
 
 class SeededBitSource(BitSource):
     """Deterministic bits from a Mersenne Twister keyed by a 64-bit seed.
 
-    Identical seeds yield identical bit streams across runs and
+    The stream is that of getrandbits(1) calls, the top bit of each 32-bit
+    output.  Identical seeds yield identical bit streams across runs and
     platforms, which pins down every sampling record in the test suite.
     """
 
@@ -114,13 +98,9 @@ class SeededBitSource(BitSource):
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self._rng = random.Random(seed)
 
-    def next_bit(self) -> int:
-        return self._rng.getrandbits(1)
-
     def next_bits(self, k: int) -> int:
-        # getrandbits(1) is bit 31 of one 32-bit output, and getrandbits(32*k)
-        # packs k outputs little-endian: the stream's bits are the top bits of
-        # every fourth byte, first output first.
+        # getrandbits(32*k) packs k outputs little-endian: the stream's bits
+        # are the top bits of every fourth byte, first output first.
         if k == 0:
             return 0
         words = self._rng.getrandbits(32 * k)
@@ -131,8 +111,8 @@ class ScriptedBitSource(BitSource):
     """Replays a fixed bit string, for worked examples and tests.
 
     Whitespace in the script is ignored.  ``position`` exposes how many
-    bits have been served; running past the end raises
-    BitSourceExhaustedError.
+    bits have been served; running past the end serves what is left and
+    raises BitSourceExhaustedError.
     """
 
     def __init__(self, script: str):
@@ -142,14 +122,16 @@ class ScriptedBitSource(BitSource):
         self._bits = bits
         self.position = 0
 
-    def next_bit(self) -> int:
-        if self.position >= len(self._bits):
-            raise BitSourceExhaustedError(
-                f"script of {len(self._bits)} bits exhausted"
-            )
-        bit = int(self._bits[self.position])
-        self.position += 1
-        return bit
+    def next_bits(self, k: int) -> int:
+        if k < 0:
+            raise ValueError(f"bit count must be >= 0, got {k}")
+        word = self._bits[self.position:self.position + k]
+        self.position += len(word)
+        if len(word) < k:
+            exc = BitSourceExhaustedError(f"script of {len(self._bits)} bits exhausted")
+            exc.served = len(word)
+            raise exc
+        return int("0" + word, 2)
 
 
 @dataclass

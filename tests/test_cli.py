@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -243,6 +245,23 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "size n=105 size=6\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_output_pipe_ends_quietly():
+    # The reader is gone before the command starts, as after `| head -c 1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrindex", "size", "--modulus", "3*5*7"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert proc.stderr == b""
 
 
 def test_console_script_negative_index_is_domain_error(capsys):

@@ -518,6 +518,40 @@ class TestProfiles:
             with pytest.raises(TypeError):
                 view(m, RootProfile(((1.0, 0), (2, 0))))
 
+    @pytest.mark.parametrize(
+        "text,profile,message",
+        [
+            (
+                "3*5",
+                RootProfile(((1, 0), (3, 0))),
+                "root x = 3 out of range 1..2 for prime power 5",
+            ),
+            (
+                "3*5",
+                RootProfile(((0, 0), (1, 0))),
+                "root x = 0 out of range 1..1 for prime power 3",
+            ),
+            (
+                "2^6 * 5^2",
+                RootProfile(((1, 5),), 0),
+                "lift digit c = 5 out of range 0..4 for prime power 5^2",
+            ),
+            (
+                "2^6 * 5^2",
+                RootProfile(((1, 0),), 8),
+                "2-part digit = 8 out of range 0..7 for prime power 2^6",
+            ),
+        ],
+        ids=["root-above-range", "root-zero", "lift-digit", "two-part-digit"],
+    )
+    def test_range_errors_name_the_value_passed(self, text, profile, message):
+        # The root x itself, not its packed digit x - 1, with its prime power.
+        m = parse_factorization(text)
+        for view in (profile_to_index, profile_to_residue):
+            with pytest.raises(IndexRangeError) as excinfo:
+                view(m, profile)
+            assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("text", ["3*5", "2^5 * 3^2 * 7", "3^3 * 5", "2^4"])
     def test_profile_views_accept_and_refuse_alike(self, text):
         # Every digit in -1..radix at every position, plus wrong shapes: the
@@ -579,19 +613,30 @@ def _basis_moduli():
     ]
 
 
+def _parts_and_steps(m):
+    # The prime-power parts, and (radix, scale, part) for each digit of
+    # radix above 1 in schedule order: the decode steps m should hold.
+    parts = [p**k for p, k in m.odd_parts] + ([1 << m.two_exponent] if m.two_exponent else [])
+    steps = []
+    for i, (p, k) in enumerate(m.odd_parts):
+        steps += [((p - 1) // 2, 1, i), (p ** (k - 1), p, i)]
+    if m.two_exponent > 3:
+        steps.append((1 << (m.two_exponent - 3), 2, m.r))
+    return parts, [step for step in steps if step[0] > 1]
+
+
 class TestCrtBasis:
     """The basis a FactoredModulus prepares, against crt_combine."""
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_basis_elements_are_idempotents(self, m):
-        moduli = [p**k for p, k in m.odd_parts]
-        if m.two_exponent:
-            moduli.append(1 << m.two_exponent)
-        assert math.prod(moduli) == m.n
-        assert len(m._crt_basis) == len(moduli)
-        for i, e in enumerate(m._crt_basis):
+        # Each step's E is 1 modulo its own part and 0 modulo every other.
+        parts, expected = _parts_and_steps(m)
+        assert math.prod(parts) == m.n
+        assert len(m._decode_steps) == len(expected)
+        for (_, _, i), (_, _, e) in zip(expected, m._decode_steps):
             assert 0 <= e < m.n
-            for j, q in enumerate(moduli):
+            for j, q in enumerate(parts):
                 assert e % q == (1 if i == j else 0), (i, j)
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
@@ -610,10 +655,15 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_decode_steps_share_the_basis(self, m):
-        # A step holds its basis element itself, not a new N-sized multiple.
+        # Both steps of a part hold the same E, not a new N-sized multiple,
+        # and a part with no digit (3, or 2^k with k <= 3) has no step.
+        parts, expected = _parts_and_steps(m)
+        assert [step[:2] for step in m._decode_steps] == [step[:2] for step in expected]
         assert [radix for radix, _, _ in m._decode_steps] == [r for r in m._radices if r > 1]
-        for _, _, e in m._decode_steps:
-            assert any(e is basis for basis in m._crt_basis)
+        shared = {}
+        for (_, _, i), (_, _, e) in zip(expected, m._decode_steps):
+            assert shared.setdefault(i, e) is e
+        assert shared.keys() == {i for i, q in enumerate(parts) if q not in (2, 3, 4, 8)}
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):

@@ -62,8 +62,10 @@ def test_digit_out_of_range_names_the_position():
     with pytest.raises(IndexRangeError) as excinfo:
         pack((1, 5), (3, 4))
     assert "position 1" in str(excinfo.value)
-    with pytest.raises(IndexRangeError):
+    assert excinfo.value.position == 1
+    with pytest.raises(IndexRangeError) as excinfo:
         pack((-1, 0), (3, 4))
+    assert excinfo.value.position == 0
 
 
 def test_non_integers_are_refused():

@@ -8,6 +8,7 @@ import pytest
 
 import qrindex.sampling as sampling
 from qrindex import (
+    BitSource,
     BitSourceExhaustedError,
     RandomBitLedger,
     RejectionLimitError,
@@ -58,16 +59,16 @@ class TestBitSources:
             SeededBitSource(1 << 64)
 
     def test_seeded_words_are_the_one_bit_stream(self):
-        # next_bits(k) serves the next k bits of the next_bit stream, first
-        # bit most significant, with the two calls interleaved freely.
+        # next_bits(k), with next_bit() calls interleaved, serves the stream
+        # of getrandbits(1) calls, first bit most significant.
         for seed in range(20):
-            words, bits = SeededBitSource(seed), SeededBitSource(seed)
+            words, reference = SeededBitSource(seed), random.Random(seed)
             for k in (0, 1, 2, 7, 8, 13, 64, 2047):
                 expected = 0
                 for _ in range(k):
-                    expected = expected << 1 | bits.next_bit()
+                    expected = expected << 1 | reference.getrandbits(1)
                 assert words.next_bits(k) == expected, (seed, k)
-                assert words.next_bit() == bits.next_bit()
+                assert words.next_bit() == reference.getrandbits(1)
 
     def test_scripted_runs_dry_inside_a_word(self):
         source = ScriptedBitSource("101")
@@ -76,25 +77,58 @@ class TestBitSources:
         assert source.position == 3
         assert excinfo.value.served == 3
 
+    def test_scripted_words(self):
+        source = ScriptedBitSource("0110 1")
+        assert source.next_bits(0) == 0 and source.position == 0
+        assert source.next_bits(3) == 0b011
+        assert source.next_bits(2) == 0b01  # ends exactly at the end
+        assert source.position == 5
+        assert source.next_bits(0) == 0 and source.position == 5
+        with pytest.raises(BitSourceExhaustedError) as excinfo:
+            source.next_bit()
+        assert excinfo.value.served == 0
+
+    def test_scripted_word_runs_past_the_end(self):
+        source = ScriptedBitSource("110 01")
+        assert source.next_bits(2) == 0b11
+        with pytest.raises(BitSourceExhaustedError) as excinfo:
+            source.next_bits(4)
+        assert source.position == 5
+        assert excinfo.value.served == 3
+
     def test_system_words_are_the_one_bit_stream(self, monkeypatch):
         # A fixed byte stream stands in for os.urandom: next_bits(k), with
-        # next_bit calls interleaved, must serve the one-bit stream.
-        def replay(data):
-            monkeypatch.setattr(sampling, "os", SimpleNamespace(urandom=io.BytesIO(data).read))
-            return SystemBitSource()
-
+        # next_bit() calls interleaved, serves its bits most significant
+        # first per byte.
         for seed in range(5):
             data = random.Random(seed).randbytes(512)
-            bits, expected = replay(data), []
+            monkeypatch.setattr(sampling, "os", SimpleNamespace(urandom=io.BytesIO(data).read))
+            words, reference = SystemBitSource(), iter("".join(f"{b:08b}" for b in data))
             for k in (0, 1, 7, 8, 9, 13, 64, 2047):
-                word = 0
-                for _ in range(k):
-                    word = word << 1 | bits.next_bit()
-                expected += [word, bits.next_bit()]
-            words, served = replay(data), []
-            for k in (0, 1, 7, 8, 9, 13, 64, 2047):
-                served += [words.next_bits(k), words.next_bit()]
-            assert served == expected, seed
+                expected = int("0" + "".join(itertools.islice(reference, k)), 2)
+                assert words.next_bits(k) == expected, (seed, k)
+                assert words.next_bit() == int(next(reference))
+
+    def test_negative_bit_counts_are_refused(self):
+        for source in (SeededBitSource(1), SystemBitSource(), ScriptedBitSource("101")):
+            with pytest.raises(ValueError):
+                source.next_bits(-1)
+            assert source.next_bits(3) >= 0
+        assert source.position == 3
+
+    def test_a_source_implements_next_bits_alone(self):
+        class Counter(BitSource):
+            # Serves the bits of 0, 1, 2, ... as 3-bit words.
+            def __init__(self):
+                self.bits = "".join(f"{i:03b}" for i in range(8))
+
+            def next_bits(self, k):
+                word, self.bits = self.bits[:k], self.bits[k:]
+                return int("0" + word, 2)
+
+        source = Counter()
+        assert [source.next_bit() for _ in range(6)] == [0, 0, 0, 0, 0, 1]
+        assert source.next_bits(3) == 2
 
     def test_system_source_yields_bits(self):
         source = SystemBitSource()
