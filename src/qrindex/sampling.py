@@ -2,8 +2,11 @@
 
 All randomness flows through a BitSource as k-bit words, one per
 next_bits call, so consumers can count precisely how much entropy each
-strategy spends.  Two strategies are implemented on top of the same
-rejection primitive:
+strategy spends.  The seeded and system sources refill from their
+generator in blocks and serve words from the buffer: the stream is the
+same bits in the same order for any word sizes, and ledgers count the
+bits served, never the bits fetched ahead.  Two strategies are
+implemented on top of the same rejection primitive:
 
 * index sampling: draw a uniform index in [1, |QR(N)|] and decode it,
   spending ceil(log2 |QR(N)|) bits per attempt;
@@ -24,6 +27,12 @@ from dataclasses import dataclass
 from .indexing import FactoredModulus, decode_index, index_space_size
 
 _MAX_REJECTIONS = 128
+
+# Fresh bits a seeded or system source fetches per refill, at least.  The
+# per-call cost of next_bits(8) and next_bits(2048) on either source is
+# flat from 256 to 8192 (BENCH_11.json, "refill_sweep"); at 2048 one refill
+# costs about one next_bits(2048) call, spread over 256 eight-bit words.
+_REFILL_BITS = 2048
 
 # Maps a byte to the ASCII digit of its top bit.
 _TOP_BIT_DIGIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
@@ -60,12 +69,15 @@ class BitSource:
         return self.next_bits(1)
 
 
-class SystemBitSource(BitSource):
-    """Bits from os.urandom, delivered most significant first per byte.
+class _BufferedBitSource(BitSource):
+    """A stream read in blocks: next_bits serves the words, a subclass
+    supplies the fresh bits.
 
-    next_bits(k) serves the buffered bits first, then reads the bytes the
-    rest of the word needs with one os.urandom call and keeps the unused
-    low bits of the last byte for the next call.
+    When a word needs more bits than the buffer holds, one
+    _fresh_bits(count) call tops it up with the next count bits of the
+    stream, count being the shortfall rounded up to whole bytes or
+    _REFILL_BITS, whichever is larger; the word is the top k buffered bits
+    and the rest wait for the next call.
     """
 
     def __init__(self):
@@ -73,38 +85,59 @@ class SystemBitSource(BitSource):
         self._buffer = 0
         self._remaining = 0
 
+    def _fresh_bits(self, count: int) -> int:
+        """The next count bits of the stream, first bit most significant;
+        count is a positive multiple of 8."""
+        raise NotImplementedError
+
     def next_bits(self, k: int) -> int:
         if k < 0:
             raise ValueError(f"bit count must be >= 0, got {k}")
         if k > self._remaining:
-            nbytes = (k - self._remaining + 7) // 8
-            self._buffer = self._buffer << 8 * nbytes | int.from_bytes(os.urandom(nbytes), "big")
-            self._remaining += 8 * nbytes
+            count = max((k - self._remaining + 7) // 8 * 8, _REFILL_BITS)
+            self._buffer = self._buffer << count | self._fresh_bits(count)
+            self._remaining += count
         self._remaining -= k
-        value, self._buffer = divmod(self._buffer, 1 << self._remaining)
+        value = self._buffer >> self._remaining
+        self._buffer ^= value << self._remaining
         return value
 
 
-class SeededBitSource(BitSource):
+class SystemBitSource(_BufferedBitSource):
+    """Bits from os.urandom, delivered most significant first per byte.
+
+    The bytes are read a block at a time, one os.urandom call per refill
+    of at least _REFILL_BITS bits; the stream is the bytes in the order
+    read, whatever the word sizes asked for.
+    """
+
+    def _fresh_bits(self, count: int) -> int:
+        return int.from_bytes(os.urandom(count // 8), "big")
+
+
+class SeededBitSource(_BufferedBitSource):
     """Deterministic bits from a Mersenne Twister keyed by a 64-bit seed.
 
     The stream is that of getrandbits(1) calls, the top bit of each 32-bit
     output.  Identical seeds yield identical bit streams across runs and
     platforms, which pins down every sampling record in the test suite.
+    Bits are drawn in blocks of at least _REFILL_BITS outputs, so the
+    generator's state runs up to one block ahead of the bits served; the
+    served stream, and every ledger, is the same for any word sizes.
     """
 
     def __init__(self, seed: int):
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        super().__init__()
         self._rng = random.Random(seed)
 
-    def next_bits(self, k: int) -> int:
-        # getrandbits(32*k) packs k outputs little-endian: the stream's bits
-        # are the top bits of every fourth byte, first output first.
-        if k == 0:
-            return 0
-        words = self._rng.getrandbits(32 * k)
-        return int(words.to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
+    def _fresh_bits(self, count: int) -> int:
+        # getrandbits(32*count) packs count outputs little-endian: the
+        # stream's bits are the top bits of every fourth byte, first output
+        # first.
+        words = self._rng.getrandbits(32 * count)
+        return int(words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
 
 
 class ScriptedBitSource(BitSource):

@@ -119,6 +119,13 @@ def test_certification_report_passed_property():
     assert not CertificationReport(n=10, indices_checked=3, failures=["x"]).passed
 
 
+def test_enumeration_matches_the_definition():
+    # The literal definition: square every unit in [1, n - 1].
+    for n in range(2, 2001):
+        expected = sorted({x * x % n for x in range(1, n) if math.gcd(x, n) == 1})
+        assert enumerate_qr(n) == expected, n
+
+
 def test_enumeration_confirms_size_formula_sample():
     for n in (7, 32, 99, 128, 255, 1024, 3465):
         m = factor_trial_division(n)

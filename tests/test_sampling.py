@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -135,6 +136,131 @@ class TestBitSources:
         bits = [source.next_bit() for _ in range(100)]
         assert set(bits) <= {0, 1}
 
+
+
+def _bit_string(value, k):
+    return f"{value:0{k}b}" if k else ""
+
+
+def _patch_urandom(monkeypatch, data):
+    monkeypatch.setattr(sampling, "os", SimpleNamespace(urandom=io.BytesIO(data).read))
+
+
+class TestBlockRefills:
+    """Words that end just before, on and just past a refill block."""
+
+    def word_plans(self):
+        block = sampling._REFILL_BITS
+        sizes = (0, 1, block - 1, block, block + 1, 3 * block + 5)
+        # Each size on a fresh source lines its end up with the first block;
+        # the whole run on one source meets the later blocks off alignment.
+        return [(k,) for k in sizes] + [sizes, sizes[::-1]]
+
+    def test_seeded_words_across_refills(self):
+        for seed in range(3):
+            for plan in self.word_plans():
+                words, reference = SeededBitSource(seed), random.Random(seed)
+                for k in plan:
+                    expected = 0
+                    for _ in range(k):
+                        expected = expected << 1 | reference.getrandbits(1)
+                    assert words.next_bits(k) == expected, (seed, plan, k)
+                    assert words.next_bit() == reference.getrandbits(1)
+
+    def test_system_words_across_refills(self, monkeypatch):
+        for seed in range(3):
+            data = random.Random(seed).randbytes(8 * sampling._REFILL_BITS)
+            for plan in self.word_plans():
+                _patch_urandom(monkeypatch, data)
+                words, reference = SystemBitSource(), iter("".join(f"{b:08b}" for b in data))
+                for k in plan:
+                    expected = int("0" + "".join(itertools.islice(reference, k)), 2)
+                    assert words.next_bits(k) == expected, (seed, plan, k)
+                    assert words.next_bit() == int(next(reference))
+
+    def test_word_splits_serve_one_bit_string(self, monkeypatch):
+        # Same seed (or same bytes), different word sizes: one bit string.
+        block = sampling._REFILL_BITS
+        total = 4 * block + 77
+        rng = random.Random(5)
+        # Repeated cuts give zero-bit words; the cut at `block` ends a word
+        # exactly where the first refill's bits run out.
+        cuts = sorted(rng.sample(range(1, total), 40) + [block, 2 * block + 3] * 2)
+        splits = [
+            [total],
+            [1] * total,
+            [b - a for a, b in zip([0] + cuts, cuts + [total])],
+        ]
+        assert 0 in splits[2]
+        data = random.Random(6).randbytes(2 * total)
+        for make in (lambda: SeededBitSource(77), SystemBitSource):
+            streams = set()
+            for sizes in splits:
+                _patch_urandom(monkeypatch, data)
+                source = make()
+                streams.add("".join(_bit_string(source.next_bits(k), k) for k in sizes))
+            assert len(streams) == 1
+            assert len(streams.pop()) == total
+
+
+# Seeded samples pinned before sources read their generators in blocks:
+# 500 draws per method on one source, covering residues and ledgers for
+# word sizes of 8 to 512 bits.
+_P256 = 88158333340229937261593647823874259445698326079331861632479618699380104575023
+_Q256 = 101330544341850623656857788140682675093887660717318082466630834864978534576941
+_PIN_MODULI = {
+    "15015": "3*5*7*11*13",
+    "8064": "2^7 * 3^2 * 7",
+    "semiprime512": f"{_P256}*{_Q256}",
+}
+_SAMPLE_PINS = [
+    (
+        "15015",
+        "index",
+        "51acf6cbda55483bfb0ca0ba35d948c0d81669de3c7f265e9a53a4a7a6c703b8",
+    ),
+    (
+        "15015",
+        "classical",
+        "44491ca3580f4de8c753aef4df99afb3dd56b6876fa34a089df839321876f264",
+    ),
+    (
+        "8064",
+        "index",
+        "2b9d1ba86fba4ca6e0a38977f044667c5622c2d677633c5aaff50d2b93f4bb06",
+    ),
+    (
+        "8064",
+        "classical",
+        "e08bfb6f6fb69b2c1ad6dc07e6e104f7c5787d5383c352eb3a85ec1ab5a16efc",
+    ),
+    (
+        "semiprime512",
+        "index",
+        "917d85f76e9c7a3f722e412d42a2a0461a78d449ad518f710bd5130e923db248",
+    ),
+    (
+        "semiprime512",
+        "classical",
+        "c2facdf5eebdd2cf225f3aee2d967ff7731928d1e78d38200c235e3409bacc99",
+    ),
+]
+
+
+def _sample_digest(modulus, method, draws=500, seed=2018):
+    sample = {"index": sample_residue_by_index, "classical": sample_residue_classical}[method]
+    m = parse_factorization(_PIN_MODULI[modulus])
+    source = SeededBitSource(seed)
+    digest = hashlib.sha256()
+    for _ in range(draws):
+        z, ledger = sample(m, source)
+        digest.update(f"{z} {ledger.bits_consumed} {ledger.attempts}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("modulus,method,pin", _SAMPLE_PINS)
+def test_seeded_samples_are_pinned(modulus, method, pin):
+    assert _sample_digest(modulus, method) == pin
 
 class TestDrawUniform:
     def test_singleton_range_needs_no_bits(self):
