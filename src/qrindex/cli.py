@@ -237,10 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Moduli of tens of thousands of bits are read and printed in
-        # decimal; the modulus size bound keeps that conversion cheap.
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    # Moduli of tens of thousands of bits are read and printed in decimal;
+    # the modulus size bound keeps that conversion cheap.  The caller's
+    # limit comes back on every exit, argparse's SystemExit included.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -29,11 +29,11 @@ the x digit, p for the c digit and 2 for the 2-part digit; radix-1
 digits take no step.  ``encode_residue`` inverts it in one pass over
 one prepared root step per odd part, in ascending-prime order: a
 Tonelli-Shanks root that also yields its inverse, which starts the
-Newton lift to ``p**e``, each digit added at its place value as it
-comes, then the 2-part digit at the top place.  No digit list is built,
-no modular inverse is taken, and the unit test (a gcd with N) runs only
-on the error path.  The ``RootProfile`` functions are views over the
-same digits.
+Newton lift to ``p**e`` over the step's prepared precision ladder, each
+digit added at its place value as it comes, then the 2-part digit at
+the top place.  No digit list is built, no modular inverse is taken,
+and the unit test (a gcd with N) runs only on the error path.  The
+``RootProfile`` functions are views over the same digits.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from .errors import (
     _format_int,
 )
 from .numbertheory import (
-    _lift_inverse_root, _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k,
+    _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime,
+    sqrt_mod_2k,
 )
 
 # Largest modulus accepted, in bits: tens of thousands of bits are in
@@ -95,9 +96,11 @@ class FactoredModulus:
     ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
     element of its part (1 modulo that part, 0 modulo the others, one
     integer per part), and the encode root steps, one ``(p, p**k,
-    (p-1)/2, p**(k-1), s, e)`` per odd part with ``p - 1 = (2e+1) * 2**s``.
-    Both hold the schedule's own radix integers.  Immutable and freely
-    shareable across threads.
+    (p-1)/2, p**(k-1), s, e, ladder)`` per odd part with ``p - 1 =
+    (2e+1) * 2**s`` and ``ladder`` the Newton precisions ``p**2, p**4,
+    ...`` capped at p**k, whose top rung is the step's p**k itself
+    (empty when k = 1).  Both hold the schedule's own radix integers.
+    Immutable and freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -143,7 +146,8 @@ class FactoredModulus:
             phi *= (p - 1) * lower
             size *= half * lower
             radices += [half, lower]
-            root_steps.append((p, q, half, lower, *_two_adic_split(p)))
+            ladder = _precision_ladder(p, k, q)
+            root_steps.append((p, q, half, lower, *_two_adic_split(p), ladder))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
@@ -340,7 +344,7 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
         raise _not_a_unit(z, n)
     value, place = 0, 1
     try:
-        for p, q, x_radix, c_radix, s, e in m._root_steps:
+        for p, q, x_radix, c_radix, s, e, ladder in m._root_steps:
             # One full-width reduction per part: z mod p comes from z mod p**k.
             zq = z % q
             a = zq % p
@@ -351,7 +355,7 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
             place *= x_radix
             if c_radix > 1:
                 # The lift keeps y = x (mod p), so x stays the canonical root.
-                value += _lift_inverse_root(r, zq, p, q) // p * place
+                value += _lift_inverse_root(r, zq, q, ladder) // p * place
                 place *= c_radix
     except NotAResidueError:
         # A non-unit outranks a non-residue at any earlier prime.
@@ -362,7 +366,7 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
     if not _two_part_is_square(k2, z):
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
-        value += (sqrt_mod_2k(z % (1 << k2), k2) - 1) // 2 * place
+        value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
     return value
 
 

@@ -26,6 +26,11 @@ _SMALL_PRIMES = (
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
+# An inverse square root modulo 2**8 of each z = 1 (mod 8), keyed by
+# z mod 2**8: the 2-adic Newton iteration starts 8 bits in.  Each such z
+# has four, two of them below 128.
+_INVERSE_ROOTS_MOD_256 = {pow(r, -2, 256): r for r in range(1, 128, 2)}
+
 
 def crt_combine(parts) -> int:
     """Solve a system of congruences over pairwise coprime moduli.
@@ -247,8 +252,9 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     Given ``x*x = z (mod p)`` with z a unit, returns the unique y with
     ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.  The
     checked wrapper of ``_lift_inverse_root``, the core that encoding
-    calls with the inverse root Tonelli-Shanks already returns; here the
-    start ``1/x`` mod p costs one modular inverse.
+    calls with the inverse root Tonelli-Shanks already returns and the
+    precision ladder its modulus prepared; here the start ``1/x`` mod p
+    costs one modular inverse and the ladder is built per call.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
@@ -264,21 +270,33 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    return _lift_inverse_root(pow(x, -1, p), z, p, pk)
+    return _lift_inverse_root(pow(x, -1, p), z, pk, _precision_ladder(p, k, pk))
 
 
-def _lift_inverse_root(r: int, z: int, p: int, pk: int) -> int:
+def _precision_ladder(p: int, k: int, pk: int) -> tuple[int, ...]:
+    """The Newton precisions ``p**2, p**4, ...`` below ``pk = p**k``, then
+    pk itself (the same object); empty when k = 1."""
+    ladder, j, q = [], 1, p
+    while 2 * j < k:
+        j, q = 2 * j, q * q
+        ladder.append(q)
+    return (*ladder, pk) if k > 1 else ()
+
+
+def _lift_inverse_root(r: int, z: int, pk: int, ladder) -> int:
     """The root ``z*r`` modulo ``pk = p**k`` of the unit ``z < pk``, where
     ``r*r*z = 1 (mod p)``; it is congruent to ``1/r`` modulo p.
 
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)``
-    doubles the correct p-adic digits per step (halving is a product by
-    ``(q+1)/2`` modulo the odd q): O(log k) steps, then z*r.
+    doubles the correct p-adic digits per step, one step per rung q of
+    ``ladder = _precision_ladder(p, k, pk)``.  Each step reads z reduced
+    to its rung (a no-op on the top rung pk), so only the last one works
+    at full width, and halves ``u = r*(3 - z*r*r) mod q`` modulo the odd
+    q by parity: ``u >> 1``, or ``(u + q) >> 1`` when u is odd.  Then z*r.
     """
-    q = p
-    while q < pk:
-        q = min(q * q, pk)
-        r = r * (3 - z * r * r) * ((q + 1) // 2) % q
+    for q in ladder:
+        u = r * (3 - z % q * r * r % q) % q
+        r = (u + q if u & 1 else u) >> 1
     return z * r % pk
 
 
@@ -288,20 +306,26 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     Residues modulo 2**k (k >= 3) are exactly the classes 1 mod 8, and
     each has exactly one odd root below 2**(k-2); that root is returned.
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` (an exact halving, as
-    z*r*r is odd) on ``r = z**(-1/2)`` from 1 mod 8 goes from 2**j to
-    2**(2j-2) per step: O(log k) steps.  ``y = z*r`` mod 2**(k-1) gives the
-    roots y, -y, y + 2**(k-1) and -y + 2**(k-1); ``min(y, 2**(k-1) - y)``
-    is the one below 2**(k-2).
+    z*r*r is odd) on ``r = z**(-1/2)``, from a table entry correct
+    modulo 2**8, goes from 2**j to 2**(2j-2) per step: O(log k) steps,
+    none for k <= 8.  An inverse root modulo 2**j is fixed by its value
+    modulo 2**(j-1), so step j works modulo 2**j with masks, z included,
+    and halves by a right shift; no step divides.  ``y = z*r`` mod
+    2**(k-1), by a mask, gives the roots y, -y, y + 2**(k-1) and
+    -y + 2**(k-1); ``min(y, 2**(k-1) - y)`` is the one below 2**(k-2),
+    whichever inverse root r is.
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {_format_int(k)}")
-    z %= 1 << k
-    if z % 8 != 1:
+    z &= (1 << k) - 1  # z mod 2**k, negative z included
+    if z & 7 != 1:
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k}")
-    r, j = 1, 3
+    r, j = _INVERSE_ROOTS_MOD_256[z & 255], 8
     while j < k:
         j = min(2 * j - 2, k)
-        r = r * (3 - z * r * r) // 2 % (1 << j)
+        mask = (1 << j) - 1
+        t = 3 - (z & mask) * r * r & mask
+        r = (r * t & mask) >> 1
     half = 1 << (k - 1)
-    y = z * r % half
+    y = z * r & half - 1
     return min(y, half - y)

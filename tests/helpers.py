@@ -23,6 +23,30 @@ def canonical_root_table(p):
     return {x * x % p: x for x in range(1, (p - 1) // 2 + 1)}
 
 
+def lift_inverse_root_reference(r, z, p, pk):
+    """Newton lift of ``r = z**(-1/2) mod p`` to p**k, then ``z*r``: every
+    step multiplies the full-width z and halves by the product with
+    ``(q+1)/2``, then a division; the slow path the fast lift replaces."""
+    q = p
+    while q < pk:
+        q = min(q * q, pk)
+        r = r * (3 - z * r * r) * ((q + 1) // 2) % q
+    return z * r % pk
+
+
+def sqrt_mod_2k_reference(z, k):
+    """The root below 2**(k-2) of a residue z modulo 2**k (k >= 4), by
+    Newton steps on the full-width z that reduce with ``//`` and ``%``."""
+    z %= 1 << k
+    r, j = 1, 3
+    while j < k:
+        j = min(2 * j - 2, k)
+        r = r * (3 - z * r * r) // 2 % (1 << j)
+    half = 1 << (k - 1)
+    y = z * r % half
+    return min(y, half - y)
+
+
 def sieve_primes(limit):
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"

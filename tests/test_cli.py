@@ -268,3 +268,32 @@ def test_console_script_negative_index_is_domain_error(capsys):
     code, _, err = run(capsys, "decode", "--modulus", "3*5", "--index", "-2")
     assert code == 3
     assert "IndexRangeError" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int/str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # The residue has over 4800 digits, past the default limit of 4300.
+        (["decode", "--modulus", "2^16000", "--index", "5"], 0),
+        (["encode", "--modulus", "3*5", "--residue", "2"], 3),
+        (["decode", "--modulus", "3*5", "--index", "two"], 2),
+    ],
+    ids=["success", "domain-error", "usage-error"],
+)
+def test_int_str_limit_is_restored(capsys, argv, code):
+    limit = sys.int_info.default_max_str_digits + 1
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()

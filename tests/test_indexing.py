@@ -46,8 +46,8 @@ from qrindex import (
 
 @pytest.fixture
 def default_int_str_limit():
-    # The command line lifts the interpreter's int/str digit limit for the
-    # whole process; tests of the library need it in force at its default.
+    # Tests of the library need the interpreter's int/str digit limit at
+    # its default, whatever PYTHONINTMAXSTRDIGITS or -X set it to.
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
     saved = sys.get_int_max_str_digits()
@@ -667,13 +667,22 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the schedule's radices themselves.
+        # A root step holds the schedule's radices themselves, and its
+        # Newton ladder p^2, p^4, ... ends on the step's own p^k.
         assert len(m._root_steps) == m.r
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, c_radix, s, e = step
+            sp, q, x_radix, c_radix, s, e, ladder = step
             assert sp == p and q == p**k
             assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
             assert (2 * e + 1) << s == p - 1 and s >= 1
+            assert isinstance(ladder, tuple)
+            if k == 1:
+                assert ladder == ()
+                continue
+            assert ladder[-1] is q
+            assert ladder[:-1] == tuple(p ** (1 << j) for j in range(1, len(ladder)))
+            assert all(a < b for a, b in zip(ladder, ladder[1:]))
+            assert 1 << (len(ladder) - 1) < k <= 1 << len(ladder)
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_encode_matches_the_checked_pack_path(self, m):

@@ -10,11 +10,14 @@ import qrindex.numbertheory as numbertheory
 from helpers import (
     all_roots,
     canonical_root_table,
+    lift_inverse_root_reference,
     miller_rabin_reference,
     random_prime,
     sieve_primes,
+    sqrt_mod_2k_reference,
 )
 from qrindex import (
+    FactoredModulus,
     NotAResidueError,
     NotCoprimeError,
     crt_combine,
@@ -342,6 +345,14 @@ def _prime_with_two_adic_valuation(s):
     return k << s | 1
 
 
+def _random_unit_square(p, pk, rng):
+    """A random unit square z modulo pk = p**k with a root x modulo p."""
+    y = rng.randrange(1, pk)
+    if y % p == 0:
+        y += 1
+    return y % p, y * y % pk
+
+
 class TestHenselLiftSqrt:
     @pytest.mark.parametrize(
         "x,z,p,k,expected",
@@ -386,7 +397,35 @@ class TestHenselLiftSqrt:
         assert result * result % q == z
         assert result % p == x
         assert 0 < result < q
-        assert numbertheory._lift_inverse_root(pow(x, -1, p), z, p, q) == result
+        ladder = numbertheory._precision_ladder(p, k, q)
+        assert numbertheory._lift_inverse_root(pow(x, -1, p), z, q, ladder) == result
+
+    @pytest.mark.parametrize(
+        "p", [3, 5, 1019, (1 << 64) - 59, (1 << 127) - 1], ids=lambda p: f"{p.bit_length()}-bit"
+    )
+    def test_matches_the_full_width_reference(self, p):
+        # The prepared ladder (encoding's path) and the per-call one
+        # (hensel_lift_sqrt) both agree with the full-width Newton loop.
+        rng = random.Random(p)
+        for k in range(1, 17):
+            pk = p**k
+            ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            for _ in range(4):
+                x, z = _random_unit_square(p, pk, rng)
+                r = pow(x, -1, p)
+                expected = lift_inverse_root_reference(r, z, p, pk)
+                assert numbertheory._lift_inverse_root(r, z, pk, ladder) == expected, (p, k)
+                assert hensel_lift_sqrt(x, z, p, k) == expected, (p, k)
+
+    def test_matches_the_full_width_reference_at_a_huge_power(self):
+        p, k = 3, 32000
+        pk = p**k
+        x, z = _random_unit_square(p, pk, random.Random(k))
+        r = pow(x, -1, p)
+        expected = lift_inverse_root_reference(r, z, p, pk)
+        ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+        assert numbertheory._lift_inverse_root(r, z, pk, ladder) == expected
+        assert hensel_lift_sqrt(x, z, p, k) == expected
 
     def test_preserves_base_root_choice(self):
         # Lifting the conjugate base root lands on the conjugate lift.
@@ -442,3 +481,14 @@ class TestSqrtMod2k:
         root = sqrt_mod_2k(z, k)
         assert root * root % (1 << k) == z
         assert root < 1 << (k - 2) and root % 2 == 1
+
+    @pytest.mark.parametrize("k", [*range(4, 65), 1000, 4096, 65536])
+    def test_matches_the_dividing_reference(self, k):
+        # Masks reduce as % does, for negative z and z >= 2^k too.
+        rng = random.Random(k)
+        for _ in range(8 if k <= 64 else 2):
+            y = rng.getrandbits(k) | 1
+            z = y * y + (rng.randint(-1 << k, 1 << k) << k)
+            assert sqrt_mod_2k(z, k) == sqrt_mod_2k_reference(z, k), (k, z)
+            with pytest.raises(NotAResidueError):
+                sqrt_mod_2k(z + rng.choice([2, 4, 6, 1 - (1 << k)]), k)
