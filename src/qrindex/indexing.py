@@ -288,7 +288,9 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     """Extract canonical per-factor roots of a residue.
 
     z is reduced modulo N first.  Raises NotCoprimeError when z is not a
-    unit and NotAResidueError when some local square root does not exist.
+    unit, NotAResidueError when some local square root does not exist and
+    TypeError when z is not an integer, as ``decode_index`` does for its
+    index.
     """
     return _profile(m, mixedradix._digits(_residue_value(m, z), m._radices))
 
@@ -336,6 +338,7 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
     # The 0-based index of z, each digit in range by construction:
     # x <= (p-1)/2, c < p**(k-1) as y < p**k, and the 2-adic root is below
     # 2**(k2-2).  Ascending steps make the first failing prime the one named.
+    z = operator.index(z)  # a float or string raises TypeError, as an index does
     if z < 0:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
     n = m.n
@@ -379,7 +382,9 @@ def _not_a_unit(z: int, n: int) -> NotCoprimeError:
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     """Membership test via Euler's criterion per odd prime plus the 2-part
-    congruence class (1 mod 4 for k = 2, 1 mod 8 for k >= 3)."""
+    congruence class (1 mod 4 for k = 2, 1 mod 8 for k >= 3).  A
+    non-integer z raises TypeError."""
+    z = operator.index(z)
     if z < 0:
         return False
     z %= m.n

@@ -5,11 +5,14 @@ next_bits call, so consumers can count precisely how much entropy each
 strategy spends.  The seeded and system sources refill from their
 generator in blocks and serve words from the buffer: the stream is the
 same bits in the same order for any word sizes, and ledgers count the
-bits served, never the bits fetched ahead.  Two strategies are
-implemented on top of the same rejection primitive:
+bits served, never the bits fetched ahead.  A ledger is a slotted
+dataclass that draw_uniform settles once per call, exact on every exit
+path.  Two strategies are implemented on top of the same rejection
+primitive:
 
-* index sampling: draw a uniform index in [1, |QR(N)|] and decode it,
-  spending ceil(log2 |QR(N)|) bits per attempt;
+* index sampling: draw a uniform index in [1, |QR(N)|] and decode it
+  with the core decode_index uses, spending ceil(log2 |QR(N)|) bits per
+  attempt;
 * classical sampling: draw x in [1, N-1], retry until gcd(x, N) = 1,
   and square it, spending ceil(log2 (N-1)) bits per attempt.
 
@@ -24,7 +27,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .indexing import FactoredModulus, decode_index, index_space_size
+from .indexing import FactoredModulus, _decode, index_space_size
 
 _MAX_REJECTIONS = 128
 
@@ -167,9 +170,13 @@ class ScriptedBitSource(BitSource):
         return int("0" + word, 2)
 
 
-@dataclass
+@dataclass(slots=True)
 class RandomBitLedger:
-    """Running totals a sampling call adds to: bits drawn, attempts made."""
+    """Running totals a sampling call adds to: bits drawn, attempts made.
+
+    A slotted dataclass: each draw builds one, so it carries no instance
+    dict, and an unknown attribute raises AttributeError.
+    """
 
     bits_consumed: int = 0
     attempts: int = 0
@@ -179,25 +186,38 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     """Uniform integer in [0, n) by rejection on ceil(log2 n)-bit words.
 
     Each attempt is one ``next_bits(b)`` word, most significant bit first,
-    and counts one ledger attempt and exactly b bits; values >= n are
-    rejected.  A source running dry mid-word leaves the bits it served on
-    the ledger.  n = 1 draws zero bits and accepts immediately.  Gives up
+    and counts one attempt and exactly b bits; values >= n are rejected.
+    The totals are added to the ledger once, as the call returns or
+    raises, and are exact on every exit: a source running dry mid-word
+    adds the bits it served, and an attempt whose ``next_bits`` raises
+    anything else counts, without its bits.  n = 1 draws zero bits and
+    accepts immediately.  A non-integer n raises TypeError.  Gives up
     after 128 rejections, which a fair source reaches with probability
     < 2**-128.
     """
+    try:
+        b = (n - 1).bit_length()
+    except AttributeError:  # a float or other non-integer range
+        raise TypeError(f"range must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"range must be positive, got {n}")
-    b = (n - 1).bit_length()
-    for _ in range(_MAX_REJECTIONS):
-        ledger.attempts += 1
-        try:
+    # Totals stay in locals until the finally.  A while loop and a plain
+    # source.next_bits call measured faster than a range loop or a method
+    # bound before the loop (CPython 3.11).
+    attempts = bits = 0
+    try:
+        while attempts < _MAX_REJECTIONS:
+            attempts += 1
             value = source.next_bits(b)
-        except BitSourceExhaustedError as exc:
-            ledger.bits_consumed += exc.served
-            raise
-        ledger.bits_consumed += b
-        if value < n:
-            return value
+            bits += b
+            if value < n:
+                return value
+    except BitSourceExhaustedError as exc:
+        bits += exc.served
+        raise
+    finally:
+        ledger.attempts += attempts
+        ledger.bits_consumed += bits
     raise RejectionLimitError(f"no draw below {n} within {_MAX_REJECTIONS} attempts")
 
 
@@ -206,12 +226,13 @@ def sample_residue_by_index(
 ) -> tuple[int, RandomBitLedger]:
     """Uniform quadratic residue modulo N via a uniform index draw.
 
-    Returns the residue and a fresh ledger holding this call's bit and
-    attempt counts.
+    The drawn value is the 0-based index, decoded by the core that
+    ``decode_index`` runs after its range check, which a value below
+    |QR(N)| cannot fail.  Returns the residue and a fresh ledger holding
+    this call's bit and attempt counts.
     """
     ledger = RandomBitLedger()
-    index = 1 + draw_uniform(index_space_size(m), source, ledger)
-    return decode_index(m, index), ledger
+    return _decode(m, draw_uniform(m._size, source, ledger)), ledger
 
 
 def sample_residue_classical(

@@ -6,7 +6,7 @@ borrowed from the code under test.
 
 import random
 
-from qrindex import is_prime
+from qrindex import RandomBitLedger, decode_index, draw_uniform, index_space_size, is_prime
 
 # Enough odd primes to build every small test modulus from.
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -45,6 +45,15 @@ def sqrt_mod_2k_reference(z, k):
     half = 1 << (k - 1)
     y = z * r % half
     return min(y, half - y)
+
+
+def sample_residue_by_index_reference(m, source):
+    """The index sampler through the public codec: a 1-based index drawn
+    from [1, |QR(N)|], then decode_index with its range check; the path
+    the direct decode of the drawn value replaces."""
+    ledger = RandomBitLedger()
+    index = 1 + draw_uniform(index_space_size(m), source, ledger)
+    return decode_index(m, index), ledger
 
 
 def sieve_primes(limit):

@@ -393,6 +393,15 @@ class TestEncodeResidue:
         with pytest.raises(ValueError):
             encode_residue(parse_factorization("3*5"), -4)
 
+    @pytest.mark.parametrize("z", [4.0, "4", -1.5])
+    @pytest.mark.parametrize("factors", ["3*5", "2^4*3"], ids=["odd", "even"])
+    def test_non_integer_residue_is_a_type_error(self, factors, z):
+        # Refused as decode_index refuses a float index, by both entry points.
+        m = parse_factorization(factors)
+        for encode in (encode_residue, residue_to_profile):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                encode(m, z)
+
     def test_input_reduced_mod_n(self):
         m = parse_factorization("3*5")
         assert encode_residue(m, 4 + 15) == encode_residue(m, 4)
@@ -714,6 +723,13 @@ class TestIsQuadraticResidue:
     )
     def test_known_memberships(self, factors, z, expected):
         assert is_quadratic_residue(parse_factorization(factors), z) is expected
+
+    @pytest.mark.parametrize("z", [4.0, -1.5, "4"])
+    @pytest.mark.parametrize("factors", ["3*5", "2^4*3"], ids=["odd", "even"])
+    def test_non_integer_is_a_type_error(self, factors, z):
+        # Not an answer of False for -1.5, nor a pow() error for 4.0.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_quadratic_residue(parse_factorization(factors), z)
 
     def test_agrees_with_enumeration(self):
         for n in range(2, 300):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import qrindex.sampling as sampling
+from helpers import sample_residue_by_index_reference
 from qrindex import (
     BitSource,
     BitSourceExhaustedError,
@@ -262,6 +264,22 @@ def _sample_digest(modulus, method, draws=500, seed=2018):
 def test_seeded_samples_are_pinned(modulus, method, pin):
     assert _sample_digest(modulus, method) == pin
 
+
+@pytest.mark.parametrize(
+    "factors",
+    ["3*5*7*11*13", "2^7 * 3^2 * 7", "3^5 * 5^3 * 7^2", "2^12", "2^3 * 3", f"{_P256}*{_Q256}"],
+    ids=["15015", "8064", "powers", "2^12", "24", "semiprime512"],
+)
+def test_index_sampler_matches_the_decode_index_path(factors):
+    # The sampler decodes the drawn value directly; the reference adds 1
+    # and goes through decode_index.  |QR(24)| = 1, so that one draws no bits.
+    m = parse_factorization(factors)
+    fast, slow = SeededBitSource(2018), SeededBitSource(2018)
+    for i in range(2000):
+        assert sample_residue_by_index(m, fast) == sample_residue_by_index_reference(m, slow), i
+    assert fast.next_bits(64) == slow.next_bits(64)
+
+
 class TestDrawUniform:
     def test_singleton_range_needs_no_bits(self):
         ledger = RandomBitLedger()
@@ -321,6 +339,67 @@ class TestDrawUniform:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             draw_uniform(0, ScriptedBitSource("0"), RandomBitLedger())
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, 0.5, "3", None])
+    def test_non_integer_range_is_a_type_error(self, n):
+        ledger, source = RandomBitLedger(), ScriptedBitSource("0101")
+        with pytest.raises(TypeError):
+            draw_uniform(n, source, ledger)
+        assert ledger == RandomBitLedger()
+        assert source.position == 0
+
+    @pytest.mark.parametrize("start", [(0, 0), (1000, 7)], ids=["fresh", "running"])
+    @pytest.mark.parametrize("j", [1, 2, 5, 128])
+    def test_ledger_is_exact_on_every_exit(self, j, start):
+        # Range 5 draws 3-bit words: 111 = 7 is rejected, 010 = 2 accepted.
+        # Each exit comes on attempt j, which counts; the ledger adds to
+        # the totals it already holds.
+        exits = [
+            (ScriptedBitSource("111" * (j - 1) + "010"), None, 3 * j),
+            (ScriptedBitSource("111" * (j - 1) + "01"), BitSourceExhaustedError, 3 * (j - 1) + 2),
+            (_FailsOnAttempt(j), RuntimeError, 3 * (j - 1)),
+        ]
+        for source, error, bits in exits:
+            ledger = RandomBitLedger(*start)
+            if error is None:
+                assert draw_uniform(5, source, ledger) == 2
+            else:
+                with pytest.raises(error) as excinfo:
+                    draw_uniform(5, source, ledger)
+                assert type(excinfo.value) is error
+            assert ledger == RandomBitLedger(start[0] + bits, start[1] + j), error
+
+    def test_rejection_cap_adds_to_a_running_ledger(self):
+        ledger, source = RandomBitLedger(1000, 7), ScriptedBitSource("111" * 130)
+        with pytest.raises(RejectionLimitError):
+            draw_uniform(5, source, ledger)
+        assert ledger == RandomBitLedger(1000 + 128 * 3, 7 + 128)
+        assert source.position == 128 * 3
+
+    def test_ledger_is_a_slotted_dataclass(self):
+        assert [f.name for f in dataclasses.fields(RandomBitLedger)] == ["bits_consumed", "attempts"]
+        ledger = RandomBitLedger(5, 2)
+        assert ledger == RandomBitLedger(bits_consumed=5, attempts=2)
+        assert ledger != RandomBitLedger(5, 3)
+        assert RandomBitLedger() == RandomBitLedger(0, 0)
+        assert repr(ledger) == "RandomBitLedger(bits_consumed=5, attempts=2)"
+        ledger.attempts += 1
+        assert ledger.attempts == 3
+        with pytest.raises(AttributeError):
+            ledger.bits = 1
+
+
+class _FailsOnAttempt(BitSource):
+    """Serves all-ones words, then raises RuntimeError on call j."""
+
+    def __init__(self, j):
+        self.left = j - 1
+
+    def next_bits(self, k):
+        if not self.left:
+            raise RuntimeError("source failed")
+        self.left -= 1
+        return (1 << k) - 1
 
 
 class TestSampleByIndex:
