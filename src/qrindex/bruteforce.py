@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FactorizationError
+from .errors import FactorizationError, _format_int
 from .indexing import FactoredModulus, decode_index, encode_residue, index_space_size
 
 _ENUMERATION_CAP = 10**6
@@ -27,9 +27,9 @@ def enumerate_qr(n: int) -> list[int]:
     scan and its memory bounded.
     """
     if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+        raise ValueError(f"modulus must be >= 2, got {_format_int(n)}")
     if n > _ENUMERATION_CAP:
-        raise ValueError(f"modulus {n} exceeds the enumeration cap {_ENUMERATION_CAP}")
+        raise ValueError(f"modulus {_format_int(n)} exceeds the enumeration cap {_ENUMERATION_CAP}")
     squares = {x * x % n for x in range(1, n // 2 + 1)}
     return sorted(z for z in squares if math.gcd(z, n) == 1)
 
@@ -37,10 +37,10 @@ def enumerate_qr(n: int) -> list[int]:
 def factor_trial_division(n: int) -> FactoredModulus:
     """Factor n by trial division; small-modulus use only."""
     if n < 2:
-        raise FactorizationError(f"modulus must be >= 2, got {n}")
+        raise FactorizationError(f"modulus must be >= 2, got {_format_int(n)}")
     if n > _ENUMERATION_CAP:
         raise FactorizationError(
-            f"refusing trial division above {_ENUMERATION_CAP}, got {n}"
+            f"refusing trial division above {_ENUMERATION_CAP}, got {_format_int(n)}"
         )
     two_exponent = 0
     while n % 2 == 0:

@@ -254,12 +254,9 @@ def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FactorizationError as exc:
+    except ValueError as exc:  # every library error, FactorizationError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, FactorizationError) else 3
 
 
 def entrypoint() -> None:

@@ -31,9 +31,12 @@ one prepared root step per odd part, in ascending-prime order: a
 Tonelli-Shanks root that also yields its inverse, which starts the
 Newton lift to ``p**e`` over the step's prepared precision ladder, each
 digit added at its place value as it comes, then the 2-part digit at
-the top place.  No digit list is built, no modular inverse is taken,
-and the unit test (a gcd with N) runs only on the error path.  The
-``RootProfile`` functions are views over the same digits.
+the top place.  No digit list is built and no modular inverse is
+taken.  The unit test, a gcd with N, runs only on the error path and
+is the only one: z = 0 mod p fails that prime's Tonelli-Shanks step,
+an even z fails the 2-part congruence class, and the gcd then names
+either one not a unit.  The ``RootProfile`` functions are views over
+the same digits.
 """
 
 from __future__ import annotations
@@ -228,7 +231,7 @@ def parse_factorization(text: str) -> FactoredModulus:
     odd_parts = []
     for term in text.split("*"):
         match = _TERM_RE.fullmatch(term)
-        if not match or not term.strip():
+        if not match:
             raise FactorizationError(f"bad factor term {term.strip()!r}")
         try:
             base, exponent = int(match.group(1)), int(match.group(2) or 1)
@@ -308,8 +311,9 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     """Map a quadratic residue modulo N to its index; inverse of decode_index.
 
     One pass over the modulus' prepared root steps adds each digit at its
-    place value: no digit list, no modular inverse, and the gcd with N
-    only when a step fails.  Raises as ``residue_to_profile`` does.
+    place value: no digit list, no modular inverse, and the gcd with N,
+    the only unit test, only when a step or the 2-part congruence class
+    fails.  Raises as ``residue_to_profile`` does.
     """
     return _residue_value(m, z) + 1
 
@@ -343,53 +347,44 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
     n = m.n
     z %= n
-    if m.two_exponent and not z & 1:
-        raise _not_a_unit(z, n)
+    k2 = m.two_exponent
     value, place = 0, 1
     try:
         for p, q, x_radix, c_radix, s, e, ladder in m._root_steps:
             # One full-width reduction per part: z mod p comes from z mod p**k.
+            # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
             zq = z % q
-            a = zq % p
-            if not a:
-                raise _not_a_unit(z, n)
-            x, r = _tonelli_shanks(a, p, s, e)
+            x, r = _tonelli_shanks(zq % p, p, s, e)
             value += (x - 1) * place
             place *= x_radix
             if c_radix > 1:
                 # The lift keeps y = x (mod p), so x stays the canonical root.
                 value += _lift_inverse_root(r, zq, q, ladder) // p * place
                 place *= c_radix
+        if not _two_part_is_square(k2, z):
+            raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     except NotAResidueError:
-        # A non-unit outranks a non-residue at any earlier prime.
-        if math.gcd(z, n) != 1:
-            raise _not_a_unit(z, n) from None
+        # The one unit test: a non-unit outranks a non-residue at any prime.
+        g = math.gcd(z, n)
+        if g != 1:
+            raise NotCoprimeError(
+                f"{_format_int(z)} is not a unit modulo {_format_int(n)} (gcd {_format_int(g)})",
+                gcd=g,
+            ) from None
         raise
-    k2 = m.two_exponent
-    if not _two_part_is_square(k2, z):
-        raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
     if k2 > 3:
         value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
     return value
 
 
-def _not_a_unit(z: int, n: int) -> NotCoprimeError:
-    g = math.gcd(z, n)
-    return NotCoprimeError(
-        f"{_format_int(z)} is not a unit modulo {_format_int(n)} (gcd {_format_int(g)})", gcd=g
-    )
-
-
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     """Membership test via Euler's criterion per odd prime plus the 2-part
-    congruence class (1 mod 4 for k = 2, 1 mod 8 for k >= 3).  A
-    non-integer z raises TypeError."""
+    congruence class (odd for k = 1, 1 mod 4 for k = 2, 1 mod 8 for
+    k >= 3).  A non-integer z raises TypeError."""
     z = operator.index(z)
     if z < 0:
         return False
     z %= m.n
-    if m.two_exponent and not z & 1:
-        return False
     # Euler's criterion also refuses z = 0 mod p, as 0**((p-1)/2) = 0.
     for p, _, half, *_ in m._root_steps:
         if pow(z % p, half, p) != 1:
@@ -398,8 +393,9 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
 
 
 def _two_part_is_square(k2: int, z: int) -> bool:
-    # A unit is a square modulo 2**k2 exactly when it is 1 modulo 2**min(k2, 3).
-    return k2 < 2 or z % (4 if k2 == 2 else 8) == 1
+    # A unit square modulo 2**k2 is exactly z = 1 modulo 2**min(k2, 3); for
+    # k2 = 1 that means odd, and an even z, not a unit, is never one.
+    return not k2 or z % (1 << min(k2, 3)) == 1
 
 
 def _profile(m: FactoredModulus, digits) -> RootProfile:

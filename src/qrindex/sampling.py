@@ -14,19 +14,24 @@ primitive:
   with the core decode_index uses, spending ceil(log2 |QR(N)|) bits per
   attempt;
 * classical sampling: draw x in [1, N-1], retry until gcd(x, N) = 1,
-  and square it, spending ceil(log2 (N-1)) bits per attempt.
+  and square it, spending ceil(log2 (N-1)) bits per attempt, for at
+  most 128 * ceil((N-1)/phi(N)) rounds.
 
 Both are exactly uniform over QR(N); they differ only in bit cost and
-retry behaviour, which compare_bit_budgets measures.
+retry behaviour, which compare_bit_budgets measures.  Every integer an
+error message names goes through ``_format_int``, so one past the
+interpreter's int/str digit limit appears by its bit length.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
 
+from .errors import _format_int
 from .indexing import FactoredModulus, _decode, index_space_size
 
 _MAX_REJECTIONS = 128
@@ -95,7 +100,7 @@ class _BufferedBitSource(BitSource):
 
     def next_bits(self, k: int) -> int:
         if k < 0:
-            raise ValueError(f"bit count must be >= 0, got {k}")
+            raise ValueError(f"bit count must be >= 0, got {_format_int(k)}")
         if k > self._remaining:
             count = max((k - self._remaining + 7) // 8 * 8, _REFILL_BITS)
             self._buffer = self._buffer << count | self._fresh_bits(count)
@@ -124,14 +129,16 @@ class SeededBitSource(_BufferedBitSource):
     The stream is that of getrandbits(1) calls, the top bit of each 32-bit
     output.  Identical seeds yield identical bit streams across runs and
     platforms, which pins down every sampling record in the test suite.
+    A seed that is not an integer, a float included, raises TypeError.
     Bits are drawn in blocks of at least _REFILL_BITS outputs, so the
     generator's state runs up to one block ahead of the bits served; the
     served stream, and every ledger, is the same for any word sizes.
     """
 
     def __init__(self, seed: int):
+        seed = operator.index(seed)  # a float or string raises TypeError
         if not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+            raise ValueError(f"seed must fit in 64 bits, got {_format_int(seed)}")
         super().__init__()
         self._rng = random.Random(seed)
 
@@ -160,7 +167,7 @@ class ScriptedBitSource(BitSource):
 
     def next_bits(self, k: int) -> int:
         if k < 0:
-            raise ValueError(f"bit count must be >= 0, got {k}")
+            raise ValueError(f"bit count must be >= 0, got {_format_int(k)}")
         word = self._bits[self.position:self.position + k]
         self.position += len(word)
         if len(word) < k:
@@ -200,7 +207,7 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     except AttributeError:  # a float or other non-integer range
         raise TypeError(f"range must be an integer, got {n!r}") from None
     if n < 1:
-        raise ValueError(f"range must be positive, got {n}")
+        raise ValueError(f"range must be positive, got {_format_int(n)}")
     # Totals stay in locals until the finally.  A while loop and a plain
     # source.next_bits call measured faster than a range loop or a method
     # bound before the loop (CPython 3.11).
@@ -218,7 +225,7 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     finally:
         ledger.attempts += attempts
         ledger.bits_consumed += bits
-    raise RejectionLimitError(f"no draw below {n} within {_MAX_REJECTIONS} attempts")
+    raise RejectionLimitError(f"no draw below {_format_int(n)} within {_MAX_REJECTIONS} attempts")
 
 
 def sample_residue_by_index(
@@ -244,17 +251,20 @@ def sample_residue_classical(
     round counts as a ledger attempt too), then returns x**2 mod N with
     the fresh ledger.  Uniform because squaring is a constant-to-one map
     on the unit group; the cost is the bigger draw range and the
-    coprimality retries.
+    coprimality retries.  Gives up after ``128 * ceil((N-1)/phi(N))``
+    rounds: a round finds a unit with probability at least
+    ``1/ceil((N-1)/phi(N))``, so a fair source exhausts the budget with
+    probability below ``e**-128``, however wide N is.
     """
     ledger = RandomBitLedger()
-    for _ in range(_MAX_REJECTIONS):
-        x = 1 + draw_uniform(m.n - 1, source, ledger)
-        if math.gcd(x, m.n) == 1:
-            return x * x % m.n, ledger
+    n = m.n
+    rounds = _MAX_REJECTIONS * -(-(n - 1) // m.phi)
+    for _ in range(rounds):
+        x = 1 + draw_uniform(n - 1, source, ledger)
+        if math.gcd(x, n) == 1:
+            return x * x % n, ledger
         # Not a unit: the attempt stays on the ledger and we redraw.
-    raise RejectionLimitError(
-        f"no unit modulo {m.n} within {_MAX_REJECTIONS} attempts"
-    )
+    raise RejectionLimitError(f"no unit modulo {_format_int(n)} within {rounds} attempts")
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,7 @@ def compare_bit_budgets(
     entropy of the target distribution.
     """
     if n_samples < 1:
-        raise ValueError(f"sample count must be positive, got {n_samples}")
+        raise ValueError(f"sample count must be positive, got {_format_int(n_samples)}")
     floor = _log2(index_space_size(m))
     reports = []
     for method, seed_i, sample in (

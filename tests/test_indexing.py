@@ -44,18 +44,6 @@ from qrindex import (
 )
 
 
-@pytest.fixture
-def default_int_str_limit():
-    # Tests of the library need the interpreter's int/str digit limit at
-    # its default, whatever PYTHONINTMAXSTRDIGITS or -X set it to.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int/str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(saved)
-
-
 class TestParseFactorization:
     def test_plain_terms(self):
         m = parse_factorization("3^2 * 5")
@@ -317,6 +305,13 @@ class TestDecodeIndex:
                 assert is_quadratic_residue(m, z)
 
 
+# A prime whose p - 1 has 2-adic valuation 64, and two primes of the
+# codec-powers shape: p of 64 bits, 3 mod 4, and q of 128 bits, 1 mod 4.
+_P64 = 25 * 2**64 + 1
+_P, _Q = 17066718717662840731, 329525564795328691764155081763549978521
+_POWERS = [(3, 256), (_P, 8), (_Q, 4)]
+
+
 class TestEncodeResidue:
     @pytest.mark.parametrize(
         "factors,z,expected",
@@ -370,6 +365,54 @@ class TestEncodeResidue:
                     assert not isinstance(expected, tuple), (n, z, encode.__name__)
                     assert 1 <= result <= index_space_size(m), (n, z)
                     assert decode_index(m, result) == z % n, (n, z)
+
+    @pytest.mark.parametrize(
+        "two_exponent,odd_parts,congruences",
+        [
+            # p - 1 = 25 * 2**64: Tonelli-Shanks squares t = 0 64 times.
+            (0, [(_P64, 1)], [(0, _P64)]),
+            (0, [(3, 1), (_P64, 2)], [(1, 3), (0, _P64)]),
+            (0, [(3, 1), (_P64, 2)], [(2, 3), (_P64, _P64**2)]),
+            (0, [(3, 1), (_P64, 2)], [(0, 3), (5, _P64**2)]),
+            # Shaped as the codec-powers workload: 2^1024 * 3^256 * p^8 * q^4.
+            (1024, _POWERS, [(2, 1 << 1024), (1, 3**256), (1, _P**8), (1, _Q**4)]),
+            (1024, _POWERS, [(0, 1 << 1024), (4, 3**256), (9, _P**8), (16, _Q**4)]),
+            (1024, _POWERS, [(6, 1 << 1024), (2, 3**256), (1, _P**8), (1, _Q**4)]),
+            (1024, _POWERS, [(1, 1 << 1024), (1, 3**256), (1, _P**8), (_Q, _Q**4)]),
+            (1024, _POWERS, [(1, 1 << 1024), (1, 3**256), (1, _P**8), (0, _Q**4)]),
+            (1024, _POWERS, [(1, 1 << 1024), (2, 3**256), (1, _P**8), (_Q, _Q**4)]),
+            (1024, _POWERS, [(3, 1 << 1024), (3, 3**256), (1, _P**8), (1, _Q**4)]),
+            (1024, _POWERS, [(3, 1 << 1024), (3 * 2, 3**256), (1, _P**8), (1, _Q**4)]),
+            (1024, _POWERS, [(3, 1 << 1024), (1, 3**256), (1, _P**8), (1, _Q**4)]),
+            (1024, _POWERS, [(9, 1 << 1024), (4, 3**256), (9, _P**8), (16, _Q**4)]),
+        ],
+        ids=[
+            "v64-zero", "v64-zero-behind-residue", "v64-multiple-behind-non-residue",
+            "v64-three-divides", "powers-even-unit-elsewhere", "powers-zero-mod-2^1024",
+            "powers-even-behind-non-residue-mod-3", "powers-q-divides-once",
+            "powers-zero-mod-q^4", "powers-q-behind-non-residue-mod-3",
+            "powers-3-divides-non-residue-mod-8", "powers-9-divides-non-residue-mod-8",
+            "powers-non-residue-mod-8", "powers-unit-square",
+        ],
+    )
+    def test_outcome_spec_on_wide_moduli(
+        self, default_int_str_limit, two_exponent, odd_parts, congruences
+    ):
+        # Where a zero digit or an even z used to be refused before any
+        # root was taken, the gcd on the failure path gives the same verdict.
+        m = FactoredModulus(two_exponent, odd_parts)
+        z = crt_combine(congruences)
+        expected = _expected_encode_outcome(m, z)
+        if expected is None:  # the control: a unit square encodes
+            index = encode_residue(m, z)
+            assert profile_to_index(m, residue_to_profile(m, z)) == index
+            assert decode_index(m, index) == z
+            return
+        for encode in (encode_residue, residue_to_profile):
+            with pytest.raises((NotCoprimeError, NotAResidueError)) as excinfo:
+                encode(m, z)
+            exc = excinfo.value
+            assert (type(exc), str(exc), getattr(exc, "gcd", None)) == expected, encode.__name__
 
     @pytest.mark.parametrize("factors", ["3^5 * 5^3 * 7^2", "2^7 * 3^2 * 7"])
     def test_no_modular_inverse(self, factors, monkeypatch):

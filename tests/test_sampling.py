@@ -13,6 +13,7 @@ from helpers import sample_residue_by_index_reference
 from qrindex import (
     BitSource,
     BitSourceExhaustedError,
+    FactorizationError,
     RandomBitLedger,
     RejectionLimitError,
     SampleReport,
@@ -22,6 +23,7 @@ from qrindex import (
     compare_bit_budgets,
     draw_uniform,
     enumerate_qr,
+    factor_trial_division,
     parse_factorization,
     sample_residue_by_index,
     sample_residue_classical,
@@ -58,6 +60,12 @@ class TestBitSources:
         SeededBitSource((1 << 64) - 1)
         with pytest.raises(ValueError):
             SeededBitSource(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_non_integer_seed_is_a_type_error(self, seed):
+        # Refused as decode_index refuses a float index, not hashed into a seed.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SeededBitSource(seed)
         with pytest.raises(ValueError):
             SeededBitSource(1 << 64)
 
@@ -452,6 +460,28 @@ class TestSampleClassical:
         assert z == 1
         assert ledger.attempts == 2
 
+    def test_cap_grows_with_n_over_phi(self):
+        # N = 15: the cap is 128 * ceil(14/8) = 256 rounds.  Range 14 uses
+        # 4-bit words; 0010 = 2 gives x = 3, not a unit, and 0000 gives x = 1.
+        source = ScriptedBitSource("0010" * 128 + "0000")
+        z, ledger = sample_residue_classical(parse_factorization("3*5"), source)
+        assert z == 1
+        assert ledger == RandomBitLedger(bits_consumed=516, attempts=129)
+
+    def test_cap_leaves_an_exact_ledger(self, monkeypatch):
+        ledgers = []
+
+        def recording_ledger():
+            ledgers.append(RandomBitLedger())
+            return ledgers[-1]
+
+        monkeypatch.setattr(sampling, "RandomBitLedger", recording_ledger)
+        source = ScriptedBitSource("0010" * 256 + "0000")
+        with pytest.raises(RejectionLimitError, match="^no unit modulo 15 within 256 attempts$"):
+            sample_residue_classical(parse_factorization("3*5"), source)
+        assert ledgers == [RandomBitLedger(bits_consumed=1024, attempts=256)]
+        assert source.position == 1024
+
     def test_outputs_stay_in_qr(self):
         for factors in ("3*5", "2^4*3", "2^6"):
             m = parse_factorization(factors)
@@ -500,6 +530,10 @@ class TestCompareBitBudgets:
         with pytest.raises(ValueError):
             compare_bit_budgets(parse_factorization("3*5"), 0, seed=1)
 
+    def test_float_seed_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compare_bit_budgets(parse_factorization("3*5"), 1, 1.5)
+
     def test_big_modulus_floor_is_finite(self):
         # The floor must not overflow on moduli far past float range.
         m = parse_factorization("2^4099")
@@ -511,3 +545,97 @@ def test_sample_report_is_frozen():
     report = SampleReport("index", 1, 2, 1, 2.0, 1.0)
     with pytest.raises(AttributeError):
         report.samples = 5
+
+
+class _Constant(BitSource):
+    """Serves every word as the same value, cut to k bits."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def next_bits(self, k):
+        return self.value & ((1 << k) - 1)
+
+
+# 10**5000 has 16,610 bits, past the default int/str limit of 4,300 digits.
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call,error,text",
+    [
+        (
+            lambda: draw_uniform(_HUGE, _Constant(-1), RandomBitLedger()),
+            RejectionLimitError,
+            "no draw below <16610-bit integer> within 128 attempts",
+        ),
+        (
+            lambda: draw_uniform(-_HUGE, _Constant(0), RandomBitLedger()),
+            ValueError,
+            "range must be positive, got <16610-bit negative integer>",
+        ),
+        (
+            # x = 2 every round, never a unit; ceil((N-1)/phi(N)) = 2.
+            lambda: sample_residue_classical(parse_factorization("2^16000"), _Constant(1)),
+            RejectionLimitError,
+            "no unit modulo <16001-bit integer> within 256 attempts",
+        ),
+        (
+            lambda: SeededBitSource(_HUGE),
+            ValueError,
+            "seed must fit in 64 bits, got <16610-bit integer>",
+        ),
+        (
+            lambda: SeededBitSource(1).next_bits(-_HUGE),
+            ValueError,
+            "bit count must be >= 0, got <16610-bit negative integer>",
+        ),
+        (
+            lambda: SystemBitSource().next_bits(-_HUGE),
+            ValueError,
+            "bit count must be >= 0, got <16610-bit negative integer>",
+        ),
+        (
+            lambda: ScriptedBitSource("01").next_bits(-_HUGE),
+            ValueError,
+            "bit count must be >= 0, got <16610-bit negative integer>",
+        ),
+        (
+            lambda: compare_bit_budgets(parse_factorization("3*5"), -_HUGE, 1),
+            ValueError,
+            "sample count must be positive, got <16610-bit negative integer>",
+        ),
+        (
+            lambda: enumerate_qr(_HUGE),
+            ValueError,
+            "modulus <16610-bit integer> exceeds the enumeration cap 1000000",
+        ),
+        (
+            lambda: enumerate_qr(-_HUGE),
+            ValueError,
+            "modulus must be >= 2, got <16610-bit negative integer>",
+        ),
+        (
+            lambda: factor_trial_division(_HUGE),
+            FactorizationError,
+            "refusing trial division above 1000000, got <16610-bit integer>",
+        ),
+        (
+            lambda: factor_trial_division(-_HUGE),
+            FactorizationError,
+            "modulus must be >= 2, got <16610-bit negative integer>",
+        ),
+    ],
+    ids=[
+        "draw-cap", "draw-range", "classical-cap", "seed", "seeded-bit-count",
+        "system-bit-count", "scripted-bit-count", "sample-count", "enumerate-cap",
+        "enumerate-range", "trial-division-cap", "trial-division-range",
+    ],
+)
+def test_messages_name_huge_integers_by_bit_length(default_int_str_limit, call, error, text):
+    # Past the int/str limit, str(n) itself would raise the interpreter's
+    # ValueError in place of the library's error.
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == text
