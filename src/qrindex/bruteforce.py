@@ -10,6 +10,7 @@ path cannot hide itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import FactorizationError, _format_int
@@ -26,6 +27,7 @@ def enumerate_qr(n: int) -> list[int]:
     picked from the distinct squares.  Capped at n <= 10**6 to keep the
     scan and its memory bounded.
     """
+    n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {_format_int(n)}")
     if n > _ENUMERATION_CAP:
@@ -36,6 +38,7 @@ def enumerate_qr(n: int) -> list[int]:
 
 def factor_trial_division(n: int) -> FactoredModulus:
     """Factor n by trial division; small-modulus use only."""
+    n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
         raise FactorizationError(f"modulus must be >= 2, got {_format_int(n)}")
     if n > _ENUMERATION_CAP:

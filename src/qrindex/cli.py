@@ -1,10 +1,14 @@
 """Batch command line for decoding, encoding, sampling and self-checks.
 
-Every successful command prints one record per result line.  The human
-format is ``command key=value key=value ...``; under --json each line is
-one compact JSON object with the same keys.  All numerals are decimal.
-The modulus always arrives as a factorization string such as
-``"2^5 * 3 * 7^2"``; this tool never factors anything.
+Every record takes one path: each command hands its fields to one
+``emit``, which prints the record as one line the moment it is produced,
+so an error after some records leaves those lines printed.  The human
+line is ``command key=value key=value ...`` (a list value joins with
+commas); under --json it is one compact JSON object with ``command``
+first and then the same keys, in the same order, with the same values.
+All numerals are decimal.  The modulus always arrives as a
+factorization string such as ``"2^5 * 3 * 7^2"``; this tool never
+factors anything.
 
 Exit codes: 0 success, 1 selftest found violations, 2 command line
 usage error, 3 domain error (index out of range, not a residue, not a
@@ -24,7 +28,6 @@ from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_divisi
 from .errors import FactorizationError
 from .indexing import decode_index, encode_residue, index_space_size, parse_factorization
 from .sampling import (
-    RandomBitLedger,
     SeededBitSource,
     SystemBitSource,
     compare_bit_budgets,
@@ -33,106 +36,68 @@ from .sampling import (
 )
 
 
-def _emit(record: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(record, separators=(",", ":")))
-        return
-    command = record["command"]
-    parts = [command]
-    for key, value in record.items():
-        if key == "command":
-            continue
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        parts.append(f"{key}={value}")
-    print(" ".join(parts))
+# The one table of sampler names: it gives `sample --method` its choices
+# and its default (the first entry), and the handler its sampler.
+_SAMPLERS = {"index": sample_residue_by_index, "classical": sample_residue_classical}
 
 
-def _cmd_decode(args) -> int:
-    m = parse_factorization(args.modulus)
-    residue = decode_index(m, args.index)
-    _emit(
-        {"command": "decode", "n": m.n, "index": args.index, "residue": residue},
-        args.json,
-    )
-    return 0
+def _cmd_decode(args, m, emit) -> None:
+    emit(n=m.n, index=args.index, residue=decode_index(m, args.index))
 
 
-def _cmd_encode(args) -> int:
-    m = parse_factorization(args.modulus)
-    index = encode_residue(m, args.residue)
-    _emit(
-        {"command": "encode", "n": m.n, "residue": args.residue, "index": index},
-        args.json,
-    )
-    return 0
+def _cmd_encode(args, m, emit) -> None:
+    emit(n=m.n, residue=args.residue, index=encode_residue(m, args.residue))
 
 
-def _cmd_size(args) -> int:
-    m = parse_factorization(args.modulus)
-    _emit({"command": "size", "n": m.n, "size": index_space_size(m)}, args.json)
-    return 0
+def _cmd_size(args, m, emit) -> None:
+    emit(n=m.n, size=index_space_size(m))
 
 
-def _cmd_sample(args) -> int:
-    m = parse_factorization(args.modulus)
+def _cmd_sample(args, m, emit) -> None:
     source = SystemBitSource() if args.seed is None else SeededBitSource(args.seed)
-    sample = sample_residue_by_index if args.method == "index" else sample_residue_classical
-    values = []
-    totals = RandomBitLedger()
+    sample = _SAMPLERS[args.method]
+    values, bits, attempts = [], 0, 0
     for _ in range(args.count):
         value, ledger = sample(m, source)
         values.append(value)
-        totals.bits_consumed += ledger.bits_consumed
-        totals.attempts += ledger.attempts
-    record = {"command": "sample", "n": m.n, "method": args.method, "count": args.count}
-    if args.seed is not None:
-        record["seed"] = args.seed
-    record["values"] = values
-    record["bits_consumed"] = totals.bits_consumed
-    record["attempts"] = totals.attempts
-    _emit(record, args.json)
-    return 0
+        bits += ledger.bits_consumed
+        attempts += ledger.attempts
+    seed = {} if args.seed is None else {"seed": args.seed}
+    emit(
+        n=m.n, method=args.method, count=args.count, **seed,
+        values=values, bits_consumed=bits, attempts=attempts,
+    )
 
 
-def _cmd_selftest(args) -> int:
-    failures = 0
-    indices = 0
+def _cmd_selftest(args, _, emit) -> int | None:
+    failures = indices = 0
     for n in range(2, args.max_n + 1):
         report = certify_bijection(factor_trial_division(n))
         indices += report.indices_checked
         for failure in report.failures:
             print(f"error: CertificationFailure: N={n}: {failure}", file=sys.stderr)
-            failures += 1
-    record = {
-        "command": "selftest",
-        "max_n": args.max_n,
-        "moduli_checked": args.max_n - 1,
-        "indices_checked": indices,
-        "result": "all N passed" if failures == 0 else f"{failures} violations",
-    }
-    _emit(record, args.json)
-    return 0 if failures == 0 else 1
+        failures += len(report.failures)
+    emit(
+        max_n=args.max_n,
+        moduli_checked=args.max_n - 1,
+        indices_checked=indices,
+        result=f"{failures} violations" if failures else "all N passed",
+    )
+    return 1 if failures else None
 
 
-def _cmd_bench(args) -> int:
-    m = parse_factorization(args.modulus)
+def _cmd_bench(args, m, emit) -> None:
     for report in compare_bit_budgets(m, args.count, args.seed):
-        _emit(
-            {
-                "command": "bench",
-                "n": m.n,
-                "method": report.method,
-                "samples": report.samples,
-                "seed": args.seed,
-                "total_bits": report.total_bits,
-                "total_attempts": report.total_attempts,
-                "mean_bits_per_sample": report.mean_bits_per_sample,
-                "theoretical_floor": report.theoretical_floor,
-            },
-            args.json,
+        emit(
+            n=m.n,
+            method=report.method,
+            samples=report.samples,
+            seed=args.seed,
+            total_bits=report.total_bits,
+            total_attempts=report.total_attempts,
+            mean_bits_per_sample=report.mean_bits_per_sample,
+            theoretical_floor=report.theoretical_floor,
         )
-    return 0
 
 
 def _uint64(text: str) -> int:
@@ -205,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=("index", "classical"),
-        default="index",
+        choices=tuple(_SAMPLERS),
+        default=next(iter(_SAMPLERS)),
         help="index decoding or classical unit squaring",
     )
     p.set_defaults(handler=_cmd_sample)
@@ -252,11 +217,24 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
+
+    def emit(**fields) -> None:
+        """Print one record at once: ``command`` first, then ``fields`` in order."""
+        if args.json:
+            print(json.dumps({"command": args.command, **fields}, separators=(",", ":")))
+        else:
+            print(args.command, *(f"{key}={_text(value)}" for key, value in fields.items()))
+
     try:
-        return args.handler(args)
+        m = parse_factorization(args.modulus) if "modulus" in args else None
+        return args.handler(args, m, emit) or 0
     except ValueError as exc:  # every library error, FactorizationError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, FactorizationError) else 3
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def entrypoint() -> None:

@@ -298,6 +298,7 @@ def compare_bit_budgets(
     reproducible.  theoretical_floor is log2 |QR(N)| for both, the
     entropy of the target distribution.
     """
+    seed = operator.index(seed)  # before seed + 1, so a string fails as in SeededBitSource
     if n_samples < 1:
         raise ValueError(f"sample count must be positive, got {_format_int(n_samples)}")
     floor = _log2(index_space_size(m))

@@ -49,6 +49,11 @@ class TestEnumerateQr:
     def test_cap_is_inclusive(self):
         assert enumerate_qr(10**6)[0] == 1
 
+    @pytest.mark.parametrize("n", [15.0, "15"])
+    def test_non_integer_modulus_is_a_type_error(self, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            enumerate_qr(n)
+
 
 class TestFactorTrialDivision:
     def test_reconstructs_every_small_n(self):
@@ -70,6 +75,12 @@ class TestFactorTrialDivision:
             factor_trial_division(1)
         with pytest.raises(FactorizationError):
             factor_trial_division(10**6 + 1)
+
+    @pytest.mark.parametrize("n", [15.0, "15"])
+    def test_non_integer_modulus_is_a_type_error(self, n):
+        # Refused before any trial division, so no computed cofactor is named.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            factor_trial_division(n)
 
 
 class TestCertifyBijection:
@@ -101,6 +112,17 @@ class TestCertifyBijection:
         report = certify_bijection(factor_trial_division(15))
         assert not report.passed
         assert any("raised" in f for f in report.failures)
+
+    def test_encode_exception_is_captured(self, monkeypatch):
+        def broken(m, z):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bruteforce, "encode_residue", broken)
+        report = certify_bijection(factor_trial_division(15))
+        assert report.failures == [
+            "encode(1) raised RuntimeError('boom')",
+            "encode(4) raised RuntimeError('boom')",
+        ]
 
     def test_encode_mismatch_is_reported(self, monkeypatch):
         monkeypatch.setattr(bruteforce, "encode_residue", lambda m, z: 1)

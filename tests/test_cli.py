@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -213,6 +214,49 @@ class TestBenchCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--modulus", "3*5"])
         assert excinfo.value.code == 2
+
+
+def _human_fields(line):
+    """The (key, text) pairs of a human record line, its command first.
+
+    A value may hold spaces ("result=all N passed"), so the line splits
+    only where a space is followed by the next ``key=``."""
+    command, *pairs = re.split(r" (?=\w+=)", line)
+    return [("command", command)] + [tuple(pair.split("=", 1)) for pair in pairs]
+
+
+def _json_fields(line):
+    """The (key, text) pairs of a --json record, as the human line writes them."""
+    return [
+        (key, ",".join(map(str, value)) if isinstance(value, list) else str(value))
+        for key, value in json.loads(line).items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--modulus", "3*5", "--index", "2"],
+        ["encode", "--modulus", "3*5", "--residue", "4"],
+        ["size", "--modulus", "2^4*3"],
+        ["sample", "--modulus", "3*5*7", "--count", "4", "--seed", "7", "--method", "classical"],
+        ["selftest", "--max-n", "30"],
+        ["bench", "--modulus", "3*5*7*11*13", "--count", "20", "--seed", "42"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_records_match_the_human_lines(capsys, argv):
+    # One emitter writes both forms: the same keys, in the same order, with
+    # the same values, and command first.
+    code, human, _ = run(capsys, *argv)
+    assert code == 0
+    json_code, as_json, _ = run(capsys, argv[0], "--json", *argv[1:])
+    assert json_code == 0
+    human_lines, json_lines = human.splitlines(), as_json.splitlines()
+    assert len(human_lines) == len(json_lines) >= 1
+    for human_line, json_line in zip(human_lines, json_lines):
+        assert _json_fields(json_line) == _human_fields(human_line)
+        assert _human_fields(human_line)[0] == ("command", argv[0])
 
 
 class TestUsageErrors:

@@ -154,6 +154,11 @@ class TestFactoredModulus:
         assert a != FactoredModulus(3, [(7, 1)])
         assert {a, b} == {a}
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        m = parse_factorization("3 * 5")
+        assert m.__eq__(15) is NotImplemented
+        assert m != 15
+
     def test_repr_and_factor_string(self):
         assert parse_factorization("5 * 2^6 * 3").factor_string() == "2^6 * 3 * 5"
         assert parse_factorization("2 * 7").factor_string() == "2 * 7"

@@ -57,6 +57,8 @@ class TestCrtCombine:
             crt_combine([(5, 5)])
         with pytest.raises(ValueError):
             crt_combine([(-1, 5)])
+        with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+            crt_combine([(0, 0)])
 
     @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True))
     def test_random_residues_recombine(self, moduli):
@@ -145,6 +147,41 @@ class TestIsPrime:
         assert numbertheory._strong_lucas(n)
         assert not is_prime(n)
 
+    def test_strong_lucas_exits_early_on_a_shared_factor(self):
+        # (5/35) = 0 with 5 < 35: D shares a factor with n, so n is composite.
+        assert numbertheory._jacobi(5, 35) == 0
+        assert numbertheory._strong_lucas(35) is False
+
+    def test_strong_pseudoprime_to_the_first_eleven_prime_bases(self):
+        # Below the Baillie-PSW bound; base 37 is the first to reject it.
+        n = 3825123056546413051
+        assert all(_strong_probable_prime(n, a) for a in _primes_below(37))
+        assert not _strong_probable_prime(n, 37)
+        assert not is_prime(n)
+
+    def test_strong_pseudoprime_that_only_base_41_rejects(self):
+        # Below the Baillie-PSW bound: every deterministic base but the last passes it.
+        n = 318665857834031151167461
+        assert n < numbertheory._MR_DETERMINISTIC_BOUND
+        assert all(_strong_probable_prime(n, a) for a in _primes_below(41))
+        assert not _strong_probable_prime(n, 41)
+        assert not is_prime(n)
+
+    def test_arnault_composite_passes_every_prime_base_below_307(self):
+        # F. Arnault, "Constructing Carmichael numbers which are strong
+        # pseudoprimes to several bases" (1995): a 397-digit composite that
+        # only the Lucas half of Baillie-PSW rejects.
+        p1 = int(
+            "29674495668685510550154174642905332730771991799853043350995075531276838753"
+            "171770199594238596428121188033664754218345562493168782883"
+        )
+        n = p1 * (313 * (p1 - 1) + 1) * (353 * (p1 - 1) + 1)
+        assert len(str(n)) == 397
+        bases = _primes_below(307)
+        assert len(bases) == 62
+        assert all(_strong_probable_prime(n, a) for a in bases)
+        assert not is_prime(n)
+
     def test_agrees_with_the_miller_rabin_reference(self):
         rng = random.Random(20260417)
         for _ in range(300):
@@ -174,6 +211,26 @@ class TestIsPrime:
         monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
         assert is_prime(p)
         assert len(calls) == 1
+
+
+def _primes_below(limit):
+    return [p for p in range(2, limit) if all(p % q for q in range(2, p))]
+
+
+def _strong_probable_prime(n, a):
+    """The strong Fermat test of odd n > 2 to base a, written out here so
+    the pseudoprime tests do not lean on the code they test."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 class TestSqrtModPrime:
@@ -308,6 +365,12 @@ class TestSqrtModPrime:
         for p in (17, 41, 2**255 - 19, _prime_with_two_adic_valuation(64)):
             s = ((p - 1) & (1 - p)).bit_length() - 1
             assert pow(numbertheory._nonresidue_power(p), 1 << (s - 1), p) == p - 1
+
+    def test_composite_p_is_refused_by_the_nonresidue_scan(self):
+        # 2**7 = 8 (mod 15), so t != 1 and the scan runs; base 2's Euler
+        # value 8 is neither 1 nor -1, which proves 15 composite.
+        with pytest.raises(ValueError, match="p must be an odd prime, got 15"):
+            sqrt_mod_prime(2, 15)
 
     def test_composite_p_is_refused_without_hanging(self):
         # 561 and 1105 are Carmichael numbers: no base coprime to them has

@@ -534,6 +534,11 @@ class TestCompareBitBudgets:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             compare_bit_budgets(parse_factorization("3*5"), 1, 1.5)
 
+    def test_string_seed_is_a_type_error(self):
+        # The classical stream's seed + 1 must not be built from the string first.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compare_bit_budgets(parse_factorization("3*5"), 1, "1")
+
     def test_big_modulus_floor_is_finite(self):
         # The floor must not overflow on moduli far past float range.
         m = parse_factorization("2^4099")
