@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .errors import FactorizationError, _format_int
 from .indexing import FactoredModulus, decode_index, encode_residue, index_space_size
 
+__all__ = ["CertificationReport", "certify_bijection", "enumerate_qr", "factor_trial_division"]
+
 _ENUMERATION_CAP = 10**6
 
 

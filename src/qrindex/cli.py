@@ -28,17 +28,8 @@ from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_divisi
 from .errors import FactorizationError
 from .indexing import decode_index, encode_residue, index_space_size, parse_factorization
 from .sampling import (
-    SeededBitSource,
-    SystemBitSource,
-    compare_bit_budgets,
-    sample_residue_by_index,
-    sample_residue_classical,
+    _SAMPLERS, _SEED_BOUND, SeededBitSource, SystemBitSource, compare_bit_budgets,
 )
-
-
-# The one table of sampler names: it gives `sample --method` its choices
-# and its default (the first entry), and the handler its sampler.
-_SAMPLERS = {"index": sample_residue_by_index, "classical": sample_residue_classical}
 
 
 def _cmd_decode(args, m, emit) -> None:
@@ -102,7 +93,7 @@ def _cmd_bench(args, m, emit) -> None:
 
 def _uint64(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 1 << 64:
+    if not 0 <= value < _SEED_BOUND:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 

@@ -4,6 +4,8 @@ Everything derives from ValueError, so callers that do not care about the
 exact failure mode can catch one builtin type.
 """
 
+__all__ = ["FactorizationError", "IndexRangeError", "NotAResidueError", "NotCoprimeError"]
+
 
 def _format_int(n: int) -> str:
     """n in decimal for an error message, or its bit length past the

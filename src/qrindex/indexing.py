@@ -61,6 +61,12 @@ from .numbertheory import (
     sqrt_mod_2k,
 )
 
+__all__ = [
+    "FactoredModulus", "PrimePower", "RootProfile", "decode_index", "encode_residue",
+    "index_space_size", "index_to_profile", "is_quadratic_residue", "parse_factorization",
+    "profile_to_index", "profile_to_residue", "radix_schedule", "residue_to_profile",
+]
+
 # Largest modulus accepted, in bits: tens of thousands of bits are in
 # scope, while a larger claimed factorization is refused before any work.
 _MAX_MODULUS_BITS = 1 << 16
@@ -110,8 +116,21 @@ class FactoredModulus:
         two_exponent = _integer(two_exponent)
         if two_exponent < 0:
             raise FactorizationError(f"exponent of 2 must be >= 0, got {_format_int(two_exponent)}")
+        try:
+            entries = enumerate(odd_parts)
+        except TypeError:
+            raise FactorizationError(
+                "odd parts must be an iterable of (base, exponent) pairs"
+            ) from None
         parts: dict[int, int] = {}
-        for p, k in odd_parts:
+        for position, entry in entries:
+            try:
+                p, k = entry
+            except (TypeError, ValueError):
+                # Named by position: the repr of a huge base fails past the int/str limit.
+                raise FactorizationError(
+                    f"odd part at position {position} is not a (base, exponent) pair"
+                ) from None
             p, k = _integer(p), _integer(k)
             if k < 1:
                 raise FactorizationError(f"zero exponent on base {_format_int(p)}")

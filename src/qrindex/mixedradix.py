@@ -6,7 +6,8 @@ digit is always 0.  The empty schedule addresses exactly one codeword, 0.
 Radix order is whatever the caller fixes; nothing here assumes sorting.
 
 ``pack`` is the one checker of a digit tuple, the ``RootProfile`` functions'
-included; it and ``unpack`` raise TypeError for non-integers, as ``range`` does.
+included; it, ``unpack`` and ``schedule_size`` raise TypeError for a
+non-integer digit, value or radix, as ``range`` does.
 """
 
 import operator
@@ -18,6 +19,7 @@ def schedule_size(radices) -> int:
     """Number of codewords the schedule addresses (the product of radices)."""
     size = 1
     for position, radix in enumerate(radices):
+        radix = operator.index(radix)
         if radix < 1:
             raise ValueError(f"radix at position {position} must be >= 1, got {_format_int(radix)}")
         size *= radix
@@ -28,14 +30,14 @@ def pack(digits, radices) -> int:
     """Pack digits into their little-endian mixed-radix value.
 
     Raises ValueError when the digit and radix counts differ, TypeError
-    for a non-integer digit, and IndexRangeError naming the first digit
-    outside ``0 <= digit < radix``, with its ``position`` set.
+    for a non-integer digit or radix, and IndexRangeError naming the
+    first digit outside ``0 <= digit < radix``, with its ``position`` set.
     """
     if len(digits) != len(radices):
         raise ValueError(f"{len(digits)} digits against {len(radices)} radices")
     value, place = 0, 1
     for position, (digit, radix) in enumerate(zip(digits, radices)):
-        digit = operator.index(digit)
+        digit, radix = operator.index(digit), operator.index(radix)
         if not 0 <= digit < radix:
             raise IndexRangeError(
                 f"digit {_format_int(digit)} at position {position}"

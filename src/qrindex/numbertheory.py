@@ -4,27 +4,32 @@ Everything here operates on plain ``int`` values with no fixed word size,
 so moduli of thousands of bits behave exactly like small ones.  All public
 results are reduced, non-negative representatives.
 
-Every function is pure and safe to call from any number of threads.
+Every function is safe to call from any number of threads, and every one
+is pure but ``_nonresidue_power``, which keeps a per-process cache keyed
+by the prime.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .errors import NotAResidueError, NotCoprimeError, _format_int
 
-# Miller-Rabin with the first 13 primes as bases is a proven deterministic
-# primality test below this bound (Sorenson and Webster, 2015).  From the
-# bound up, Baillie-PSW (strong base 2 plus strong Lucas) decides.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+__all__ = ["crt_combine", "hensel_lift_sqrt", "is_prime", "sqrt_mod_2k", "sqrt_mod_prime"]
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+# Miller-Rabin with the first 13 primes as bases is a proven deterministic
+# primality test below this bound (Sorenson and Webster, 2015).  From the
+# bound up, Baillie-PSW (strong base 2 plus strong Lucas) decides.
+_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 
 # An inverse square root modulo 2**8 of each z = 1 (mod 8), keyed by
 # z mod 2**8: the 2-adic Newton iteration starts 8 bits in.  Each such z
@@ -40,8 +45,9 @@ def crt_combine(parts) -> int:
     congruent to every residue.  A non-coprime pair raises NotCoprimeError
     naming the offenders.  The general-purpose primitive, and the tests'
     reference for the CRT basis a FactoredModulus prepares for the codec.
+    A non-integer residue or modulus raises TypeError.
     """
-    parts = list(parts)
+    parts = [(operator.index(residue), operator.index(modulus)) for residue, modulus in parts]
     if not parts:
         raise ValueError("crt_combine needs at least one congruence")
     for residue, modulus in parts:
@@ -80,8 +86,9 @@ def is_prime(n: int) -> bool:
     strong Miller-Rabin test to base 2, then a strong Lucas test with
     Selfridge's parameters.  No composite is known to pass Baillie-PSW,
     and it costs one full-size exponentiation plus a Lucas ladder of a
-    few multiplications per bit of n.
+    few multiplications per bit of n.  A non-integer n raises TypeError.
     """
+    n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -34,7 +34,16 @@ from dataclasses import dataclass
 from .errors import _format_int
 from .indexing import FactoredModulus, _decode, index_space_size
 
+__all__ = [
+    "BitSource", "BitSourceExhaustedError", "RandomBitLedger", "RejectionLimitError",
+    "SampleReport", "ScriptedBitSource", "SeededBitSource", "SystemBitSource",
+    "compare_bit_budgets", "draw_uniform", "sample_residue_by_index", "sample_residue_classical",
+]
+
 _MAX_REJECTIONS = 128
+
+# Seeds are 64-bit unsigned integers, here and on the command line.
+_SEED_BOUND = 1 << 64
 
 # Fresh bits a seeded or system source fetches per refill, at least.  The
 # per-call cost of next_bits(8) and next_bits(2048) on either source is
@@ -105,9 +114,11 @@ class _BufferedBitSource(BitSource):
             count = max((k - self._remaining + 7) // 8 * 8, _REFILL_BITS)
             self._buffer = self._buffer << count | self._fresh_bits(count)
             self._remaining += count
-        self._remaining -= k
-        value = self._buffer >> self._remaining
-        self._buffer ^= value << self._remaining
+        # Stored only once the word is cut: a float k fails with the stream intact.
+        remaining = self._remaining - k
+        value = self._buffer >> remaining
+        self._buffer ^= value << remaining
+        self._remaining = remaining
         return value
 
 
@@ -137,7 +148,7 @@ class SeededBitSource(_BufferedBitSource):
 
     def __init__(self, seed: int):
         seed = operator.index(seed)  # a float or string raises TypeError
-        if not 0 <= seed < 1 << 64:
+        if not 0 <= seed < _SEED_BOUND:
             raise ValueError(f"seed must fit in 64 bits, got {_format_int(seed)}")
         super().__init__()
         self._rng = random.Random(seed)
@@ -267,6 +278,12 @@ def sample_residue_classical(
     raise RejectionLimitError(f"no unit modulo {_format_int(n)} within {rounds} attempts")
 
 
+# The one table of sampler names: it gives `sample --method` its choices,
+# its default (the first entry) and its sampler, and compare_bit_budgets
+# its two strategies, looked up by name.
+_SAMPLERS = {"index": sample_residue_by_index, "classical": sample_residue_classical}
+
+
 @dataclass(frozen=True)
 class SampleReport:
     """Aggregate cost statistics for one sampling run."""
@@ -280,11 +297,9 @@ class SampleReport:
 
 
 def _log2(n: int) -> float:
-    # Not math.log2, which takes big ints but above 2**53 differs in the last
+    # Not math.log2(n), which takes big ints but above 2**53 differs in the last
     # bits on about 2% of inputs, which would change bench's theoretical_floor.
-    if n < 1 << 53:
-        return math.log2(n)
-    shift = n.bit_length() - 53
+    shift = max(n.bit_length() - 53, 0)
     return math.log2(n >> shift) + shift
 
 
@@ -299,14 +314,13 @@ def compare_bit_budgets(
     entropy of the target distribution.
     """
     seed = operator.index(seed)  # before seed + 1, so a string fails as in SeededBitSource
+    n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"sample count must be positive, got {_format_int(n_samples)}")
     floor = _log2(index_space_size(m))
     reports = []
-    for method, seed_i, sample in (
-        ("index", seed, sample_residue_by_index),
-        ("classical", (seed + 1) % (1 << 64), sample_residue_classical),
-    ):
+    for method, seed_i in (("index", seed), ("classical", (seed + 1) % _SEED_BOUND)):
+        sample = _SAMPLERS[method]
         source = SeededBitSource(seed_i)
         total_bits = 0
         total_attempts = 0

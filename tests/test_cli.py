@@ -1,11 +1,14 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +260,38 @@ def test_json_records_match_the_human_lines(capsys, argv):
     for human_line, json_line in zip(human_lines, json_lines):
         assert _json_fields(json_line) == _human_fields(human_line)
         assert _human_fields(human_line)[0] == ("command", argv[0])
+
+
+def _readme_examples():
+    """Each ``$ qrindex ...`` line of README, split as a shell would, with
+    the lines README shows under it, up to a blank line or the fence."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ qrindex "):
+            argv = shlex.split(line)[2:]
+            shown = itertools.takewhile(lambda text: text and text != "```", lines[i + 1:])
+            examples.append(pytest.param(argv, list(shown), id=" ".join(argv)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_every_command():
+    # Each command has its handler, cli._cmd_<command>.
+    commands = {name.removeprefix("_cmd_") for name in dir(cli) if name.startswith("_cmd_")}
+    assert {example.values[0][0] for example in README_EXAMPLES} == commands
+
+
+@pytest.mark.parametrize("argv,shown", README_EXAMPLES)
+def test_readme_example_holds(capsys, argv, shown):
+    # README shows stdout and any `error:` line of stderr, in that order.
+    code, out, err = run(capsys, *argv)
+    errors = [line for line in shown if line.startswith("error:")]
+    assert out.splitlines() == [line for line in shown if not line.startswith("error:")]
+    assert [line for line in err.splitlines() if line.startswith("error:")] == errors
+    assert (code == 0) == (not errors)
 
 
 class TestUsageErrors:

@@ -133,11 +133,20 @@ class TestFactoredModulus:
             (2.5, []),
             (0, [(5.9, 1)]),
             (0, [(5, 1.0)]),
+            (0, [3]),
+            (0, [(3,)]),
+            (0, [(3, 1, 1)]),
+            (0, 5),
         ],
     )
     def test_invalid_shapes(self, two_exponent, odd_parts):
         with pytest.raises(FactorizationError):
             FactoredModulus(two_exponent, odd_parts)
+
+    def test_malformed_part_is_named_by_position(self, default_int_str_limit):
+        # The entry's repr would print a base past the int/str digit limit.
+        with pytest.raises(FactorizationError, match="odd part at position 1 is not"):
+            FactoredModulus(0, [(3, 1), (10 ** (default_int_str_limit + 1),)])
 
     def test_minimal_moduli(self):
         assert FactoredModulus(1).n == 2

@@ -76,6 +76,13 @@ def test_non_integers_are_refused():
         pack((1, 0.0), (2, 3))
     with pytest.raises(TypeError):
         unpack(1.0, (2, 3))
+    # A radix that int() would accept, too.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        pack((0,), (2.5,))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        unpack(1, (2.5,))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        schedule_size([2.5])
 
 
 def test_shape_mismatch():

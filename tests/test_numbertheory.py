@@ -59,6 +59,9 @@ class TestCrtCombine:
             crt_combine([(-1, 5)])
         with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
             crt_combine([(0, 0)])
+        for parts in ([(2, 3), (1.5, 5)], [(2, 3), (1, 5.0)]):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                crt_combine(parts)
 
     @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True))
     def test_random_residues_recombine(self, moduli):
@@ -94,6 +97,12 @@ class TestIsPrime:
         assert not is_prime(0)
         assert not is_prime(1)
         assert is_prime(2)
+
+    @pytest.mark.parametrize("n", [7.0, 101.0, "7"])
+    def test_non_integer_is_a_type_error(self, n):
+        # Refused as decode_index refuses a float index, whatever its value.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_prime(n)
 
     def test_deterministic_bound_itself_is_composite(self):
         # A strong pseudoprime to all 13 deterministic bases, and the

@@ -188,6 +188,19 @@ class TestBlockRefills:
                     assert words.next_bits(k) == expected, (seed, plan, k)
                     assert words.next_bit() == int(next(reference))
 
+    @pytest.mark.parametrize("k", [0.5, 3000.5])
+    def test_a_failed_word_leaves_the_stream_intact(self, monkeypatch, k):
+        # 0.5 fails after a refill, 3000.5 before it; either way the next
+        # word is the stream's first.
+        data = random.Random(7).randbytes(8 * sampling._REFILL_BITS)
+        assert SeededBitSource(1).next_bits(8) == 120
+        for make, first in ((lambda: SeededBitSource(1), 120), (SystemBitSource, data[0])):
+            _patch_urandom(monkeypatch, data)
+            source = make()
+            with pytest.raises(TypeError):
+                source.next_bits(k)
+            assert source.next_bits(8) == first
+
     def test_word_splits_serve_one_bit_string(self, monkeypatch):
         # Same seed (or same bytes), different word sizes: one bit string.
         block = sampling._REFILL_BITS
@@ -533,6 +546,11 @@ class TestCompareBitBudgets:
     def test_float_seed_is_a_type_error(self):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             compare_bit_budgets(parse_factorization("3*5"), 1, 1.5)
+
+    @pytest.mark.parametrize("n_samples", ["3", 3.0])
+    def test_non_integer_sample_count_is_a_type_error(self, n_samples):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compare_bit_budgets(parse_factorization("3*5"), n_samples, 1)
 
     def test_string_seed_is_a_type_error(self):
         # The classical stream's seed + 1 must not be built from the string first.
