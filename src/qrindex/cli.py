@@ -28,7 +28,7 @@ from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_divisi
 from .errors import FactorizationError
 from .indexing import decode_index, encode_residue, index_space_size, parse_factorization
 from .sampling import (
-    _SAMPLERS, _SEED_BOUND, SeededBitSource, SystemBitSource, compare_bit_budgets,
+    _SAMPLERS, _SEED_BOUND, SeededBitSource, SystemBitSource, _sample_run, compare_bit_budgets,
 )
 
 
@@ -46,17 +46,12 @@ def _cmd_size(args, m, emit) -> None:
 
 def _cmd_sample(args, m, emit) -> None:
     source = SystemBitSource() if args.seed is None else SeededBitSource(args.seed)
-    sample = _SAMPLERS[args.method]
-    values, bits, attempts = [], 0, 0
-    for _ in range(args.count):
-        value, ledger = sample(m, source)
-        values.append(value)
-        bits += ledger.bits_consumed
-        attempts += ledger.attempts
+    values = []
+    report = _sample_run(m, args.method, source, args.count, values)
     seed = {} if args.seed is None else {"seed": args.seed}
     emit(
         n=m.n, method=args.method, count=args.count, **seed,
-        values=values, bits_consumed=bits, attempts=attempts,
+        values=values, bits_consumed=report.total_bits, attempts=report.total_attempts,
     )
 
 

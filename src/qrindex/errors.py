@@ -16,6 +16,22 @@ def _format_int(n: int) -> str:
         return f"<{n.bit_length()}-bit {'negative ' if n < 0 else ''}integer>"
 
 
+def _pairs(items, noun: str, fields: str, error=ValueError):
+    """Yield the entries of items as pairs, else raise error worded by noun
+    and fields, such as ``part`` and ``(residue, modulus)``."""
+    try:
+        entries = enumerate(items)
+    except TypeError:
+        raise error(f"{noun}s must be an iterable of {fields} pairs") from None
+    for position, entry in entries:
+        try:
+            a, b = entry
+        except (TypeError, ValueError):
+            # Named by position: the repr of a huge integer fails past the int/str limit.
+            raise error(f"{noun} at position {position} is not a {fields} pair") from None
+        yield a, b
+
+
 class NotCoprimeError(ValueError):
     """Two values that must be coprime share a nontrivial factor."""
 

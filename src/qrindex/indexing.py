@@ -55,6 +55,7 @@ from .errors import (
     NotAResidueError,
     NotCoprimeError,
     _format_int,
+    _pairs,
 )
 from .numbertheory import (
     _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime,
@@ -116,21 +117,8 @@ class FactoredModulus:
         two_exponent = _integer(two_exponent)
         if two_exponent < 0:
             raise FactorizationError(f"exponent of 2 must be >= 0, got {_format_int(two_exponent)}")
-        try:
-            entries = enumerate(odd_parts)
-        except TypeError:
-            raise FactorizationError(
-                "odd parts must be an iterable of (base, exponent) pairs"
-            ) from None
         parts: dict[int, int] = {}
-        for position, entry in entries:
-            try:
-                p, k = entry
-            except (TypeError, ValueError):
-                # Named by position: the repr of a huge base fails past the int/str limit.
-                raise FactorizationError(
-                    f"odd part at position {position} is not a (base, exponent) pair"
-                ) from None
+        for p, k in _pairs(odd_parts, "odd part", "(base, exponent)", FactorizationError):
             p, k = _integer(p), _integer(k)
             if k < 1:
                 raise FactorizationError(f"zero exponent on base {_format_int(p)}")
@@ -426,7 +414,7 @@ def _pack_profile(m: FactoredModulus, profile: RootProfile) -> int:
     # The profile's 0-based index, checked by pack; a digit out of range is
     # re-raised naming the value the caller passed (x, not x - 1).
     digits = []
-    for x, c in profile.odd_roots:
+    for x, c in _pairs(profile.odd_roots, "odd root", "(x, c)"):
         digits += [x - 1, c]
     if profile.two_part_digit is not None:
         digits.append(profile.two_part_digit)

@@ -6,7 +6,8 @@ results are reduced, non-negative representatives.
 
 Every function is safe to call from any number of threads, and every one
 is pure but ``_nonresidue_power``, which keeps a per-process cache keyed
-by the prime.
+by the prime.  Every public function reads its integer arguments through
+``operator.index``, so a float or a string raises TypeError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .errors import NotAResidueError, NotCoprimeError, _format_int
+from .errors import NotAResidueError, NotCoprimeError, _format_int, _pairs
 
 __all__ = ["crt_combine", "hensel_lift_sqrt", "is_prime", "sqrt_mod_2k", "sqrt_mod_prime"]
 
@@ -45,9 +46,10 @@ def crt_combine(parts) -> int:
     congruent to every residue.  A non-coprime pair raises NotCoprimeError
     naming the offenders.  The general-purpose primitive, and the tests'
     reference for the CRT basis a FactoredModulus prepares for the codec.
-    A non-integer residue or modulus raises TypeError.
+    An entry that is not a pair raises ValueError naming its position.
     """
-    parts = [(operator.index(residue), operator.index(modulus)) for residue, modulus in parts]
+    pairs = _pairs(parts, "part", "(residue, modulus)")
+    parts = [(operator.index(residue), operator.index(modulus)) for residue, modulus in pairs]
     if not parts:
         raise ValueError("crt_combine needs at least one congruence")
     for residue, modulus in parts:
@@ -86,7 +88,7 @@ def is_prime(n: int) -> bool:
     strong Miller-Rabin test to base 2, then a strong Lucas test with
     Selfridge's parameters.  No composite is known to pass Baillie-PSW,
     and it costs one full-size exponentiation plus a Lucas ladder of a
-    few multiplications per bit of n.  A non-integer n raises TypeError.
+    few multiplications per bit of n.
     """
     n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
@@ -205,6 +207,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     Raises NotAResidueError for non-residues.  The caller must pass a
     prime: a composite p raises ValueError once the scan proves it so.
     """
+    a, p = operator.index(a), operator.index(p)
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     a %= p
@@ -263,6 +266,7 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     precision ladder its modulus prepared; here the start ``1/x`` mod p
     costs one modular inverse and the ladder is built per call.
     """
+    x, z, p, k = map(operator.index, (x, z, p, k))
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     if k < 1:
@@ -322,6 +326,7 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     -y + 2**(k-1); ``min(y, 2**(k-1) - y)`` is the one below 2**(k-2),
     whichever inverse root r is.
     """
+    z, k = operator.index(z), operator.index(k)
     if k < 4:
         raise ValueError(f"k must be >= 4, got {_format_int(k)}")
     z &= (1 << k) - 1  # z mod 2**k, negative z included

@@ -278,9 +278,9 @@ def sample_residue_classical(
     raise RejectionLimitError(f"no unit modulo {_format_int(n)} within {rounds} attempts")
 
 
-# The one table of sampler names: it gives `sample --method` its choices,
-# its default (the first entry) and its sampler, and compare_bit_budgets
-# its two strategies, looked up by name.
+# The one table of sampler names: it gives `sample --method` its choices
+# and its default (the first entry), and _sample_run, the one loop over
+# draws that `sample` and compare_bit_budgets share, its sampler by name.
 _SAMPLERS = {"index": sample_residue_by_index, "classical": sample_residue_classical}
 
 
@@ -303,39 +303,38 @@ def _log2(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
+def _sample_run(
+    m: FactoredModulus, method: str, source: BitSource, count: int, values: list | None = None
+) -> SampleReport:
+    """Draw count residues with sampler method from the one source and
+    report the totals, appending each residue to values if given a list."""
+    sample = _SAMPLERS[method]
+    bits = attempts = 0
+    for _ in range(count):
+        value, ledger = sample(m, source)
+        if values is not None:
+            values.append(value)
+        bits += ledger.bits_consumed
+        attempts += ledger.attempts
+    return SampleReport(method, count, bits, attempts, bits / count, _log2(index_space_size(m)))
+
+
 def compare_bit_budgets(
     m: FactoredModulus, n_samples: int, seed: int
 ) -> tuple[SampleReport, SampleReport]:
     """Run both strategies for n_samples draws each and report costs.
 
-    The index strategy streams bits from seed; the classical strategy
-    from seed + 1 (mod 2**64) so the two runs are independent but both
-    reproducible.  theoretical_floor is log2 |QR(N)| for both, the
-    entropy of the target distribution.
+    Each is the run ``sample`` makes, keeping no residue: the index
+    strategy streams bits from seed; the classical strategy from seed + 1
+    (mod 2**64) so the two runs are independent but both reproducible.
+    theoretical_floor is log2 |QR(N)| for both, the entropy of the target
+    distribution.
     """
     seed = operator.index(seed)  # before seed + 1, so a string fails as in SeededBitSource
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError(f"sample count must be positive, got {_format_int(n_samples)}")
-    floor = _log2(index_space_size(m))
-    reports = []
-    for method, seed_i in (("index", seed), ("classical", (seed + 1) % _SEED_BOUND)):
-        sample = _SAMPLERS[method]
-        source = SeededBitSource(seed_i)
-        total_bits = 0
-        total_attempts = 0
-        for _ in range(n_samples):
-            _, ledger = sample(m, source)
-            total_bits += ledger.bits_consumed
-            total_attempts += ledger.attempts
-        reports.append(
-            SampleReport(
-                method=method,
-                samples=n_samples,
-                total_bits=total_bits,
-                total_attempts=total_attempts,
-                mean_bits_per_sample=total_bits / n_samples,
-                theoretical_floor=floor,
-            )
-        )
-    return reports[0], reports[1]
+    return (
+        _sample_run(m, "index", SeededBitSource(seed), n_samples),
+        _sample_run(m, "classical", SeededBitSource((seed + 1) % _SEED_BOUND), n_samples),
+    )

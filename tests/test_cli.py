@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import qrindex.cli as cli
 from helpers import hostile_factor_strings
-from qrindex import CertificationReport, enumerate_qr
+from qrindex import CertificationReport, compare_bit_budgets, enumerate_qr, parse_factorization
 from qrindex.cli import main
 
 
@@ -217,6 +217,30 @@ class TestBenchCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--modulus", "3*5"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "factors,count,seed",
+        [
+            ("3*5*7*11*13", 1000, 42),
+            ("2^7*3^2*7", 300, (1 << 64) - 1),  # the classical stream wraps to seed 0
+            ("2^10*3^3*5*7", 200, 0),
+            ("3*5", 50, 9),
+            ("2^3", 20, 5),
+        ],
+    )
+    def test_sample_spends_what_bench_reports(self, capsys, factors, count, seed):
+        # bench's index line is a sample run from seed, its classical line
+        # one from seed + 1 (mod 2**64): the same draws, the same ledger.
+        reports = compare_bit_budgets(parse_factorization(factors), count, seed)
+        for report, run_seed in zip(reports, (seed, (seed + 1) % (1 << 64))):
+            code, out, _ = run(
+                capsys, "sample", "--json", "--modulus", factors, "--count", str(count),
+                "--seed", str(run_seed), "--method", report.method,
+            )
+            record = json.loads(out)
+            assert code == 0
+            assert record["bits_consumed"] == report.total_bits
+            assert record["attempts"] == report.total_attempts
 
 
 def _human_fields(line):

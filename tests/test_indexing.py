@@ -583,6 +583,12 @@ class TestProfiles:
                 view(m, RootProfile(((1, 0), (2.5, 0))))
             with pytest.raises(TypeError):
                 view(m, RootProfile(((1.0, 0), (2, 0))))
+            # A malformed pair is named by position, not unpacked by the interpreter.
+            for odd_roots in (((1,), (1, 0)), (1, (1, 0)), ((1, 0, 0), (1, 0))):
+                with pytest.raises(ValueError, match="^odd root at position 0 is not a"):
+                    view(m, RootProfile(odd_roots))
+            with pytest.raises(ValueError, match="^odd roots must be an iterable of"):
+                view(m, RootProfile(5))
 
     @pytest.mark.parametrize(
         "text,profile,message",

@@ -62,6 +62,12 @@ class TestCrtCombine:
         for parts in ([(2, 3), (1.5, 5)], [(2, 3), (1, 5.0)]):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 crt_combine(parts)
+        # Not the interpreter's unpacking TypeError or ValueError.
+        with pytest.raises(ValueError, match="^parts must be an iterable of"):
+            crt_combine(5)
+        for parts, position in (([5], 0), ([(2, 3), (1,)], 1), ([(2, 3), (1, 5, 7)], 1)):
+            with pytest.raises(ValueError, match=f"^part at position {position} is not a"):
+                crt_combine(parts)
 
     @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True))
     def test_random_residues_recombine(self, moduli):
@@ -72,6 +78,25 @@ class TestCrtCombine:
         x = crt_combine(parts)
         for r, m in parts:
             assert x % m == r
+
+
+@pytest.mark.parametrize(
+    "root,args",
+    [
+        (sqrt_mod_prime, (4, 7.0)),
+        (sqrt_mod_prime, (4.0, 7)),
+        (hensel_lift_sqrt, (2, 4, 7, 1.0)),
+        (hensel_lift_sqrt, (2, 4.0, 7, 1)),
+        (hensel_lift_sqrt, ("2", 4, 7, 2)),
+        (sqrt_mod_2k, (17, 5.0)),
+        (sqrt_mod_2k, (17.0, 5)),
+    ],
+)
+def test_root_functions_refuse_non_integers(root, args):
+    # Not a float answer (hensel_lift_sqrt once returned 2.0), nor an error
+    # from deep inside: &, << or pow().
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        root(*args)
 
 
 class TestIsPrime:
