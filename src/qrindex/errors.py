@@ -16,6 +16,12 @@ def _format_int(n: int) -> str:
         return f"<{n.bit_length()}-bit {'negative ' if n < 0 else ''}integer>"
 
 
+def _wrong_type(noun: str, value, expected: type) -> TypeError:
+    """The error for a noun of the wrong type, such as ``modulus must be a
+    FactoredModulus, got str``; built only once an isinstance check fails."""
+    return TypeError(f"{noun} must be a {expected.__name__}, got {type(value).__name__}")
+
+
 def _pairs(items, noun: str, fields: str, error=ValueError):
     """Yield the entries of items as pairs, else raise error worded by noun
     and fields, such as ``part`` and ``(residue, modulus)``."""

@@ -56,6 +56,7 @@ from .errors import (
     NotCoprimeError,
     _format_int,
     _pairs,
+    _wrong_type,
 )
 from .numbertheory import (
     _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime,
@@ -263,11 +264,15 @@ def index_space_size(m: FactoredModulus) -> int:
     Equals ``2**max(k-3, 0)`` times the product of ``(p-1)/2 * p**(e-1)``
     over the odd parts, which for odd N is phi(N) / 2**r.
     """
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     return m._size
 
 
 def radix_schedule(m: FactoredModulus) -> tuple[int, ...]:
     """The ordered radix list the index codec packs against."""
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     return m._radices
 
 
@@ -326,6 +331,8 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
 
 
 def _zero_based(m: FactoredModulus, index: int) -> int:
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     index = operator.index(index)  # a float raises TypeError, as range(2.0) does
     if not 1 <= index <= m._size:
         raise IndexRangeError(
@@ -349,6 +356,8 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
     # The 0-based index of z, each digit in range by construction:
     # x <= (p-1)/2, c < p**(k-1) as y < p**k, and the 2-adic root is below
     # 2**(k2-2).  Ascending steps make the first failing prime the one named.
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     z = operator.index(z)  # a float or string raises TypeError, as an index does
     if z < 0:
         raise ValueError(f"residue must be a natural, got {_format_int(z)}")
@@ -388,6 +397,8 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     """Membership test via Euler's criterion per odd prime plus the 2-part
     congruence class (odd for k = 1, 1 mod 4 for k = 2, 1 mod 8 for
     k >= 3).  A non-integer z raises TypeError."""
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     z = operator.index(z)
     if z < 0:
         return False
@@ -413,6 +424,10 @@ def _profile(m: FactoredModulus, digits) -> RootProfile:
 def _pack_profile(m: FactoredModulus, profile: RootProfile) -> int:
     # The profile's 0-based index, checked by pack; a digit out of range is
     # re-raised naming the value the caller passed (x, not x - 1).
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    if not isinstance(profile, RootProfile):
+        raise _wrong_type("profile", profile, RootProfile)
     digits = []
     for x, c in _pairs(profile.odd_roots, "odd root", "(x, c)"):
         digits += [x - 1, c]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import NotAResidueError, NotCoprimeError, _format_int, _pairs
 
-__all__ = ["crt_combine", "hensel_lift_sqrt", "is_prime", "sqrt_mod_2k", "sqrt_mod_prime"]
+__all__ = ["hensel_lift_sqrt", "is_prime", "sqrt_mod_2k", "sqrt_mod_prime"]
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -44,9 +44,10 @@ def crt_combine(parts) -> int:
     ``parts`` is a non-empty sequence of ``(residue, modulus)`` pairs with
     ``0 <= residue < modulus``.  Returns the unique x in [0, prod moduli)
     congruent to every residue.  A non-coprime pair raises NotCoprimeError
-    naming the offenders.  The general-purpose primitive, and the tests'
-    reference for the CRT basis a FactoredModulus prepares for the codec.
-    An entry that is not a pair raises ValueError naming its position.
+    naming the offenders.  An entry that is not a pair raises ValueError
+    naming its position.  Not in ``__all__``, so the package does not
+    export it: the codec uses the CRT basis a FactoredModulus prepares,
+    and this is the tests' reference for that basis.
     """
     pairs = _pairs(parts, "part", "(residue, modulus)")
     parts = [(operator.index(residue), operator.index(modulus)) for residue, modulus in pairs]

@@ -2,13 +2,13 @@
 
 All randomness flows through a BitSource as k-bit words, one per
 next_bits call, so consumers can count precisely how much entropy each
-strategy spends.  The seeded and system sources refill from their
-generator in blocks and serve words from the buffer: the stream is the
-same bits in the same order for any word sizes, and ledgers count the
-bits served, never the bits fetched ahead.  A ledger is a slotted
-dataclass that draw_uniform settles once per call, exact on every exit
-path.  Two strategies are implemented on top of the same rejection
-primitive:
+strategy spends.  Every built-in source serves its words through the
+one buffered BitSource.next_bits, refilled in blocks: the stream is the
+same bits in the same order for any word sizes, ledgers count the bits
+served, never the bits fetched ahead, and a finite source runs dry
+through the same call.  A ledger is a slotted dataclass that
+draw_uniform settles once per call, exact on every exit path.  Two
+strategies are implemented on top of the same rejection primitive:
 
 * index sampling: draw a uniform index in [1, |QR(N)|] and decode it
   with the core decode_index uses, spending ceil(log2 |QR(N)|) bits per
@@ -31,7 +31,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import _format_int
+from .errors import _format_int, _wrong_type
 from .indexing import FactoredModulus, _decode, index_space_size
 
 __all__ = [
@@ -45,7 +45,7 @@ _MAX_REJECTIONS = 128
 # Seeds are 64-bit unsigned integers, here and on the command line.
 _SEED_BOUND = 1 << 64
 
-# Fresh bits a seeded or system source fetches per refill, at least.  The
+# Fresh bits a source asks _fresh_bits for per refill, at least.  The
 # per-call cost of next_bits(8) and next_bits(2048) on either source is
 # flat from 256 to 8192 (BENCH_11.json, "refill_sweep"); at 2048 one refill
 # costs about one next_bits(2048) call, spread over 256 eight-bit words.
@@ -56,11 +56,8 @@ _TOP_BIT_DIGIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 
 
 class BitSourceExhaustedError(RuntimeError):
-    """A finite bit source was asked for more bits than it holds.
-
-    ``served`` counts the bits the failing ``next_bits`` call had already
-    taken from the source before it ran dry.
-    """
+    """A finite bit source was asked for more bits than it holds; ``served``
+    counts the bits the failing ``next_bits`` call took before it ran dry."""
 
     served = 0
 
@@ -70,50 +67,40 @@ class RejectionLimitError(RuntimeError):
 
 
 class BitSource:
-    """Interface: next_bits(k) returns the next k bits of the stream as
-    one integer, the first bit most significant; k = 0 returns 0 and
+    """A bit stream served in words: next_bits(k) returns the next k bits
+    as one integer, the first bit most significant; k = 0 returns 0 and
     takes nothing, and k < 0 raises ValueError.
 
-    next_bits is the one method a source implements; next_bit() is
-    next_bits(1).  A finite source that runs dry raises
-    BitSourceExhaustedError with ``served`` set to the bits already taken.
+    The built-in sources share this buffered next_bits, which tops the
+    buffer up with one _fresh_bits(count) call when a word needs more bits
+    than it holds, count being the shortfall rounded up to whole bytes or
+    _REFILL_BITS, whichever is larger; a custom source may implement
+    next_bits alone.  A refill that leaves the word short ends a finite
+    stream: next_bits empties the buffer and raises
+    BitSourceExhaustedError, ``served`` being the bits that were left.
     """
 
-    def next_bits(self, k: int) -> int:
-        raise NotImplementedError
+    # _buffer holds the _remaining unserved bits: it is below 2**_remaining.
+    _buffer = 0
+    _remaining = 0
 
-    def next_bit(self) -> int:
-        return self.next_bits(1)
-
-
-class _BufferedBitSource(BitSource):
-    """A stream read in blocks: next_bits serves the words, a subclass
-    supplies the fresh bits.
-
-    When a word needs more bits than the buffer holds, one
-    _fresh_bits(count) call tops it up with the next count bits of the
-    stream, count being the shortfall rounded up to whole bytes or
-    _REFILL_BITS, whichever is larger; the word is the top k buffered bits
-    and the rest wait for the next call.
-    """
-
-    def __init__(self):
-        # _buffer holds the _remaining unserved bits: it is below 2**_remaining.
-        self._buffer = 0
-        self._remaining = 0
-
-    def _fresh_bits(self, count: int) -> int:
-        """The next count bits of the stream, first bit most significant;
-        count is a positive multiple of 8."""
+    def _fresh_bits(self, count: int) -> tuple[int, int]:
+        """(bits, n): the next n <= count bits of the stream, first bit most
+        significant; count is a positive multiple of 8, and n < count only
+        at the end of a finite stream."""
         raise NotImplementedError
 
     def next_bits(self, k: int) -> int:
         if k < 0:
             raise ValueError(f"bit count must be >= 0, got {_format_int(k)}")
         if k > self._remaining:
-            count = max((k - self._remaining + 7) // 8 * 8, _REFILL_BITS)
-            self._buffer = self._buffer << count | self._fresh_bits(count)
-            self._remaining += count
+            bits, n = self._fresh_bits(max((k - self._remaining + 7) // 8 * 8, _REFILL_BITS))
+            self._buffer = self._buffer << n | bits
+            self._remaining += n
+            if k > self._remaining:
+                exc = BitSourceExhaustedError(f"source ran dry inside a {_format_int(k)}-bit word")
+                exc.served, self._buffer, self._remaining = self._remaining, 0, 0
+                raise exc
         # Stored only once the word is cut: a float k fails with the stream intact.
         remaining = self._remaining - k
         value = self._buffer >> remaining
@@ -122,7 +109,7 @@ class _BufferedBitSource(BitSource):
         return value
 
 
-class SystemBitSource(_BufferedBitSource):
+class SystemBitSource(BitSource):
     """Bits from os.urandom, delivered most significant first per byte.
 
     The bytes are read a block at a time, one os.urandom call per refill
@@ -130,11 +117,11 @@ class SystemBitSource(_BufferedBitSource):
     read, whatever the word sizes asked for.
     """
 
-    def _fresh_bits(self, count: int) -> int:
-        return int.from_bytes(os.urandom(count // 8), "big")
+    def _fresh_bits(self, count: int) -> tuple[int, int]:
+        return int.from_bytes(os.urandom(count // 8), "big"), count
 
 
-class SeededBitSource(_BufferedBitSource):
+class SeededBitSource(BitSource):
     """Deterministic bits from a Mersenne Twister keyed by a 64-bit seed.
 
     The stream is that of getrandbits(1) calls, the top bit of each 32-bit
@@ -150,22 +137,21 @@ class SeededBitSource(_BufferedBitSource):
         seed = operator.index(seed)  # a float or string raises TypeError
         if not 0 <= seed < _SEED_BOUND:
             raise ValueError(f"seed must fit in 64 bits, got {_format_int(seed)}")
-        super().__init__()
         self._rng = random.Random(seed)
 
-    def _fresh_bits(self, count: int) -> int:
+    def _fresh_bits(self, count: int) -> tuple[int, int]:
         # getrandbits(32*count) packs count outputs little-endian: the
         # stream's bits are the top bits of every fourth byte, first output
         # first.
         words = self._rng.getrandbits(32 * count)
-        return int(words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
+        return int(words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT), 2), count
 
 
 class ScriptedBitSource(BitSource):
     """Replays a fixed bit string, for worked examples and tests.
 
-    Whitespace in the script is ignored.  ``position`` exposes how many
-    bits have been served; running past the end serves what is left and
+    Whitespace in the script is ignored.  ``position`` is how many bits
+    have been served; running past the end serves what is left and
     raises BitSourceExhaustedError.
     """
 
@@ -174,18 +160,18 @@ class ScriptedBitSource(BitSource):
         if bits.strip("01"):
             raise ValueError("script must contain only 0, 1 and whitespace")
         self._bits = bits
-        self.position = 0
+        self._fetched = 0
 
-    def next_bits(self, k: int) -> int:
-        if k < 0:
-            raise ValueError(f"bit count must be >= 0, got {_format_int(k)}")
-        word = self._bits[self.position:self.position + k]
-        self.position += len(word)
-        if len(word) < k:
-            exc = BitSourceExhaustedError(f"script of {len(self._bits)} bits exhausted")
-            exc.served = len(word)
-            raise exc
-        return int("0" + word, 2)
+    @property
+    def position(self) -> int:
+        return self._fetched - self._remaining
+
+    def _fresh_bits(self, count: int) -> tuple[int, int]:
+        # A slice per refill: one int of the whole script would make every
+        # word shift all of the bits left, quadratic in the script's length.
+        bits = self._bits[self._fetched:self._fetched + count]
+        self._fetched += len(bits)
+        return int("0" + bits, 2), len(bits)
 
 
 @dataclass(slots=True)
@@ -249,6 +235,8 @@ def sample_residue_by_index(
     |QR(N)| cannot fail.  Returns the residue and a fresh ledger holding
     this call's bit and attempt counts.
     """
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     ledger = RandomBitLedger()
     return _decode(m, draw_uniform(m._size, source, ledger)), ledger
 
@@ -267,6 +255,8 @@ def sample_residue_classical(
     ``1/ceil((N-1)/phi(N))``, so a fair source exhausts the budget with
     probability below ``e**-128``, however wide N is.
     """
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
     ledger = RandomBitLedger()
     n = m.n
     rounds = _MAX_REJECTIONS * -(-(n - 1) // m.phi)

@@ -81,6 +81,9 @@ class TestFactorTrialDivision:
         # Refused before any trial division, so no computed cofactor is named.
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             factor_trial_division(n)
+        # The certifier takes the factored modulus, not the integer to factor.
+        with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got int$"):
+            certify_bijection(15)
 
 
 class TestCertifyBijection:

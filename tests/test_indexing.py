@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qrindex.indexing as indexing
 import qrindex.numbertheory as numbertheory
 from qrindex import mixedradix
+from qrindex.numbertheory import crt_combine
 from helpers import (
     ODD_PRIMES,
     all_roots,
@@ -26,7 +27,6 @@ from qrindex import (
     NotCoprimeError,
     PrimePower,
     RootProfile,
-    crt_combine,
     decode_index,
     encode_residue,
     enumerate_qr,
@@ -302,6 +302,15 @@ class TestDecodeIndex:
         # Refused as range(2.0) is, not rounded into a float "residue".
         with pytest.raises(TypeError):
             decode_index(parse_factorization("3*5"), 2.0)
+        # So is a modulus that is not a FactoredModulus, by every reader of one.
+        for call in (
+            lambda: decode_index("3*5", 1),
+            lambda: index_to_profile("3*5", 1),
+            lambda: index_space_size(15),
+            lambda: radix_schedule(15),
+        ):
+            with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got"):
+                call()
 
     def test_error_message_names_the_range(self):
         with pytest.raises(IndexRangeError) as excinfo:
@@ -458,6 +467,8 @@ class TestEncodeResidue:
         for encode in (encode_residue, residue_to_profile):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 encode(m, z)
+            with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got str$"):
+                encode(factors, 4)
 
     def test_input_reduced_mod_n(self):
         m = parse_factorization("3*5")
@@ -589,6 +600,10 @@ class TestProfiles:
                     view(m, RootProfile(odd_roots))
             with pytest.raises(ValueError, match="^odd roots must be an iterable of"):
                 view(m, RootProfile(5))
+            with pytest.raises(TypeError, match="^profile must be a RootProfile, got tuple$"):
+                view(m, ((1, 0), (1, 0)))
+            with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got str$"):
+                view("3*5", RootProfile(((1, 0), (1, 0))))
 
     @pytest.mark.parametrize(
         "text,profile,message",
@@ -793,6 +808,8 @@ class TestIsQuadraticResidue:
         # Not an answer of False for -1.5, nor a pow() error for 4.0.
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             is_quadratic_residue(parse_factorization(factors), z)
+        with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got str$"):
+            is_quadratic_residue(factors, 4)
 
     def test_agrees_with_enumeration(self):
         for n in range(2, 300):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrindex.numbertheory as numbertheory
+from qrindex.numbertheory import crt_combine
 from helpers import (
     all_roots,
     canonical_root_table,
@@ -20,7 +21,6 @@ from qrindex import (
     FactoredModulus,
     NotAResidueError,
     NotCoprimeError,
-    crt_combine,
     hensel_lift_sqrt,
     is_prime,
     sqrt_mod_2k,

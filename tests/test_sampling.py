@@ -33,10 +33,10 @@ from qrindex import (
 class TestBitSources:
     def test_scripted_replays_and_tracks_position(self):
         source = ScriptedBitSource("10 1\n0")
-        assert [source.next_bit() for _ in range(4)] == [1, 0, 1, 0]
+        assert [source.next_bits(1) for _ in range(4)] == [1, 0, 1, 0]
         assert source.position == 4
         with pytest.raises(BitSourceExhaustedError):
-            source.next_bit()
+            source.next_bits(1)
 
     def test_scripted_rejects_other_characters(self):
         with pytest.raises(ValueError):
@@ -45,14 +45,14 @@ class TestBitSources:
     def test_seeded_is_deterministic(self):
         a = SeededBitSource(999)
         b = SeededBitSource(999)
-        stream_a = [a.next_bit() for _ in range(200)]
-        stream_b = [b.next_bit() for _ in range(200)]
+        stream_a = [a.next_bits(1) for _ in range(200)]
+        stream_b = [b.next_bits(1) for _ in range(200)]
         assert stream_a == stream_b
         assert set(stream_a) == {0, 1}
 
     def test_different_seeds_differ(self):
-        a = [SeededBitSource(1).next_bit() for _ in range(64)]
-        b = [SeededBitSource(2).next_bit() for _ in range(64)]
+        a = [SeededBitSource(1).next_bits(1) for _ in range(64)]
+        b = [SeededBitSource(2).next_bits(1) for _ in range(64)]
         assert a != b
 
     def test_seed_range_enforced(self):
@@ -70,7 +70,7 @@ class TestBitSources:
             SeededBitSource(1 << 64)
 
     def test_seeded_words_are_the_one_bit_stream(self):
-        # next_bits(k), with next_bit() calls interleaved, serves the stream
+        # next_bits(k), with one-bit words interleaved, serves the stream
         # of getrandbits(1) calls, first bit most significant.
         for seed in range(20):
             words, reference = SeededBitSource(seed), random.Random(seed)
@@ -79,7 +79,7 @@ class TestBitSources:
                 for _ in range(k):
                     expected = expected << 1 | reference.getrandbits(1)
                 assert words.next_bits(k) == expected, (seed, k)
-                assert words.next_bit() == reference.getrandbits(1)
+                assert words.next_bits(1) == reference.getrandbits(1)
 
     def test_scripted_runs_dry_inside_a_word(self):
         source = ScriptedBitSource("101")
@@ -96,7 +96,7 @@ class TestBitSources:
         assert source.position == 5
         assert source.next_bits(0) == 0 and source.position == 5
         with pytest.raises(BitSourceExhaustedError) as excinfo:
-            source.next_bit()
+            source.next_bits(1)
         assert excinfo.value.served == 0
 
     def test_scripted_word_runs_past_the_end(self):
@@ -109,7 +109,7 @@ class TestBitSources:
 
     def test_system_words_are_the_one_bit_stream(self, monkeypatch):
         # A fixed byte stream stands in for os.urandom: next_bits(k), with
-        # next_bit() calls interleaved, serves its bits most significant
+        # one-bit words interleaved, serves its bits most significant
         # first per byte.
         for seed in range(5):
             data = random.Random(seed).randbytes(512)
@@ -118,7 +118,7 @@ class TestBitSources:
             for k in (0, 1, 7, 8, 9, 13, 64, 2047):
                 expected = int("0" + "".join(itertools.islice(reference, k)), 2)
                 assert words.next_bits(k) == expected, (seed, k)
-                assert words.next_bit() == int(next(reference))
+                assert words.next_bits(1) == int(next(reference))
 
     def test_negative_bit_counts_are_refused(self):
         for source in (SeededBitSource(1), SystemBitSource(), ScriptedBitSource("101")):
@@ -138,12 +138,12 @@ class TestBitSources:
                 return int("0" + word, 2)
 
         source = Counter()
-        assert [source.next_bit() for _ in range(6)] == [0, 0, 0, 0, 0, 1]
+        assert [source.next_bits(1) for _ in range(6)] == [0, 0, 0, 0, 0, 1]
         assert source.next_bits(3) == 2
 
     def test_system_source_yields_bits(self):
         source = SystemBitSource()
-        bits = [source.next_bit() for _ in range(100)]
+        bits = [source.next_bits(1) for _ in range(100)]
         assert set(bits) <= {0, 1}
 
 
@@ -175,7 +175,7 @@ class TestBlockRefills:
                     for _ in range(k):
                         expected = expected << 1 | reference.getrandbits(1)
                     assert words.next_bits(k) == expected, (seed, plan, k)
-                    assert words.next_bit() == reference.getrandbits(1)
+                    assert words.next_bits(1) == reference.getrandbits(1)
 
     def test_system_words_across_refills(self, monkeypatch):
         for seed in range(3):
@@ -186,20 +186,42 @@ class TestBlockRefills:
                 for k in plan:
                     expected = int("0" + "".join(itertools.islice(reference, k)), 2)
                     assert words.next_bits(k) == expected, (seed, plan, k)
-                    assert words.next_bit() == int(next(reference))
+                    assert words.next_bits(1) == int(next(reference))
 
     @pytest.mark.parametrize("k", [0.5, 3000.5])
     def test_a_failed_word_leaves_the_stream_intact(self, monkeypatch, k):
         # 0.5 fails after a refill, 3000.5 before it; either way the next
         # word is the stream's first.
         data = random.Random(7).randbytes(8 * sampling._REFILL_BITS)
+        script = "".join(f"{b:08b}" for b in data)
         assert SeededBitSource(1).next_bits(8) == 120
-        for make, first in ((lambda: SeededBitSource(1), 120), (SystemBitSource, data[0])):
+        for make, first in (
+            (lambda: SeededBitSource(1), 120),
+            (SystemBitSource, data[0]),
+            (lambda: ScriptedBitSource(script), data[0]),
+        ):
             _patch_urandom(monkeypatch, data)
             source = make()
             with pytest.raises(TypeError):
                 source.next_bits(k)
             assert source.next_bits(8) == first
+
+    def test_scripted_words_across_refills(self):
+        # A script of the first bits of a seeded stream, not a whole number
+        # of blocks and longer than every plan: both sources cut the same
+        # words through the one next_bits, then the script runs dry.
+        length = 7 * sampling._REFILL_BITS + 3
+        for seed in range(3):
+            script = _bit_string(SeededBitSource(seed).next_bits(length), length)
+            for plan in self.word_plans():
+                scripted, seeded = ScriptedBitSource(script), SeededBitSource(seed)
+                for k in plan:
+                    assert scripted.next_bits(k) == seeded.next_bits(k), (seed, plan, k)
+                left = length - scripted.position
+                with pytest.raises(BitSourceExhaustedError) as excinfo:
+                    scripted.next_bits(left + 1)
+                assert excinfo.value.served == left
+                assert scripted.position == length
 
     def test_word_splits_serve_one_bit_string(self, monkeypatch):
         # Same seed (or same bytes), different word sizes: one bit string.
@@ -367,6 +389,11 @@ class TestDrawUniform:
         with pytest.raises(TypeError):
             draw_uniform(n, source, ledger)
         assert ledger == RandomBitLedger()
+        assert source.position == 0
+        # A sampler's range is its modulus: one of the wrong type draws nothing.
+        for sample in (sample_residue_by_index, sample_residue_classical):
+            with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got str"):
+                sample("x", source)
         assert source.position == 0
 
     @pytest.mark.parametrize("start", [(0, 0), (1000, 7)], ids=["fresh", "running"])
@@ -546,6 +573,8 @@ class TestCompareBitBudgets:
     def test_float_seed_is_a_type_error(self):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             compare_bit_budgets(parse_factorization("3*5"), 1, 1.5)
+        with pytest.raises(TypeError, match="^modulus must be a FactoredModulus, got NoneType$"):
+            compare_bit_budgets(None, 5, 1)
 
     @pytest.mark.parametrize("n_samples", ["3", 3.0])
     def test_non_integer_sample_count_is_a_type_error(self, n_samples):
