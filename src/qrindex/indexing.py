@@ -35,8 +35,8 @@ the top place.  No digit list is built and no modular inverse is
 taken.  The unit test, a gcd with N, runs only on the error path and
 is the only one: z = 0 mod p fails that prime's Tonelli-Shanks step,
 an even z fails the 2-part congruence class, and the gcd then names
-either one not a unit.  The ``RootProfile`` functions are views over
-the same digits.
+either one not a unit.  The ``RootProfile`` views are ``decode_index``
+and ``encode_residue`` composed with ``mixedradix.pack``/``unpack``.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def radix_schedule(m: FactoredModulus) -> tuple[int, ...]:
 
 def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
     """Unpack a 1-based index into its per-factor root choices."""
-    return _profile(m, mixedradix._digits(_zero_based(m, index), m._radices))
+    return _profile(m, mixedradix.unpack(_zero_based(m, index), m._radices))
 
 
 def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
@@ -288,7 +288,29 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     shape does not match the modulus, TypeError for a non-integer entry,
     IndexRangeError naming a root or digit out of range and its part.
     """
-    return _pack_profile(m, profile) + 1
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    if not isinstance(profile, RootProfile):
+        raise _wrong_type("profile", profile, RootProfile)
+    digits = []
+    for x, c in _pairs(profile.odd_roots, "odd root", "(x, c)"):
+        digits += [x - 1, c]
+    if profile.two_part_digit is not None:
+        digits.append(profile.two_part_digit)
+    try:
+        return mixedradix.pack(digits, m._radices) + 1
+    except IndexRangeError as exc:
+        position = exc.position
+    # Re-raised naming the value the caller passed (x, not x - 1).
+    i, lift = divmod(position, 2)
+    p, k = m.odd_parts[i] if i < m.r else (2, m.two_exponent)
+    name = ("root x", "lift digit c")[lift] if i < m.r else "2-part digit"
+    low = 1 if name == "root x" else 0
+    raise IndexRangeError(
+        f"{name} = {_format_int(digits[position] + low)} out of range"
+        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
+        f" for prime power {_power(p, k, _format_int)}"
+    )
 
 
 def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
@@ -296,18 +318,15 @@ def profile_to_residue(m: FactoredModulus, profile: RootProfile) -> int:
 
     Raises exactly as ``profile_to_index`` does, through the same pack.
     """
-    return _decode(m, _pack_profile(m, profile))
+    return decode_index(m, profile_to_index(m, profile))
 
 
 def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
     """Extract canonical per-factor roots of a residue.
 
-    z is reduced modulo N first.  Raises NotCoprimeError when z is not a
-    unit, NotAResidueError when some local square root does not exist and
-    TypeError when z is not an integer, as ``decode_index`` does for its
-    index.
+    Raises as ``encode_residue`` does.
     """
-    return _profile(m, mixedradix._digits(_residue_value(m, z), m._radices))
+    return _profile(m, mixedradix.unpack(encode_residue(m, z) - 1, m._radices))
 
 
 def decode_index(m: FactoredModulus, index: int) -> int:
@@ -325,37 +344,13 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     One pass over the modulus' prepared root steps adds each digit at its
     place value: no digit list, no modular inverse, and the gcd with N,
     the only unit test, only when a step or the 2-part congruence class
-    fails.  Raises as ``residue_to_profile`` does.
+    fails.  z is reduced modulo N first.  Raises NotCoprimeError when z
+    is not a unit, NotAResidueError when some local square root does not
+    exist, ValueError for a negative z and TypeError when z is not an
+    integer, as ``decode_index`` does for its index.
     """
-    return _residue_value(m, z) + 1
-
-
-def _zero_based(m: FactoredModulus, index: int) -> int:
-    if not isinstance(m, FactoredModulus):
-        raise _wrong_type("modulus", m, FactoredModulus)
-    index = operator.index(index)  # a float raises TypeError, as range(2.0) does
-    if not 1 <= index <= m._size:
-        raise IndexRangeError(
-            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
-            f" index space is 1..{_format_int(m._size)}"
-        )
-    return index - 1
-
-
-def _decode(m: FactoredModulus, value: int) -> int:
-    # The roots are 1 + digit*scale per part and the basis sums to 1 mod N.
-    root = 1
-    for radix, scale, e in m._decode_steps:
-        value, digit = divmod(value, radix)
-        root += digit * scale * e
-    root %= m.n
-    return root * root % m.n
-
-
-def _residue_value(m: FactoredModulus, z: int) -> int:
-    # The 0-based index of z, each digit in range by construction:
-    # x <= (p-1)/2, c < p**(k-1) as y < p**k, and the 2-adic root is below
-    # 2**(k2-2).  Ascending steps make the first failing prime the one named.
+    # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
+    # 2-adic root below 2**(k2-2)); ascending steps name the first bad prime.
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
     z = operator.index(z)  # a float or string raises TypeError, as an index does
@@ -390,7 +385,29 @@ def _residue_value(m: FactoredModulus, z: int) -> int:
         raise
     if k2 > 3:
         value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
-    return value
+    return value + 1
+
+
+def _zero_based(m: FactoredModulus, index: int) -> int:
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    index = operator.index(index)  # a float raises TypeError, as range(2.0) does
+    if not 1 <= index <= m._size:
+        raise IndexRangeError(
+            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
+            f" index space is 1..{_format_int(m._size)}"
+        )
+    return index - 1
+
+
+def _decode(m: FactoredModulus, value: int) -> int:
+    # The roots are 1 + digit*scale per part and the basis sums to 1 mod N.
+    root = 1
+    for radix, scale, e in m._decode_steps:
+        value, digit = divmod(value, radix)
+        root += digit * scale * e
+    root %= m.n
+    return root * root % m.n
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
@@ -419,30 +436,3 @@ def _two_part_is_square(k2: int, z: int) -> bool:
 def _profile(m: FactoredModulus, digits) -> RootProfile:
     odd_roots = tuple((digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r))
     return RootProfile(odd_roots, digits[-1] if m.two_exponent > 3 else None)
-
-
-def _pack_profile(m: FactoredModulus, profile: RootProfile) -> int:
-    # The profile's 0-based index, checked by pack; a digit out of range is
-    # re-raised naming the value the caller passed (x, not x - 1).
-    if not isinstance(m, FactoredModulus):
-        raise _wrong_type("modulus", m, FactoredModulus)
-    if not isinstance(profile, RootProfile):
-        raise _wrong_type("profile", profile, RootProfile)
-    digits = []
-    for x, c in _pairs(profile.odd_roots, "odd root", "(x, c)"):
-        digits += [x - 1, c]
-    if profile.two_part_digit is not None:
-        digits.append(profile.two_part_digit)
-    try:
-        return mixedradix.pack(digits, m._radices)
-    except IndexRangeError as exc:
-        position = exc.position
-    i, lift = divmod(position, 2)
-    p, k = m.odd_parts[i] if i < m.r else (2, m.two_exponent)
-    name = ("root x", "lift digit c")[lift] if i < m.r else "2-part digit"
-    low = 1 if name == "root x" else 0
-    raise IndexRangeError(
-        f"{name} = {_format_int(digits[position] + low)} out of range"
-        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
-        f" for prime power {_power(p, k, _format_int)}"
-    )

@@ -60,11 +60,6 @@ def unpack(value: int, radices) -> tuple[int, ...]:
         raise IndexRangeError(
             f"value {_format_int(value)} out of range for schedule of size {_format_int(size)}"
         )
-    return _digits(value, radices)
-
-
-def _digits(value: int, radices) -> tuple[int, ...]:
-    # unpack without its checks, for a caller that already range-checked value.
     digits = []
     for radix in radices:
         value, digit = divmod(value, radix)

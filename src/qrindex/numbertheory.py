@@ -145,8 +145,7 @@ def _strong_lucas(n: int) -> bool:
         if j == 0 and abs(D) < n:
             return False
         D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4 % n
-    D %= n
+    Q = (1 - D) // 4
     d = n + 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -199,18 +198,22 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     calls with the constants its modulus prepared: one Tonelli-Shanks
     path for every odd prime ``p = q*2**s + 1``.  One exponentiation
     yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for p = 3 mod 4 that is
-    the ``a**((p+1)/4)`` shortcut); when t != 1 the loop also needs
-    ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...), which a
-    per-process cache keyed by p holds, unbounded.  Once p has been seen,
-    every call costs exactly one full-size exponentiation: the loop's
-    other powers have exponents below ``2**s``.
+    the ``a**((p+1)/4)`` shortcut).  A residue with t != 1 also needs
+    ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...), cached per p,
+    unbounded; a non-residue never needs it.  This wrapper fetches c
+    first, as the scan checks p, so each p's first call pays the scan and
+    a pow, p = 3 mod 4 included; every later call costs exactly one
+    full-size exponentiation (the loop's other exponents are below 2**s).
 
-    Raises NotAResidueError for non-residues.  The caller must pass a
-    prime: a composite p raises ValueError once the scan proves it so.
+    Raises ValueError for a composite p the scan finds, before a is read
+    (``sqrt_mod_prime(0, 15)`` names p), then NotAResidueError for a
+    non-residue.  The caller must pass a prime: the scan misses some
+    composites (29 below 2*10**6, the smallest 3277 = 29*113).
     """
     a, p = operator.index(a), operator.index(p)
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
+    _nonresidue_power(p)  # the scan refuses a p it proves composite
     a %= p
     if a == 0:
         raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
@@ -229,14 +232,12 @@ def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:
 
     r starts at ``w = a**e`` and takes every factor x takes, so
     ``x*r = t`` throughout and the loop exits at t = 1 with r the inverse.
-    Raises NotAResidueError for a non-residue.
+    Raises NotAResidueError for a non-residue before any non-residue scan.
     """
     w = pow(a, e, p)
     x = a * w % p
     t = x * w % p
-    r = w
-    if t != 1:
-        c = _nonresidue_power(p)
+    r, c = w, 0
     m = s
     while t != 1:
         # A residue's t has order 2**i with i < m; reaching m bounds the loop.
@@ -248,7 +249,7 @@ def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:
                 raise NotAResidueError(
                     f"{_format_int(a)} is not a quadratic residue modulo {_format_int(p)}"
                 )
-        b = pow(c, 1 << (m - i - 1), p)
+        b = pow(c or _nonresidue_power(p), 1 << (m - i - 1), p)
         x = x * b % p
         r = r * b % p
         c = b * b % p

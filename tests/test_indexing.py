@@ -351,6 +351,15 @@ class TestEncodeResidue:
         with pytest.raises(NotAResidueError):
             encode_residue(parse_factorization("2^2*7"), 11)
 
+    def test_non_residue_is_refused_before_any_nonresidue_scan(self):
+        # The loop proves a non-residue before it needs the cached power
+        # of a non-residue, so refusing one never scans for it.
+        m = parse_factorization(str(2**255 - 19))  # 5 mod 8: 2 is a non-residue
+        numbertheory._nonresidue_power.cache_clear()
+        with pytest.raises(NotAResidueError):
+            encode_residue(m, 2)
+        assert numbertheory._nonresidue_power.cache_info().misses == 0
+
     def test_non_unit_rejected_with_gcd(self):
         with pytest.raises(NotCoprimeError) as excinfo:
             encode_residue(parse_factorization("3*5"), 6)

@@ -186,6 +186,16 @@ class TestIsPrime:
         assert numbertheory._jacobi(5, 35) == 0
         assert numbertheory._strong_lucas(35) is False
 
+    def test_strong_lucas_below_1e5_passes_exactly_the_primes_and_a217255(self):
+        # Every odd n in [5, 10**5) runs the ladder or the D search, not
+        # only the listed pseudoprimes: the primes and OEIS A217255's
+        # strong Lucas pseudoprimes below 10**5 pass, and nothing else.
+        pseudoprimes = {
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+        }
+        passed = {n for n in range(5, 10**5, 2) if numbertheory._strong_lucas(n)}
+        assert passed == set(sieve_primes(10**5)[2:]) | pseudoprimes
+
     def test_strong_pseudoprime_to_the_first_eleven_prime_bases(self):
         # Below the Baillie-PSW bound; base 37 is the first to reject it.
         n = 3825123056546413051
@@ -401,10 +411,12 @@ class TestSqrtModPrime:
             assert pow(numbertheory._nonresidue_power(p), 1 << (s - 1), p) == p - 1
 
     def test_composite_p_is_refused_by_the_nonresidue_scan(self):
-        # 2**7 = 8 (mod 15), so t != 1 and the scan runs; base 2's Euler
-        # value 8 is neither 1 nor -1, which proves 15 composite.
-        with pytest.raises(ValueError, match="p must be an odd prime, got 15"):
-            sqrt_mod_prime(2, 15)
+        # The scan runs before a is read: base 2's Euler value 2**7 = 8
+        # (mod 15) is neither 1 nor -1, which proves 15 composite.  A
+        # square with t = 1, which needs no non-residue, is refused too.
+        for a, p in ((2, 15), (9, 91), (1, 15), (1, 561)):
+            with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}$"):
+                sqrt_mod_prime(a, p)
 
     def test_composite_p_is_refused_without_hanging(self):
         # 561 and 1105 are Carmichael numbers: no base coprime to them has
