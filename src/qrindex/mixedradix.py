@@ -19,11 +19,15 @@ def schedule_size(radices) -> int:
     """Number of codewords the schedule addresses (the product of radices)."""
     size = 1
     for position, radix in enumerate(radices):
-        radix = operator.index(radix)
-        if radix < 1:
-            raise ValueError(f"radix at position {position} must be >= 1, got {_format_int(radix)}")
-        size *= radix
+        size *= _radix(position, radix)
     return size
+
+
+def _radix(position: int, radix) -> int:
+    radix = operator.index(radix)
+    if radix < 1:
+        raise ValueError(f"radix at position {position} must be >= 1, got {_format_int(radix)}")
+    return radix
 
 
 def pack(digits, radices) -> int:
@@ -52,16 +56,21 @@ def pack(digits, radices) -> int:
 def unpack(value: int, radices) -> tuple[int, ...]:
     """Recover the digit tuple from a packed value, by successive divmod.
 
-    Raises TypeError for a non-integer value, IndexRangeError past the schedule.
+    Raises TypeError for a non-integer value or radix, ValueError naming
+    the first radix below 1, then IndexRangeError past the schedule, in
+    that order.  Each radix is checked as its digit is peeled.  A value
+    past the schedule leaves a quotient above 0 and a negative one a
+    quotient below 0, so the schedule's size is computed only to word
+    that error.
     """
     value = operator.index(value)
-    size = schedule_size(radices)
-    if not 0 <= value < size:
-        raise IndexRangeError(
-            f"value {_format_int(value)} out of range for schedule of size {_format_int(size)}"
-        )
-    digits = []
-    for radix in radices:
-        value, digit = divmod(value, radix)
+    rest, digits = value, []
+    for position, radix in enumerate(radices):
+        rest, digit = divmod(rest, _radix(position, radix))
         digits.append(digit)
+    if rest:
+        raise IndexRangeError(
+            f"value {_format_int(value)} out of range for schedule of size"
+            f" {_format_int(schedule_size(radices))}"
+        )
     return tuple(digits)

@@ -37,6 +37,11 @@ _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 # has four, two of them below 128.
 _INVERSE_ROOTS_MOD_256 = {pow(r, -2, 256): r for r in range(1, 128, 2)}
 
+# Odd prime powers of at least this many bits end their Newton lift with
+# one Karp-Markstein step; smaller ones keep a last Newton step, which
+# costs less where every operand is a word or two (see BENCH_21.json).
+_KARP_MARKSTEIN_BITS = 320
+
 
 def crt_combine(parts) -> int:
     """Solve a system of congruences over pairwise coprime moduli.
@@ -263,10 +268,10 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
 
     Given ``x*x = z (mod p)`` with z a unit, returns the unique y with
     ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.  The
-    checked wrapper of ``_lift_inverse_root``, the core that encoding
-    calls with the inverse root Tonelli-Shanks already returns and the
-    precision ladder its modulus prepared; here the start ``1/x`` mod p
-    costs one modular inverse and the ladder is built per call.
+    checked wrapper of the lift cores, which encoding calls with the
+    inverse root Tonelli-Shanks already returns and the plan its modulus
+    prepared; here the start ``1/x`` mod p costs one modular inverse and
+    ``_lift_plan`` runs per call.
     """
     x, z, p, k = map(operator.index, (x, z, p, k))
     if p < 3 or p % 2 == 0:
@@ -283,34 +288,72 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    return _lift_inverse_root(pow(x, -1, p), z, pk, _precision_ladder(p, k, pk))
+    lift, ladder = _lift_plan(p, k, pk)
+    return lift(pow(x, -1, p), z, pk, ladder)
 
 
-def _precision_ladder(p: int, k: int, pk: int) -> tuple[int, ...]:
-    """The Newton precisions ``p**2, p**4, ...`` below ``pk = p**k``, then
-    pk itself (the same object); empty when k = 1."""
-    ladder, j, q = [], 1, p
-    while 2 * j < k:
-        j, q = 2 * j, q * q
-        ladder.append(q)
-    return (*ladder, pk) if k > 1 else ()
+def _lift_plan(p: int, k: int, pk: int):
+    """The lift core for ``pk = p**k`` and its ladder of Newton precisions.
+
+    A Newton step to ``p**j`` needs r exact modulo ``p**ceil(j/2)``, so
+    the ladder is planned top-down, ``j -> ceil(j/2)`` down to 1, and no
+    rung overshoots what the next one needs.  Below
+    ``_KARP_MARKSTEIN_BITS`` the plan starts at k and the core is
+    ``_lift_inverse_root_newton``, whose ladder ends on pk itself (the
+    same object).  From there up it starts at ``ceil(k/2)`` and the core
+    is ``_lift_inverse_root``, whose ladder ends on that half rung; for
+    k = 2 that rung is p, where r is already exact.  k = 1 gets the
+    Newton core and an empty ladder.
+    """
+    karp_markstein = pk.bit_length() >= _KARP_MARKSTEIN_BITS
+    exponents, j = [], (k + 1) // 2 if karp_markstein else k
+    while j > 1:
+        exponents.append(j)
+        j = (j + 1) // 2
+    ladder = tuple(pk if j == k else p ** j for j in reversed(exponents))
+    if karp_markstein:
+        return _lift_inverse_root, ladder or (p,)
+    return _lift_inverse_root_newton, ladder
 
 
-def _lift_inverse_root(r: int, z: int, pk: int, ladder) -> int:
+def _lift_inverse_root_newton(r: int, z: int, pk: int, ladder) -> int:
     """The root ``z*r`` modulo ``pk = p**k`` of the unit ``z < pk``, where
     ``r*r*z = 1 (mod p)``; it is congruent to ``1/r`` modulo p.
 
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)``
     doubles the correct p-adic digits per step, one step per rung q of
-    ``ladder = _precision_ladder(p, k, pk)``.  Each step reads z reduced
-    to its rung (a no-op on the top rung pk), so only the last one works
-    at full width, and halves ``u = r*(3 - z*r*r) mod q`` modulo the odd
-    q by parity: ``u >> 1``, or ``(u + q) >> 1`` when u is odd.  Then z*r.
+    the ladder, the last on pk.  Each step reads z reduced to its rung
+    (a no-op on pk) and halves ``u = r*(3 - z*r*r) mod q`` modulo the odd
+    q by parity: ``u >> 1``, or ``(u + q) >> 1`` when u is odd.  Then
+    z*r.  Three reductions work at full width, which costs least while
+    every operand is a word or two.
     """
     for q in ladder:
         u = r * (3 - z % q * r * r % q) % q
         r = (u + q if u & 1 else u) >> 1
     return z * r % pk
+
+
+def _lift_inverse_root(r: int, z: int, pk: int, ladder) -> int:
+    """``_lift_inverse_root_newton``'s root, with the last Newton step and
+    the product z*r replaced by one Karp-Markstein step.
+
+    The Newton steps run on the rungs up to the half rung ``q =
+    p**ceil(k/2)``, each reading z reduced to its rung.  Then ``y = z*r
+    mod q`` is the root modulo q, and ``y + r*(z - y*y)/2`` is the root
+    modulo ``q*q``, a multiple of pk: with ``y = s + d``, s the root and
+    d = 0 (mod q), ``z - y*y = -2*s*d - d*d`` and ``r*s = 1 (mod q)``.
+    The sum is taken modulo pk and halved by parity, as a Newton step
+    halves: one full-width reduction, on operands of half width and
+    full width (Karp and Markstein, ACM TOMS 23(4), 1997).
+    """
+    for q in ladder:
+        zq = z % q
+        u = r * (3 - zq * r * r % q) % q
+        r = (u + q if u & 1 else u) >> 1
+    y = zq * r % q
+    u = (2 * y + r * (z - y * y)) % pk
+    return (u + pk if u & 1 else u) >> 1
 
 
 def sqrt_mod_2k(z: int, k: int) -> int:
@@ -319,14 +362,17 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     Residues modulo 2**k (k >= 3) are exactly the classes 1 mod 8, and
     each has exactly one odd root below 2**(k-2); that root is returned.
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` (an exact halving, as
-    z*r*r is odd) on ``r = z**(-1/2)``, from a table entry correct
-    modulo 2**8, goes from 2**j to 2**(2j-2) per step: O(log k) steps,
-    none for k <= 8.  An inverse root modulo 2**j is fixed by its value
-    modulo 2**(j-1), so step j works modulo 2**j with masks, z included,
-    and halves by a right shift; no step divides.  ``y = z*r`` mod
-    2**(k-1), by a mask, gives the roots y, -y, y + 2**(k-1) and
-    -y + 2**(k-1); ``min(y, 2**(k-1) - y)`` is the one below 2**(k-2),
-    whichever inverse root r is.
+    z*r*r is odd) on ``r = z**(-1/2)``, from a table entry exact modulo
+    2**8, goes from 2**j to 2**(2j-2) per step, one step per rung of
+    ``_two_adic_ladder(k)``.  An inverse root modulo 2**j is fixed by its
+    value modulo 2**(j-1), so a step works modulo 2**j with masks, z
+    included, and halves by a right shift; nothing divides.  ``y = z*r``
+    modulo the top rung 2**j is a root modulo 2**(j-1), and one
+    Karp-Markstein step ``y + (r*(z - y*y) >> 1)`` makes it one modulo
+    2**(2j-3), at least 2**(k-1).  For k <= 8 the table's r alone
+    serves: ``y = z*r``.  The roots of z are y, -y, y + 2**(k-1) and
+    -y + 2**(k-1) for y taken mod 2**(k-1), and ``min(y, 2**(k-1) - y)``
+    is the one below 2**(k-2), whichever inverse root r is.
     """
     z, k = operator.index(z), operator.index(k)
     if k < 4:
@@ -334,12 +380,33 @@ def sqrt_mod_2k(z: int, k: int) -> int:
     z &= (1 << k) - 1  # z mod 2**k, negative z included
     if z & 7 != 1:
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k}")
-    r, j = _INVERSE_ROOTS_MOD_256[z & 255], 8
-    while j < k:
-        j = min(2 * j - 2, k)
-        mask = (1 << j) - 1
-        t = 3 - (z & mask) * r * r & mask
-        r = (r * t & mask) >> 1
+    r = _INVERSE_ROOTS_MOD_256[z & 255]
+    if k > 8:
+        mask = 255
+        for j in _two_adic_ladder(k):
+            mask = (1 << j) - 1
+            t = 3 - (z & mask) * r * r & mask
+            r = (r * t & mask) >> 1
+        y = (z & mask) * r & mask
+        y += r * (z - y * y) >> 1
+    else:
+        y = z * r
     half = 1 << (k - 1)
-    y = z * r & half - 1
+    y &= half - 1
     return min(y, half - y)
+
+
+def _two_adic_ladder(k: int) -> list[int]:
+    """The bit precisions of ``sqrt_mod_2k``'s Newton steps, ascending.
+
+    A 2-adic Newton step to ``2**j`` needs r exact modulo
+    ``2**((j+3)//2)``, so the ladder is planned top-down from the
+    ``(k+3)//2`` bits the final step needs, ``j -> (j+3)//2`` down to the
+    table's 8 bits: no rung overshoots.  Empty for k <= 14.
+    """
+    rungs, j = [], (k + 3) // 2
+    while j > 8:
+        rungs.append(j)
+        j = (j + 3) // 2
+    rungs.reverse()
+    return rungs

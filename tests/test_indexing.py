@@ -155,6 +155,46 @@ class TestFactoredModulus:
     def test_size_bound_is_inclusive(self):
         assert FactoredModulus(1 << 16).n == 1 << (1 << 16)
 
+    def test_base_bound_is_inclusive_and_checked_before_primality(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(indexing, "is_prime", lambda n: tested.append(n) or True)
+        widest = (1 << 8192) - 1
+        assert FactoredModulus(0, [(widest, 1)]).odd_parts == (PrimePower(widest, 1),)
+        tested.clear()
+        with pytest.raises(FactorizationError) as excinfo:
+            FactoredModulus(0, [(3, 1), ((1 << 8192) + 1, 1)])
+        assert str(excinfo.value) == "base too large: 8193 bits, over the per-base bound of 8192"
+        assert tested == []
+
+    def test_base_past_the_bound_is_refused_without_hanging(self, default_int_str_limit):
+        # Proving a 65,536-bit base prime takes about an hour, and refusing
+        # a composite one with no factor below 100 about 13 minutes; the
+        # CLI reads bases of up to about 14,000 bits, 4,300 digits.  Run in
+        # subprocesses so a regression fails on the timeout.
+        script = (
+            "from qrindex import FactoredModulus, FactorizationError\n"
+            "try:\n"
+            "    FactoredModulus(0, [((1 << 65535) + 3, 1)])\n"
+            "except FactorizationError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "base too large: 65536 bits, over the per-base bound of 8192\n"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrindex", "size", "--modulus", f"3 * {(1 << 12999) + 3}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "error: FactorizationError: base too large: 13000 bits,"
+            " over the per-base bound of 8192\n"
+        )
+
     def test_equality_and_hash(self):
         a = parse_factorization("2^3 * 5")
         b = FactoredModulus(3, [(5, 1)])
@@ -199,19 +239,21 @@ class TestMessagesPastTheIntStrLimit:
             "<16000-bit integer> is not a quadratic residue modulo 2**16000"
         )
 
-    def test_long_composite_base(self, default_int_str_limit):
-        c = 3**9100  # 4,342 decimal digits
+    def test_long_composite_base(self, least_int_str_limit):
+        # Past the default limit a base is past the per-base bound, so the
+        # bit-length form is reached under the lowest limit.
+        c = 3**2000  # 955 decimal digits, 3,170 bits
         with pytest.raises(FactorizationError) as excinfo:
             FactoredModulus(odd_parts=[(c, 1)])
         assert str(excinfo.value) == f"base <{c.bit_length()}-bit integer> is not prime"
 
-    def test_repr_and_factor_string(self, default_int_str_limit, monkeypatch):
-        # 2**19937 - 1 is a Mersenne prime of 6,002 digits; proving it here
-        # would take about 30 s, and primality is not under test.
+    def test_repr_and_factor_string(self, least_int_str_limit, monkeypatch):
+        # 2**4423 - 1 is a Mersenne prime of 1,332 digits; proving it here
+        # would take seconds, and primality is not under test.
         monkeypatch.setattr(indexing, "is_prime", lambda n: True)
-        m = FactoredModulus(1, [(2**19937 - 1, 1), (3, 2)])
-        assert repr(m) == "FactoredModulus('2 * 3^2 * <19937-bit integer>')"
-        with pytest.raises(FactorizationError, match=f"{default_int_str_limit} digits"):
+        m = FactoredModulus(1, [(2**4423 - 1, 1), (3, 2)])
+        assert repr(m) == "FactoredModulus('2 * 3^2 * <4423-bit integer>')"
+        with pytest.raises(FactorizationError, match=f"{least_int_str_limit} digits"):
             m.factor_string()
 
     def test_primitives(self, default_int_str_limit):
@@ -763,22 +805,31 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the schedule's radices themselves, and its
-        # Newton ladder p^2, p^4, ... ends on the step's own p^k.
+        # A root step holds the schedule's radices themselves, and a lift
+        # core with its Newton ladder, planned top-down: each rung p^j
+        # follows p^ceil(j/2).  Below the Karp-Markstein cut the ladder ends
+        # on the step's own p^k; from it up, on the half rung p^ceil(k/2).
         assert len(m._root_steps) == m.r
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, c_radix, s, e, ladder = step
+            sp, q, x_radix, c_radix, s, e, lift, ladder = step
             assert sp == p and q == p**k
             assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
             assert (2 * e + 1) << s == p - 1 and s >= 1
             assert isinstance(ladder, tuple)
+            karp_markstein = q.bit_length() >= numbertheory._KARP_MARKSTEIN_BITS
             if k == 1:
-                assert ladder == ()
+                assert (lift, ladder) == (numbertheory._lift_inverse_root_newton, ())
                 continue
-            assert ladder[-1] is q
-            assert ladder[:-1] == tuple(p ** (1 << j) for j in range(1, len(ladder)))
-            assert all(a < b for a, b in zip(ladder, ladder[1:]))
-            assert 1 << (len(ladder) - 1) < k <= 1 << len(ladder)
+            if karp_markstein:
+                assert lift is numbertheory._lift_inverse_root
+                assert ladder[-1] == p ** ((k + 1) // 2)
+            else:
+                assert lift is numbertheory._lift_inverse_root_newton
+                assert ladder[-1] is q
+            exponents = [round(math.log(rung, p)) for rung in ladder]
+            assert ladder == tuple(p**j for j in exponents)
+            assert exponents[0] == (1 if karp_markstein and k == 2 else 2)
+            assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_encode_matches_the_checked_pack_path(self, m):

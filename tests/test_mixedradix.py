@@ -106,3 +106,17 @@ def test_random_roundtrip(radices, data):
     size = schedule_size(radices)
     w = data.draw(st.integers(0, size - 1))
     assert pack(unpack(w, radices), radices) == w
+
+
+def test_errors_keep_their_order_past_the_schedule():
+    # Radix errors outrank the range error wherever the bad radix sits,
+    # for a value past the schedule and for a negative one alike.
+    for value in (10**6, -1):
+        with pytest.raises(ValueError, match="^radix at position 2 must be >= 1, got 0$"):
+            unpack(value, (2, 3, 0, 5))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            unpack(value, (2, 3, 2.5))
+    with pytest.raises(IndexRangeError, match="^value 30 out of range for schedule of size 30$"):
+        unpack(30, (2, 3, 1, 5))
+    with pytest.raises(IndexRangeError, match="^value -7 out of range for schedule of size 1$"):
+        unpack(-7, (1, 1))
