@@ -32,16 +32,16 @@ Tonelli-Shanks root that also yields its inverse, which starts the
 Newton lift to ``p**e`` over the step's prepared ladder, each digit
 added at its place value as it comes, then the 2-part digit at the top
 place, from the 2-adic root.  Both Newton ladders are planned
-top-down, so no rung overshoots.  An odd part of at least
-``numbertheory._KARP_MARKSTEIN_BITS`` bits, and a 2-part above 2**8,
-ends with one Karp-Markstein step from half precision; a smaller odd
-part ends with a Newton step, and a smaller 2-part with the table root.
-No digit list is built and no modular inverse is taken.  The unit
-test, a gcd with N, runs only on the error path and is the only one:
-z = 0 mod p fails that prime's Tonelli-Shanks step, an even z fails the
-2-part congruence class, and the gcd then names either one not a unit.
-The ``RootProfile`` views are ``decode_index`` and ``encode_residue``
-composed with ``mixedradix.pack``/``unpack``.
+top-down, so no rung overshoots, and both lifts end with one
+Karp-Markstein step from half precision: an odd part from the
+Tonelli-Shanks root itself when e <= 2, a 2-part only above 2**8, where
+the table root alone no longer serves.  No digit list is built and no
+modular inverse is taken.  The unit test, a gcd with N, runs only on
+the error path and is the only one: z = 0 mod p fails that prime's
+Tonelli-Shanks step, an even z fails the 2-part congruence class, and
+the gcd then names either one not a unit.  The ``RootProfile`` views
+are ``decode_index`` and ``encode_residue`` composed with
+``mixedradix.pack``/``unpack``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ from .errors import (
     _pairs,
     _wrong_type,
 )
-from .numbertheory import _lift_plan, _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k
+from .numbertheory import (
+    _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime,
+    sqrt_mod_2k,
+)
 
 __all__ = [
     "FactoredModulus", "PrimePower", "RootProfile", "decode_index", "encode_residue",
@@ -114,12 +117,11 @@ class FactoredModulus:
     ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
     element of its part (1 modulo that part, 0 modulo the others, one
     integer per part), and the encode root steps, one ``(p, p**k,
-    (p-1)/2, p**(k-1), s, e, lift, ladder)`` per odd part with ``p - 1 =
-    (2e+1) * 2**s`` and ``(lift, ladder)`` the lift core and Newton
-    precisions that ``numbertheory._lift_plan`` picks by the part's size:
-    below the cut, a ladder whose top rung is the step's p**k itself;
-    from the cut up, one that stops at ``p**ceil(k/2)`` for a
-    Karp-Markstein finish.  Both hold the schedule's own radix integers.
+    (p-1)/2, p**(k-1), s, e, ladder)`` per odd part with ``p - 1 =
+    (2e+1) * 2**s`` and ``ladder`` the Newton precisions ``p**j`` that
+    ``numbertheory._precision_ladder`` plans top-down from
+    ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
+    (empty when k <= 2).  Both hold the schedule's own radix integers.
     Immutable and freely shareable across threads.
     """
 
@@ -171,7 +173,8 @@ class FactoredModulus:
             phi *= (p - 1) * lower
             size *= half * lower
             radices += [half, lower]
-            root_steps.append((p, q, half, lower, *_two_adic_split(p), *_lift_plan(p, k, q)))
+            ladder = _precision_ladder(p, k)
+            root_steps.append((p, q, half, lower, *_two_adic_split(p), ladder))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
@@ -374,7 +377,7 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     k2 = m.two_exponent
     value, place = 0, 1
     try:
-        for p, q, x_radix, c_radix, s, e, lift, ladder in m._root_steps:
+        for p, q, x_radix, c_radix, s, e, ladder in m._root_steps:
             # One full-width reduction per part: z mod p comes from z mod p**k.
             # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
             zq = z % q
@@ -383,7 +386,7 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
             place *= x_radix
             if c_radix > 1:
                 # The lift keeps y = x (mod p), so x stays the canonical root.
-                value += lift(r, zq, q, ladder) // p * place
+                value += _lift_inverse_root(x, r, zq, q, ladder) // p * place
                 place *= c_radix
         if not _two_part_is_square(k2, z):
             raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")

@@ -61,9 +61,10 @@ def unpack(value: int, radices) -> tuple[int, ...]:
     that order.  Each radix is checked as its digit is peeled.  A value
     past the schedule leaves a quotient above 0 and a negative one a
     quotient below 0, so the schedule's size is computed only to word
-    that error.
+    that error, from radices read once into a tuple.
     """
     value = operator.index(value)
+    radices = tuple(radices)
     rest, digits = value, []
     for position, radix in enumerate(radices):
         rest, digit = divmod(rest, _radix(position, radix))

@@ -37,11 +37,6 @@ _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 # has four, two of them below 128.
 _INVERSE_ROOTS_MOD_256 = {pow(r, -2, 256): r for r in range(1, 128, 2)}
 
-# Odd prime powers of at least this many bits end their Newton lift with
-# one Karp-Markstein step; smaller ones keep a last Newton step, which
-# costs less where every operand is a word or two (see BENCH_21.json).
-_KARP_MARKSTEIN_BITS = 320
-
 
 def crt_combine(parts) -> int:
     """Solve a system of congruences over pairwise coprime moduli.
@@ -268,10 +263,11 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
 
     Given ``x*x = z (mod p)`` with z a unit, returns the unique y with
     ``y*y = z (mod p**k)`` and ``y = x (mod p)``, ``0 < y < p**k``.  The
-    checked wrapper of the lift cores, which encoding calls with the
-    inverse root Tonelli-Shanks already returns and the plan its modulus
-    prepared; here the start ``1/x`` mod p costs one modular inverse and
-    ``_lift_plan`` runs per call.
+    checked wrapper of ``_lift_inverse_root``, the core that encoding
+    calls with the root and inverse root Tonelli-Shanks already returns
+    and the precision ladder its modulus prepared; here the inverse
+    ``1/x`` mod p costs one modular inverse and the ladder is planned per
+    call.
     """
     x, z, p, k = map(operator.index, (x, z, p, k))
     if p < 3 or p % 2 == 0:
@@ -288,70 +284,51 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    lift, ladder = _lift_plan(p, k, pk)
-    return lift(pow(x, -1, p), z, pk, ladder)
+    return _lift_inverse_root(x, pow(x, -1, p), z, pk, _precision_ladder(p, k))
 
 
-def _lift_plan(p: int, k: int, pk: int):
-    """The lift core for ``pk = p**k`` and its ladder of Newton precisions.
+def _precision_ladder(p: int, k: int) -> tuple[int, ...]:
+    """The Newton precisions of the lift to ``p**k``, ascending.
 
-    A Newton step to ``p**j`` needs r exact modulo ``p**ceil(j/2)``, so
-    the ladder is planned top-down, ``j -> ceil(j/2)`` down to 1, and no
-    rung overshoots what the next one needs.  Below
-    ``_KARP_MARKSTEIN_BITS`` the plan starts at k and the core is
-    ``_lift_inverse_root_newton``, whose ladder ends on pk itself (the
-    same object).  From there up it starts at ``ceil(k/2)`` and the core
-    is ``_lift_inverse_root``, whose ladder ends on that half rung; for
-    k = 2 that rung is p, where r is already exact.  k = 1 gets the
-    Newton core and an empty ladder.
+    The lift's final Karp-Markstein step needs the root exact modulo
+    ``p**ceil(k/2)``, and a Newton step to ``p**j`` needs r exact modulo
+    ``p**ceil(j/2)``, so the ladder is planned top-down from ``ceil(k/2)``,
+    ``j -> ceil(j/2)`` down to 1, and no rung overshoots what the next
+    one needs.  Empty for k <= 2, where the Tonelli-Shanks root is exact
+    enough.
     """
-    karp_markstein = pk.bit_length() >= _KARP_MARKSTEIN_BITS
-    exponents, j = [], (k + 1) // 2 if karp_markstein else k
+    exponents, j = [], (k + 1) // 2
     while j > 1:
         exponents.append(j)
         j = (j + 1) // 2
-    ladder = tuple(pk if j == k else p ** j for j in reversed(exponents))
-    if karp_markstein:
-        return _lift_inverse_root, ladder or (p,)
-    return _lift_inverse_root_newton, ladder
+    return tuple(p ** j for j in reversed(exponents))
 
 
-def _lift_inverse_root_newton(r: int, z: int, pk: int, ladder) -> int:
-    """The root ``z*r`` modulo ``pk = p**k`` of the unit ``z < pk``, where
-    ``r*r*z = 1 (mod p)``; it is congruent to ``1/r`` modulo p.
+def _lift_inverse_root(x: int, r: int, z: int, pk: int, ladder) -> int:
+    """The root modulo ``pk = p**k`` of the unit ``z < pk`` congruent to
+    x modulo p, where ``x*x = z (mod p)`` and ``r*x = 1 (mod p)``.
 
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` on ``r = z**(-1/2)``
     doubles the correct p-adic digits per step, one step per rung q of
-    the ladder, the last on pk.  Each step reads z reduced to its rung
-    (a no-op on pk) and halves ``u = r*(3 - z*r*r) mod q`` modulo the odd
-    q by parity: ``u >> 1``, or ``(u + q) >> 1`` when u is odd.  Then
-    z*r.  Three reductions work at full width, which costs least while
-    every operand is a word or two.
-    """
-    for q in ladder:
-        u = r * (3 - z % q * r * r % q) % q
-        r = (u + q if u & 1 else u) >> 1
-    return z * r % pk
-
-
-def _lift_inverse_root(r: int, z: int, pk: int, ladder) -> int:
-    """``_lift_inverse_root_newton``'s root, with the last Newton step and
-    the product z*r replaced by one Karp-Markstein step.
-
-    The Newton steps run on the rungs up to the half rung ``q =
-    p**ceil(k/2)``, each reading z reduced to its rung.  Then ``y = z*r
-    mod q`` is the root modulo q, and ``y + r*(z - y*y)/2`` is the root
+    ``ladder = _precision_ladder(p, k)``.  Each step reads z reduced to
+    its rung and halves ``u = r*(3 - z*r*r) mod q`` modulo the odd q by
+    parity: ``u >> 1``, or ``(u + q) >> 1`` when u is odd.  Then ``y =
+    z*r mod q`` is the root modulo the top rung ``q = p**ceil(k/2)``; with
+    no rung, y is x itself.  One Karp-Markstein step makes it a root
     modulo ``q*q``, a multiple of pk: with ``y = s + d``, s the root and
-    d = 0 (mod q), ``z - y*y = -2*s*d - d*d`` and ``r*s = 1 (mod q)``.
-    The sum is taken modulo pk and halved by parity, as a Newton step
-    halves: one full-width reduction, on operands of half width and
-    full width (Karp and Markstein, ACM TOMS 23(4), 1997).
+    d = 0 (mod q), ``z - y*y = -2*s*d - d*d`` and ``r*s = 1 (mod q)``, so
+    ``y + r*(z - y*y)/2 = s (mod q*q)``.  The sum is taken modulo pk and
+    halved by parity, as a Newton step halves: the only full-width
+    reduction, on operands of half width and full width (Karp and
+    Markstein, ACM TOMS 23(4), 1997).
     """
+    y = x
     for q in ladder:
         zq = z % q
         u = r * (3 - zq * r * r % q) % q
         r = (u + q if u & 1 else u) >> 1
-    y = zq * r % q
+    if ladder:
+        y = zq * r % q
     u = (2 * y + r * (z - y * y)) % pk
     return (u + pk if u & 1 else u) >> 1
 

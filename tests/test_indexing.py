@@ -805,30 +805,23 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the schedule's radices themselves, and a lift
-        # core with its Newton ladder, planned top-down: each rung p^j
-        # follows p^ceil(j/2).  Below the Karp-Markstein cut the ladder ends
-        # on the step's own p^k; from it up, on the half rung p^ceil(k/2).
+        # A root step holds the schedule's radices themselves, and its
+        # Newton ladder, planned top-down: it ends on the half rung
+        # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
+        # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.
         assert len(m._root_steps) == m.r
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, c_radix, s, e, lift, ladder = step
+            sp, q, x_radix, c_radix, s, e, ladder = step
             assert sp == p and q == p**k
             assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
             assert (2 * e + 1) << s == p - 1 and s >= 1
             assert isinstance(ladder, tuple)
-            karp_markstein = q.bit_length() >= numbertheory._KARP_MARKSTEIN_BITS
-            if k == 1:
-                assert (lift, ladder) == (numbertheory._lift_inverse_root_newton, ())
+            if k <= 2:
+                assert ladder == ()
                 continue
-            if karp_markstein:
-                assert lift is numbertheory._lift_inverse_root
-                assert ladder[-1] == p ** ((k + 1) // 2)
-            else:
-                assert lift is numbertheory._lift_inverse_root_newton
-                assert ladder[-1] is q
             exponents = [round(math.log(rung, p)) for rung in ladder]
             assert ladder == tuple(p**j for j in exponents)
-            assert exponents[0] == (1 if karp_markstein and k == 2 else 2)
+            assert exponents[0] == 2 and exponents[-1] == (k + 1) // 2
             assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)

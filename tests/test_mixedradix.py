@@ -120,3 +120,8 @@ def test_errors_keep_their_order_past_the_schedule():
         unpack(30, (2, 3, 1, 5))
     with pytest.raises(IndexRangeError, match="^value -7 out of range for schedule of size 1$"):
         unpack(-7, (1, 1))
+    # A one-shot iterator of radices is read once, for the digits and the
+    # size in the message alike.
+    assert unpack(5, iter([2, 3])) == (1, 2)
+    with pytest.raises(IndexRangeError, match="^value 100 out of range for schedule of size 6$"):
+        unpack(100, iter([2, 3]))

@@ -506,31 +506,28 @@ class TestHenselLiftSqrt:
         assert result * result % q == z
         assert result % p == x
         assert 0 < result < q
-        lift, ladder = numbertheory._lift_plan(p, k, q)
-        assert lift(pow(x, -1, p), z, q, ladder) == result
+        ladder = numbertheory._precision_ladder(p, k)
+        assert numbertheory._lift_inverse_root(x, pow(x, -1, p), z, q, ladder) == result
 
     @pytest.mark.parametrize(
         "p",
-        [3, 5, 1019, (1 << 61) - 1, (1 << 64) - 59, (1 << 127) - 1],
+        [3, 5, 1019, (1 << 61) - 1, (1 << 64) - 59, (1 << 127) - 1, (1 << 521) - 1],
         ids=lambda p: f"{p.bit_length()}-bit",
     )
-    def test_matches_the_full_width_reference(self, p, monkeypatch):
-        # The prepared plan (encoding's path) and the per-call one
-        # (hensel_lift_sqrt) both agree with the full-width Newton loop.
-        # At the measured cut, (2^61 - 1)^k and (2^127 - 1)^k cross it;
-        # a cut of 0 or 2^30 bits runs every k through one finish.
+    def test_matches_the_full_width_reference(self, p):
+        # The prepared ladder (encoding's path) and the per-call one
+        # (hensel_lift_sqrt) both agree with the full-width Newton loop,
+        # with no rung (k <= 2) and with one or more.
         rng = random.Random(p)
-        for cut in (numbertheory._KARP_MARKSTEIN_BITS, 0, 1 << 30):
-            monkeypatch.setattr(numbertheory, "_KARP_MARKSTEIN_BITS", cut)
-            for k in range(1, 17):
-                pk = p**k
-                lift, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-2:]
-                for _ in range(4):
-                    x, z = _random_unit_square(p, pk, rng)
-                    r = pow(x, -1, p)
-                    expected = lift_inverse_root_reference(r, z, p, pk)
-                    assert lift(r, z, pk, ladder) == expected, (p, k, cut)
-                    assert hensel_lift_sqrt(x, z, p, k) == expected, (p, k, cut)
+        for k in range(1, 17):
+            pk = p**k
+            ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            for _ in range(4):
+                x, z = _random_unit_square(p, pk, rng)
+                r = pow(x, -1, p)
+                expected = lift_inverse_root_reference(r, z, p, pk)
+                assert numbertheory._lift_inverse_root(x, r, z, pk, ladder) == expected, (p, k)
+                assert hensel_lift_sqrt(x, z, p, k) == expected, (p, k)
 
     def test_matches_the_full_width_reference_at_a_huge_power(self):
         p = 3
@@ -539,36 +536,32 @@ class TestHenselLiftSqrt:
             x, z = _random_unit_square(p, pk, random.Random(k))
             r = pow(x, -1, p)
             expected = lift_inverse_root_reference(r, z, p, pk)
-            lift, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-2:]
-            assert lift is numbertheory._lift_inverse_root
-            assert lift(r, z, pk, ladder) == expected, k
+            ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            assert numbertheory._lift_inverse_root(x, r, z, pk, ladder) == expected, k
             assert hensel_lift_sqrt(x, z, p, k) == expected, k
 
     @pytest.mark.parametrize(
-        "p,k,core,exponents",
+        "p,k,exponents",
         [
-            (3, 1, "_lift_inverse_root_newton", ()),
-            (3, 2, "_lift_inverse_root_newton", (2,)),
-            (3, 5, "_lift_inverse_root_newton", (2, 3, 5)),
-            (3, 9, "_lift_inverse_root_newton", (2, 3, 5, 9)),
-            (3, 256, "_lift_inverse_root", (2, 4, 8, 16, 32, 64, 128)),
-            (3, 257, "_lift_inverse_root", (2, 3, 5, 9, 17, 33, 65, 129)),
-            ((1 << 127) - 1, 2, "_lift_inverse_root_newton", (2,)),
-            ((1 << 127) - 1, 3, "_lift_inverse_root", (2,)),
-            ((1 << 521) - 1, 2, "_lift_inverse_root", (1,)),
-            ((1 << 61) - 1, 8, "_lift_inverse_root", (2, 4)),
+            (3, 1, ()),
+            (3, 2, ()),
+            (3, 3, (2,)),
+            (3, 5, (2, 3)),
+            (3, 9, (2, 3, 5)),
+            (3, 256, (2, 4, 8, 16, 32, 64, 128)),
+            (3, 257, (2, 3, 5, 9, 17, 33, 65, 129)),
+            ((1 << 61) - 1, 8, (2, 4)),
+            ((1 << 127) - 1, 2, ()),
+            ((1 << 127) - 1, 3, (2,)),
+            ((1 << 521) - 1, 1, ()),
+            ((1 << 521) - 1, 2, ()),
         ],
     )
-    def test_plan_is_top_down_on_either_side_of_the_cut(self, p, k, core, exponents):
-        # No rung overshoots: p^5 lifts through p^3, not p^4.  From the cut
-        # up the ladder stops at the half rung p^ceil(k/2), which is p
-        # itself for k = 2.  Below it, the ladder's top is p^k itself.
-        pk = p**k
-        lift, ladder = numbertheory._lift_plan(p, k, pk)
-        assert lift is getattr(numbertheory, core)
-        assert ladder == tuple(p**j for j in exponents)
-        if core == "_lift_inverse_root_newton" and k > 1:
-            assert ladder[-1] is pk
+    def test_ladder_is_planned_top_down(self, p, k, exponents):
+        # No rung overshoots: p^9 lifts through p^3, not p^4, and the top
+        # rung is the half rung p^ceil(k/2) the finish starts from.  For
+        # k <= 2 that is p, where the Tonelli-Shanks root is exact already.
+        assert numbertheory._precision_ladder(p, k) == tuple(p**j for j in exponents)
 
     def test_preserves_base_root_choice(self):
         # Lifting the conjugate base root lands on the conjugate lift.
