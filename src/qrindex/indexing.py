@@ -31,11 +31,12 @@ one prepared root step per odd part, in ascending-prime order: a
 Tonelli-Shanks root that also yields its inverse, which starts the
 Newton lift to ``p**e`` over the step's prepared ladder, each digit
 added at its place value as it comes, then the 2-part digit at the top
-place, from the 2-adic root.  Both Newton ladders are planned
-top-down, so no rung overshoots, and both lifts end with one
-Karp-Markstein step from half precision: an odd part from the
-Tonelli-Shanks root itself when e <= 2, a 2-part only above 2**8, where
-the table root alone no longer serves.  No digit list is built and no
+place, from the 2-adic root.  Both lifts start from a root exact at
+the base precision, the Tonelli-Shanks root modulo p or r = 1 modulo
+2**3, take their rungs from one exponent plan, planned top-down so no
+rung overshoots, and end with one Karp-Markstein step from half
+precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
+root is the half-precision one.  No digit list is built and no
 modular inverse is taken.  The unit test, a gcd with N, runs only on
 the error path and is the only one: z = 0 mod p fails that prime's
 Tonelli-Shanks step, an even z fails the 2-part congruence class, and
@@ -64,8 +65,8 @@ from .errors import (
     _wrong_type,
 )
 from .numbertheory import (
-    _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime,
-    sqrt_mod_2k,
+    _MAX_MODULUS_BITS, _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split,
+    is_prime, sqrt_mod_2k,
 )
 
 __all__ = [
@@ -74,9 +75,6 @@ __all__ = [
     "profile_to_index", "profile_to_residue", "radix_schedule", "residue_to_profile",
 ]
 
-# Largest modulus accepted, in bits: tens of thousands of bits are in
-# scope, while a larger claimed factorization is refused before any work.
-_MAX_MODULUS_BITS = 1 << 16
 # Largest base accepted, in bits.  Proving a base prime costs about 8x
 # more per doubling of its length: some 8 s at 8,192 bits, and about an
 # hour at 65,536.  A larger base is refused before any primality test.

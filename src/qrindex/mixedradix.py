@@ -34,14 +34,16 @@ def pack(digits, radices) -> int:
     """Pack digits into their little-endian mixed-radix value.
 
     Raises ValueError when the digit and radix counts differ, TypeError
-    for a non-integer digit or radix, and IndexRangeError naming the
-    first digit outside ``0 <= digit < radix``, with its ``position`` set.
+    for a non-integer digit or radix, ValueError naming a radix below 1,
+    as ``unpack`` does, and IndexRangeError naming the first digit
+    outside ``0 <= digit < radix``, with its ``position`` set.  Each
+    position is checked in that order before the next is read.
     """
     if len(digits) != len(radices):
         raise ValueError(f"{len(digits)} digits against {len(radices)} radices")
     value, place = 0, 1
     for position, (digit, radix) in enumerate(zip(digits, radices)):
-        digit, radix = operator.index(digit), operator.index(radix)
+        digit, radix = operator.index(digit), _radix(position, radix)
         if not 0 <= digit < radix:
             raise IndexRangeError(
                 f"digit {_format_int(digit)} at position {position}"

@@ -32,10 +32,10 @@ _SMALL_PRIMES = (
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 
-# An inverse square root modulo 2**8 of each z = 1 (mod 8), keyed by
-# z mod 2**8: the 2-adic Newton iteration starts 8 bits in.  Each such z
-# has four, two of them below 128.
-_INVERSE_ROOTS_MOD_256 = {pow(r, -2, 256): r for r in range(1, 128, 2)}
+# Largest modulus a root is taken modulo, in bits: tens of thousands of
+# bits are in scope, while a larger factorization or power is refused
+# before any work.
+_MAX_MODULUS_BITS = 1 << 16
 
 
 def crt_combine(parts) -> int:
@@ -267,13 +267,18 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     calls with the root and inverse root Tonelli-Shanks already returns
     and the precision ladder its modulus prepared; here the inverse
     ``1/x`` mod p costs one modular inverse and the ladder is planned per
-    call.
+    call.  A p**k over ``_MAX_MODULUS_BITS``, counted as ``k * bitlen(p)``
+    as a modulus is, raises ValueError before any power is built.
     """
     x, z, p, k = map(operator.index, (x, z, p, k))
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {_format_int(k)}")
+    if (bits := k * p.bit_length()) > _MAX_MODULUS_BITS:
+        raise ValueError(
+            f"p**k too large: {_format_int(bits)} bits, over the bound of {_MAX_MODULUS_BITS}"
+        )
     pk = p ** k
     z %= pk
     if z % p == 0:
@@ -288,20 +293,28 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
 
 
 def _precision_ladder(p: int, k: int) -> tuple[int, ...]:
-    """The Newton precisions of the lift to ``p**k``, ascending.
+    """The Newton precisions ``p**j`` of the lift to ``p**k``, ascending,
+    one per exponent of ``_lift_exponents(k)``: none for k <= 2, where
+    the Tonelli-Shanks root is exact enough."""
+    return tuple(p ** j for j in _lift_exponents(k))
 
-    The lift's final Karp-Markstein step needs the root exact modulo
-    ``p**ceil(k/2)``, and a Newton step to ``p**j`` needs r exact modulo
-    ``p**ceil(j/2)``, so the ladder is planned top-down from ``ceil(k/2)``,
-    ``j -> ceil(j/2)`` down to 1, and no rung overshoots what the next
-    one needs.  Empty for k <= 2, where the Tonelli-Shanks root is exact
-    enough.
+
+def _lift_exponents(k: int) -> list[int]:
+    """The exponents j of a Newton lift's rungs to precision k, ascending.
+
+    The lift's final Karp-Markstein step needs the root exact to
+    ``ceil(k/2)``, and a Newton step to j needs the inverse root exact to
+    ``ceil(j/2)``, so the plan runs top-down from ``ceil(k/2)``, ``j ->
+    ceil(j/2)``, down to the exponent 1 its starting root is exact at: no
+    rung overshoots what the next one needs.  Empty for k <= 2.  An odd
+    lift's rungs are ``p**j``; ``sqrt_mod_2k``'s are ``2**(j+2)``.
     """
     exponents, j = [], (k + 1) // 2
     while j > 1:
         exponents.append(j)
         j = (j + 1) // 2
-    return tuple(p ** j for j in reversed(exponents))
+    exponents.reverse()
+    return exponents
 
 
 def _lift_inverse_root(x: int, r: int, z: int, pk: int, ladder) -> int:
@@ -334,56 +347,40 @@ def _lift_inverse_root(x: int, r: int, z: int, pk: int, ladder) -> int:
 
 
 def sqrt_mod_2k(z: int, k: int) -> int:
-    """Canonical square root modulo 2**k for k >= 4.
+    """Canonical square root modulo 2**k for 4 <= k <= 2**16.
 
     Residues modulo 2**k (k >= 3) are exactly the classes 1 mod 8, and
     each has exactly one odd root below 2**(k-2); that root is returned.
     Newton's iteration ``r <- r*(3 - z*r*r)/2`` (an exact halving, as
-    z*r*r is odd) on ``r = z**(-1/2)``, from a table entry exact modulo
-    2**8, goes from 2**j to 2**(2j-2) per step, one step per rung of
-    ``_two_adic_ladder(k)``.  An inverse root modulo 2**j is fixed by its
-    value modulo 2**(j-1), so a step works modulo 2**j with masks, z
-    included, and halves by a right shift; nothing divides.  ``y = z*r``
-    modulo the top rung 2**j is a root modulo 2**(j-1), and one
-    Karp-Markstein step ``y + (r*(z - y*y) >> 1)`` makes it one modulo
-    2**(2j-3), at least 2**(k-1).  For k <= 8 the table's r alone
-    serves: ``y = z*r``.  The roots of z are y, -y, y + 2**(k-1) and
-    -y + 2**(k-1) for y taken mod 2**(k-1), and ``min(y, 2**(k-1) - y)``
-    is the one below 2**(k-2), whichever inverse root r is.
+    z*r*r is odd) on ``r = z**(-1/2)`` starts from r = 1, exact modulo
+    2**3 as the Tonelli-Shanks root is modulo p.  An inverse root modulo
+    2**(j+2) is fixed by its value modulo 2**(j+1) and a step doubles j,
+    as a step modulo p**j does, so the rungs are ``2**(j+2)`` for j in
+    ``_lift_exponents(k - 2)``.  A step works modulo its rung with masks,
+    z included, and halves by a right shift; nothing divides.  ``y =
+    z*r`` modulo the top rung 2**(j+2) is a root modulo 2**(j+1), and
+    one Karp-Markstein step ``y + (r*(z - y*y) >> 1)`` makes it one
+    modulo 2**(2j+1), at least 2**(k-1).  The roots of z are y, -y,
+    y + 2**(k-1) and -y + 2**(k-1) for y taken mod 2**(k-1), and
+    ``min(y, 2**(k-1) - y)`` is the one below 2**(k-2), whichever
+    inverse root r is.  A k over ``_MAX_MODULUS_BITS`` raises ValueError
+    before any mask is built.
     """
     z, k = operator.index(z), operator.index(k)
     if k < 4:
         raise ValueError(f"k must be >= 4, got {_format_int(k)}")
+    if k > _MAX_MODULUS_BITS:
+        raise ValueError(f"k must be <= {_MAX_MODULUS_BITS}, got {_format_int(k)}")
     z &= (1 << k) - 1  # z mod 2**k, negative z included
     if z & 7 != 1:
         raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k}")
-    r = _INVERSE_ROOTS_MOD_256[z & 255]
-    if k > 8:
-        mask = 255
-        for j in _two_adic_ladder(k):
-            mask = (1 << j) - 1
-            t = 3 - (z & mask) * r * r & mask
-            r = (r * t & mask) >> 1
-        y = (z & mask) * r & mask
-        y += r * (z - y * y) >> 1
-    else:
-        y = z * r
+    r, mask = 1, 7
+    for j in _lift_exponents(k - 2):
+        mask = (1 << (j + 2)) - 1
+        t = 3 - (z & mask) * r * r & mask
+        r = (r * t & mask) >> 1
+    y = (z & mask) * r & mask
+    y += r * (z - y * y) >> 1
     half = 1 << (k - 1)
     y &= half - 1
     return min(y, half - y)
-
-
-def _two_adic_ladder(k: int) -> list[int]:
-    """The bit precisions of ``sqrt_mod_2k``'s Newton steps, ascending.
-
-    A 2-adic Newton step to ``2**j`` needs r exact modulo
-    ``2**((j+3)//2)``, so the ladder is planned top-down from the
-    ``(k+3)//2`` bits the final step needs, ``j -> (j+3)//2`` down to the
-    table's 8 bits: no rung overshoots.  Empty for k <= 14.
-    """
-    rungs, j = [], (k + 3) // 2
-    while j > 8:
-        rungs.append(j)
-        j = (j + 3) // 2
-    rungs.reverse()
-    return rungs

@@ -95,7 +95,7 @@ def test_shape_mismatch():
 def test_bad_radix_rejected():
     with pytest.raises(ValueError):
         schedule_size((3, 0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radix at position 0 must be >= 1, got 0$"):
         pack((0,), (0,))
     with pytest.raises(ValueError):
         unpack(0, (-2,))

@@ -99,6 +99,30 @@ def test_root_functions_refuse_non_integers(root, args):
         root(*args)
 
 
+@pytest.mark.parametrize(
+    "root,args,error",
+    [
+        (sqrt_mod_2k, (1, 1 << 16), None),
+        (sqrt_mod_2k, (1, (1 << 16) + 1), "^k must be <= 65536, got 65537$"),
+        (sqrt_mod_2k, (1, 1 << 60), "^k must be <= 65536, got 1152921504606846976$"),
+        (hensel_lift_sqrt, (1, 1, 3, 1 << 15), None),
+        (hensel_lift_sqrt, (1, 1, 3, (1 << 15) + 1),
+         r"^p\*\*k too large: 65538 bits, over the bound of 65536$"),
+        (hensel_lift_sqrt, (1, 1, 3, 1 << 60),
+         r"^p\*\*k too large: 2305843009213693952 bits, over the bound of 65536$"),
+    ],
+)
+def test_root_functions_bound_the_power(root, args, error):
+    # 2**k and p**k are bounded as a modulus is, by k and k * bitlen(p)
+    # up to 2**16 inclusive, and a hostile k is refused before its power
+    # is built.
+    if error is None:
+        assert root(*args) == 1
+    else:
+        with pytest.raises(ValueError, match=error):
+            root(*args)
+
+
 class TestIsPrime:
     def test_agrees_with_sieve_below_a_million(self):
         limit = 10**6
@@ -636,15 +660,19 @@ class TestSqrtMod2k:
         "k,bits",
         [
             (4, ()),
-            (8, ()),
-            (14, ()),
-            (15, (9,)),
-            (1024, (10, 18, 34, 66, 130, 258, 513)),
-            (1025, (10, 18, 34, 66, 130, 258, 514)),
+            (8, (4, 5)),
+            (14, (4, 5, 8)),
+            (15, (4, 6, 9)),
+            (1024, (4, 6, 10, 18, 34, 66, 130, 258, 513)),
+            (1025, (4, 6, 10, 18, 34, 66, 130, 258, 514)),
+            (5, (4,)),
+            (9, (4, 6)),
         ],
     )
     def test_ladder_is_planned_top_down(self, k, bits):
-        # The last rung is the (k+3)//2 bits the final step needs, and each
-        # rung j follows (j+3)//2 bits, or the table's 8: none overshoots.
-        assert numbertheory._two_adic_ladder(k) == list(bits)
+        # The odd lift's plan for k - 2, each exponent j a rung of j + 2
+        # bits: the last is the (k+3)//2 bits the final step needs, each
+        # rung j follows (j+3)//2 bits, and the first follows r = 1, exact
+        # to 3 bits.  None overshoots.
+        assert tuple(j + 2 for j in numbertheory._lift_exponents(k - 2)) == bits
 
