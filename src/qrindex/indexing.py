@@ -28,7 +28,8 @@ v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
 digits take no step.  ``encode_residue`` inverts it in one pass over
 one prepared root step per odd part, in ascending-prime order: a
-Tonelli-Shanks root that also yields its inverse, which starts the
+Tonelli-Shanks root on the step's non-residue power, computed once
+with the modulus, that also yields its inverse, which starts the
 Newton lift to ``p**e`` over the step's prepared ladder, each digit
 added at its place value as it comes, then the 2-part digit at the top
 place, from the 2-adic root.  Both lifts start from a root exact at
@@ -65,8 +66,8 @@ from .errors import (
     _wrong_type,
 )
 from .numbertheory import (
-    _MAX_MODULUS_BITS, _lift_inverse_root, _precision_ladder, _tonelli_shanks, _two_adic_split,
-    is_prime, sqrt_mod_2k,
+    _MAX_BASE_BITS, _MAX_MODULUS_BITS, _lift_inverse_root, _nonresidue_power, _precision_ladder,
+    _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k,
 )
 
 __all__ = [
@@ -74,11 +75,6 @@ __all__ = [
     "index_space_size", "index_to_profile", "is_quadratic_residue", "parse_factorization",
     "profile_to_index", "profile_to_residue", "radix_schedule", "residue_to_profile",
 ]
-
-# Largest base accepted, in bits.  Proving a base prime costs about 8x
-# more per doubling of its length: some 8 s at 8,192 bits, and about an
-# hour at 65,536.  A larger base is refused before any primality test.
-_MAX_BASE_BITS = 1 << 13
 
 
 class PrimePower(NamedTuple):
@@ -115,12 +111,13 @@ class FactoredModulus:
     ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
     element of its part (1 modulo that part, 0 modulo the others, one
     integer per part), and the encode root steps, one ``(p, p**k,
-    (p-1)/2, p**(k-1), s, e, ladder)`` per odd part with ``p - 1 =
-    (2e+1) * 2**s`` and ``ladder`` the Newton precisions ``p**j`` that
-    ``numbertheory._precision_ladder`` plans top-down from
-    ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
-    (empty when k <= 2).  Both hold the schedule's own radix integers.
-    Immutable and freely shareable across threads.
+    (p-1)/2, p**(k-1), s, e, c, ladder)`` per odd part with ``p - 1 =
+    (2e+1) * 2**s``, ``c`` the Tonelli-Shanks non-residue power of order
+    2**s, found once p is proven prime, and ``ladder`` the Newton
+    precisions ``p**j`` that ``numbertheory._precision_ladder`` plans
+    top-down from ``p**ceil(k/2)``, where the lift's Karp-Markstein
+    finish starts (empty when k <= 2).  Both hold the schedule's own
+    radix integers.  Immutable and freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -171,8 +168,9 @@ class FactoredModulus:
             phi *= (p - 1) * lower
             size *= half * lower
             radices += [half, lower]
-            ladder = _precision_ladder(p, k)
-            root_steps.append((p, q, half, lower, *_two_adic_split(p), ladder))
+            s, e = _two_adic_split(p)
+            c = _nonresidue_power(p)  # p is proven prime above, so the scan ends
+            root_steps.append((p, q, half, lower, s, e, c, _precision_ladder(p, k)))
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
@@ -375,11 +373,11 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     k2 = m.two_exponent
     value, place = 0, 1
     try:
-        for p, q, x_radix, c_radix, s, e, ladder in m._root_steps:
+        for p, q, x_radix, c_radix, s, e, c, ladder in m._root_steps:
             # One full-width reduction per part: z mod p comes from z mod p**k.
             # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
             zq = z % q
-            x, r = _tonelli_shanks(zq % p, p, s, e)
+            x, r = _tonelli_shanks(zq % p, p, s, e, c)
             value += (x - 1) * place
             place *= x_radix
             if c_radix > 1:

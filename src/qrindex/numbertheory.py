@@ -4,10 +4,9 @@ Everything here operates on plain ``int`` values with no fixed word size,
 so moduli of thousands of bits behave exactly like small ones.  All public
 results are reduced, non-negative representatives.
 
-Every function is safe to call from any number of threads, and every one
-is pure but ``_nonresidue_power``, which keeps a per-process cache keyed
-by the prime.  Every public function reads its integer arguments through
-``operator.index``, so a float or a string raises TypeError.
+Every function is pure and safe to call from any number of threads; the
+module keeps no state.  Every public function reads its integer arguments
+through ``operator.index``, so a float or a string raises TypeError.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
 
 from .errors import NotAResidueError, NotCoprimeError, _format_int, _pairs
 
@@ -36,6 +34,11 @@ _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 # bits are in scope, while a larger factorization or power is refused
 # before any work.
 _MAX_MODULUS_BITS = 1 << 16
+
+# Largest prime base accepted, in bits.  Proving a base prime costs about
+# 8x more per doubling of its length: some 8 s at 8,192 bits, and about an
+# hour at 65,536.  A larger base is refused before any primality test.
+_MAX_BASE_BITS = 1 << 13
 
 
 def crt_combine(parts) -> int:
@@ -174,19 +177,19 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def _nonresidue_power(p: int) -> int:
-    """``c = b**q mod p`` for the smallest non-residue b, where
-    ``p - 1 = q*2**s`` with q odd: an element of order exactly 2**s."""
+    """``c = b**q mod p`` for the smallest non-residue b modulo the odd
+    prime p, where ``p - 1 = q*2**s`` with q odd: an element of order
+    exactly 2**s, which is ``p - 1`` when s = 1.  The caller proves p
+    prime first: the scan may not end for a composite p, a square one."""
+    s, e = _two_adic_split(p)
+    if s == 1:
+        return p - 1
     # Quadratic residues are closed under multiplication, so the smallest
-    # non-residue is prime; even candidates above 2 can never win.  Euler
-    # values other than 1 and p - 1 prove p composite, by its least factor.
+    # non-residue is prime; even candidates above 2 can never win.
     b = 2
-    while (euler := pow(b, (p - 1) // 2, p)) == 1:
+    while _jacobi(b, p) != -1:
         b += 1 if b == 2 else 2
-    if euler != p - 1:
-        raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
-    _, e = _two_adic_split(p)
     return pow(b, 2 * e + 1, p)
 
 
@@ -195,29 +198,25 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 
     Returns the root x with ``x*x % p == a`` and ``1 <= x <= (p-1)//2``.
     The checked wrapper of ``_tonelli_shanks``, the core that encoding
-    calls with the constants its modulus prepared: one Tonelli-Shanks
-    path for every odd prime ``p = q*2**s + 1``.  One exponentiation
-    yields ``x = a**((q+1)/2)`` and ``t = a**q`` (for p = 3 mod 4 that is
-    the ``a**((p+1)/4)`` shortcut).  A residue with t != 1 also needs
-    ``c = b**q`` for a non-residue b (scan 2, 3, 5, ...), cached per p,
-    unbounded; a non-residue never needs it.  This wrapper fetches c
-    first, as the scan checks p, so each p's first call pays the scan and
-    a pow, p = 3 mod 4 included; every later call costs exactly one
-    full-size exponentiation (the loop's other exponents are below 2**s).
-
-    Raises ValueError for a composite p the scan finds, before a is read
-    (``sqrt_mod_prime(0, 15)`` names p), then NotAResidueError for a
-    non-residue.  The caller must pass a prime: the scan misses some
-    composites (29 below 2*10**6, the smallest 3277 = 29*113).
+    calls with the constants its modulus prepared; here they are built
+    per call.  ``is_prime`` proves p first, as ``FactoredModulus`` proves
+    a base, so a p over ``_MAX_BASE_BITS`` bits raises ValueError before
+    that test and a composite p raises ValueError before a is read
+    (``sqrt_mod_prime(0, 15)`` names p).  A non-residue raises
+    NotAResidueError.
     """
     a, p = operator.index(a), operator.index(p)
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
-    _nonresidue_power(p)  # the scan refuses a p it proves composite
+    if p.bit_length() > _MAX_BASE_BITS:
+        raise ValueError(f"p too large: {p.bit_length()} bits, over the bound of {_MAX_BASE_BITS}")
+    if not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {_format_int(p)}")
     a %= p
     if a == 0:
         raise NotAResidueError(f"0 is not a unit modulo {_format_int(p)}")
-    return _tonelli_shanks(a, p, *_two_adic_split(p))[0]
+    s, e = _two_adic_split(p)
+    return _tonelli_shanks(a, p, s, e, _nonresidue_power(p))[0]
 
 
 def _two_adic_split(p: int) -> tuple[int, int]:
@@ -226,19 +225,20 @@ def _two_adic_split(p: int) -> tuple[int, int]:
     return s, (p - 1) >> (s + 1)
 
 
-def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:
+def _tonelli_shanks(a: int, p: int, s: int, e: int, c: int) -> tuple[int, int]:
     """The canonical root x of the unit ``a < p`` and ``r = x**-1 mod p``,
-    where ``p - 1 = q*2**s`` with q odd and ``e = (q-1)/2``.
+    for the odd prime ``p = q*2**s + 1``, q odd, ``e = (q-1)/2`` and ``c =
+    _nonresidue_power(p)``.
 
-    r starts at ``w = a**e`` and takes every factor x takes, so
-    ``x*r = t`` throughout and the loop exits at t = 1 with r the inverse.
-    Raises NotAResidueError for a non-residue before any non-residue scan.
+    The one full-size exponentiation is ``w = a**e``; the loop's other
+    exponents are below 2**s.  r starts at w and takes every factor x
+    takes, so ``x*r = t`` throughout and the loop exits at t = 1 with r
+    the inverse.  Raises NotAResidueError for a non-residue.
     """
     w = pow(a, e, p)
     x = a * w % p
     t = x * w % p
-    r, c = w, 0
-    m = s
+    r, m = w, s
     while t != 1:
         # A residue's t has order 2**i with i < m; reaching m bounds the loop.
         i, t2 = 0, t
@@ -249,7 +249,7 @@ def _tonelli_shanks(a: int, p: int, s: int, e: int) -> tuple[int, int]:
                 raise NotAResidueError(
                     f"{_format_int(a)} is not a quadratic residue modulo {_format_int(p)}"
                 )
-        b = pow(c or _nonresidue_power(p), 1 << (m - i - 1), p)
+        b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         r = r * b % p
         c = b * b % p

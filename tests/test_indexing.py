@@ -393,14 +393,21 @@ class TestEncodeResidue:
         with pytest.raises(NotAResidueError):
             encode_residue(parse_factorization("2^2*7"), 11)
 
-    def test_non_residue_is_refused_before_any_nonresidue_scan(self):
-        # The loop proves a non-residue before it needs the cached power
-        # of a non-residue, so refusing one never scans for it.
-        m = parse_factorization(str(2**255 - 19))  # 5 mod 8: 2 is a non-residue
-        numbertheory._nonresidue_power.cache_clear()
+    def test_non_residue_is_refused_before_any_nonresidue_scan(self, monkeypatch):
+        # The modulus prepares the non-residue power c once; encoding a
+        # residue or a non-residue never scans for a non-residue again.
+        p = 2**255 - 19  # 5 mod 8: 2 is a non-residue
+        m = parse_factorization(f"{p} * {_P64}")
+
+        def scan(p):
+            raise AssertionError(f"non-residue scan modulo {p}")
+
+        for module in (numbertheory, indexing):
+            monkeypatch.setattr(module, "_nonresidue_power", scan)
         with pytest.raises(NotAResidueError):
             encode_residue(m, 2)
-        assert numbertheory._nonresidue_power.cache_info().misses == 0
+        for b in (3, 12345, 2**100 + 7):
+            assert decode_index(m, encode_residue(m, b * b % m.n)) == b * b % m.n
 
     def test_non_unit_rejected_with_gcd(self):
         with pytest.raises(NotCoprimeError) as excinfo:
@@ -811,10 +818,11 @@ class TestCrtBasis:
         # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.
         assert len(m._root_steps) == m.r
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, c_radix, s, e, ladder = step
+            sp, q, x_radix, c_radix, s, e, c, ladder = step
             assert sp == p and q == p**k
             assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
             assert (2 * e + 1) << s == p - 1 and s >= 1
+            assert pow(c, 1 << (s - 1), p) == p - 1
             assert isinstance(ladder, tuple)
             if k <= 2:
                 assert ladder == ()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrindex.indexing as indexing
 import qrindex.numbertheory as numbertheory
 from qrindex.numbertheory import crt_combine
 from helpers import (
@@ -21,6 +22,7 @@ from qrindex import (
     FactoredModulus,
     NotAResidueError,
     NotCoprimeError,
+    encode_residue,
     hensel_lift_sqrt,
     is_prime,
     sqrt_mod_2k,
@@ -121,6 +123,29 @@ def test_root_functions_bound_the_power(root, args, error):
     else:
         with pytest.raises(ValueError, match=error):
             root(*args)
+
+
+def test_sqrt_mod_prime_bounds_p():
+    # An odd p over 8,192 bits is refused before is_prime runs on it; the
+    # bound is inclusive, so an 8,192-bit composite reaches is_prime.  Run
+    # in a subprocess so a regression fails on the timeout.
+    script = (
+        "from qrindex import sqrt_mod_prime\n"
+        "for p in ((1 << 8192) + 1, (1 << (1 << 20)) - 1, 3 * ((1 << 8190) + 1)):\n"
+        "    try:\n"
+        "        sqrt_mod_prime(4, p)\n"
+        "    except ValueError as exc:\n"
+        "        print(str(exc).split(', got ')[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "p too large: 8193 bits, over the bound of 8192",
+        "p too large: 1048576 bits, over the bound of 8192",
+        "p must be an odd prime",
+    ]
 
 
 class TestIsPrime:
@@ -355,9 +380,9 @@ class TestSqrtModPrime:
             assert x == min(b % p, p - b % p)
         with pytest.raises(NotAResidueError):
             sqrt_mod_prime(_nonresidue(p), p)
-        s, e = 64, p >> 65
+        s, e, c = 64, p >> 65, numbertheory._nonresidue_power(p)
         for b in (3, 12345, p - 2, 2**100 + 7):
-            x, r = numbertheory._tonelli_shanks(b * b % p, p, s, e)
+            x, r = numbertheory._tonelli_shanks(b * b % p, p, s, e, c)
             assert x * r % p == 1
             assert x == sqrt_mod_prime(b * b % p, p)
 
@@ -374,81 +399,92 @@ class TestSqrtModPrime:
             s = ((p - 1) & (1 - p)).bit_length() - 1
             e = (p - 1) >> (s + 1)
             assert (2 * e + 1) << s == p - 1
+            c = numbertheory._nonresidue_power(p)
             table = canonical_root_table(p)
             for a in range(1, p):
                 if a in table:
-                    x, r = numbertheory._tonelli_shanks(a, p, s, e)
+                    x, r = numbertheory._tonelli_shanks(a, p, s, e, c)
                     assert x * r % p == 1, (a, p)
                     assert x == sqrt_mod_prime(a, p) == table[a], (a, p)
                 else:
                     with pytest.raises(NotAResidueError) as excinfo:
-                        numbertheory._tonelli_shanks(a, p, s, e)
+                        numbertheory._tonelli_shanks(a, p, s, e, c)
                     assert str(excinfo.value) == f"{a} is not a quadratic residue modulo {p}"
 
     def test_full_size_exponentiations_per_path(self, monkeypatch):
         # Builtin pow calls are counted the way the benchmark tracer
         # counts them, by shadowing the module's global name.  The loop's
         # pow(c, 2**j) calls have exponents below 2**s, so they are not
-        # full size; the non-residue's power is cached per prime.
+        # full size, and c is a constant the modulus prepared: every
+        # encode costs one full-size pow, the first on a modulus included.
         calls = []
 
         def counting_pow(*args):
             calls.append(args)
             return pow(*args)
 
-        def full_size_pows(a, p):
+        p3 = (1 << 127) - 1  # 3 mod 4
+        p5 = 2**255 - 19  # 5 mod 8, so 2 is a non-residue
+        p_high = _prime_with_two_adic_valuation(64)
+        nonresidue_high = _nonresidue(p_high)
+        moduli = {p: FactoredModulus(0, [(p, 1)]) for p in (p3, p5, p_high)}
+        for module in (numbertheory, indexing):
+            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+
+        def full_size_pows(z, p):
             s = 0
             while (p - 1) % (2 << s) == 0:
                 s += 1
             calls.clear()
             try:
-                sqrt_mod_prime(a, p)
+                encode_residue(moduli[p], z)
             except NotAResidueError:
                 pass
             return sum(1 for _, e, _ in calls if e.bit_length() > s)
 
-        p3 = (1 << 127) - 1  # 3 mod 4
-        p5 = 2**255 - 19  # 5 mod 8, so 2 is a non-residue
-        p_high = _prime_with_two_adic_valuation(64)
-        for p in (p3, p5, p_high):
-            with pytest.raises(NotAResidueError):
-                sqrt_mod_prime(_nonresidue(p), p)  # the first call per prime
-        nonresidue_high = _nonresidue(p_high)
-        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
-
+        # First calls: a non-residue, and residues whose loop needs c.
+        assert full_size_pows(2, p5) == 1
+        assert full_size_pows(12345**2 % p_high, p_high) == 1
         # p = 3 mod 4: one pow for a residue, the non-residue is not needed.
         assert full_size_pows(25, p3) == 1 and len(calls) == 1
+        assert full_size_pows(p3 - 1, p3) == 1
         # p = 1 mod 4 with a**q = 1: one pow, nothing else.
         assert full_size_pows(3**4, p5) == 1 and len(calls) == 1
         assert full_size_pows(pow(3, 1 << 64, p_high), p_high) == 1 and len(calls) == 1
-        # Otherwise the loop runs on the cached power: still one full-size pow.
+        # Otherwise the loop runs on the prepared power: still one full-size pow.
         assert full_size_pows(4, p5) == 1
-        assert full_size_pows(2, p5) == 1
-        assert full_size_pows(p3 - 1, p3) == 1
-        assert full_size_pows(12345**2 % p_high, p_high) == 1
         assert full_size_pows(nonresidue_high, p_high) == 1
 
     def test_cached_power_has_order_two_to_the_s(self):
-        # c**(2**(s-1)) = -1 means c has order exactly 2**s, p - 1 = q*2**s.
-        for p in (17, 41, 2**255 - 19, _prime_with_two_adic_valuation(64)):
+        # c**(2**(s-1)) = -1 means c has order exactly 2**s, p - 1 = q*2**s;
+        # for s = 1 that is c = p - 1 itself.
+        for p in (7, 17, 41, (1 << 127) - 1, 2**255 - 19, _prime_with_two_adic_valuation(64)):
             s = ((p - 1) & (1 - p)).bit_length() - 1
             assert pow(numbertheory._nonresidue_power(p), 1 << (s - 1), p) == p - 1
 
+    def test_nonresidue_power_matches_the_euler_scan(self):
+        # The Jacobi scan finds the same smallest non-residue b as Euler's
+        # criterion, so c = b**q is unchanged, and so is every root.
+        for p in sieve_primes(500)[1:] + [2**255 - 19, _prime_with_two_adic_valuation(64)]:
+            _, e = numbertheory._two_adic_split(p)
+            assert numbertheory._nonresidue_power(p) == pow(_nonresidue(p), 2 * e + 1, p), p
+
     def test_composite_p_is_refused_by_the_nonresidue_scan(self):
-        # The scan runs before a is read: base 2's Euler value 2**7 = 8
-        # (mod 15) is neither 1 nor -1, which proves 15 composite.  A
-        # square with t = 1, which needs no non-residue, is refused too.
-        for a, p in ((2, 15), (9, 91), (1, 15), (1, 561)):
+        # is_prime proves p before a is read, so every composite is
+        # refused, a square with t = 1 included.  3277 = 29*113 passes a
+        # scan for a non-residue, so only a primality test refuses it.
+        for a, p in ((2, 15), (9, 91), (1, 15), (1, 561), (9, 3277), (4, 3277), (1, 3277)):
             with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}$"):
                 sqrt_mod_prime(a, p)
 
     def test_composite_p_is_refused_without_hanging(self):
         # 561 and 1105 are Carmichael numbers: no base coprime to them has
-        # Euler value p - 1, so a scan for a non-residue alone never ends.
+        # Euler value p - 1, so a scan for a non-residue alone never ends,
+        # and a Jacobi scan never finds -1 modulo a square such as 9.
         # Run in a subprocess so a regression fails on the timeout.
         script = (
             "from qrindex import sqrt_mod_prime\n"
-            "for a, p in ((4, 561), (16, 1105), (4, 65)):\n"
+            "for a, p in ((4, 561), (16, 1105), (4, 65), (4, 9), (4, 3277**2)):\n"
             "    try:\n"
             "        sqrt_mod_prime(a, p)\n"
             "    except ValueError as exc:\n"
@@ -462,6 +498,8 @@ class TestSqrtModPrime:
             "ValueError p must be an odd prime, got 561",
             "ValueError p must be an odd prime, got 1105",
             "ValueError p must be an odd prime, got 65",
+            "ValueError p must be an odd prime, got 9",
+            "ValueError p must be an odd prime, got 10738729",
         ]
 
 
