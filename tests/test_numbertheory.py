@@ -127,11 +127,13 @@ def test_root_functions_bound_the_power(root, args, error):
 
 def test_sqrt_mod_prime_bounds_p():
     # An odd p over 8,192 bits is refused before is_prime runs on it; the
-    # bound is inclusive, so an 8,192-bit composite reaches is_prime.  Run
-    # in a subprocess so a regression fails on the timeout.
+    # bound is inclusive, so an 8,192-bit composite reaches is_prime.  The
+    # Fermat numbers 2**8192 + 1 and 2**(2**20) + 1 have no factor below
+    # 97, so without the bound is_prime would exponentiate at their size.
+    # Run in a subprocess so a regression fails on the timeout.
     script = (
         "from qrindex import sqrt_mod_prime\n"
-        "for p in ((1 << 8192) + 1, (1 << (1 << 20)) - 1, 3 * ((1 << 8190) + 1)):\n"
+        "for p in ((1 << 8192) + 1, (1 << (1 << 20)) + 1, 3 * ((1 << 8190) + 1)):\n"
         "    try:\n"
         "        sqrt_mod_prime(4, p)\n"
         "    except ValueError as exc:\n"
@@ -143,7 +145,7 @@ def test_sqrt_mod_prime_bounds_p():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "p too large: 8193 bits, over the bound of 8192",
-        "p too large: 1048576 bits, over the bound of 8192",
+        "p too large: 1048577 bits, over the bound of 8192",
         "p must be an odd prime",
     ]
 
