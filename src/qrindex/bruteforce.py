@@ -1,15 +1,16 @@
 """Exhaustive ground truth for small moduli.
 
 Nothing here is clever and nothing here shares code with the codec under
-test: residues come from literally squaring every x up to n/2 and
-keeping the squares that are units, and the certifier replays every
-index against that enumeration.  Kept separate so a bug in the fast
-path cannot hide itself.
+test: the module's own trial division finds the prime divisors of n,
+the units up to n/2 are what is left when their multiples are struck
+out, and residues come from literally squaring those units.  The
+certifier replays every index against that enumeration.  Kept separate
+so a bug in the fast path cannot hide itself.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -24,18 +25,42 @@ _ENUMERATION_CAP = 10**6
 def enumerate_qr(n: int) -> list[int]:
     """All quadratic residues modulo n, sorted, by squaring every unit.
 
-    x and n - x have the same square, so only x in [1, n // 2] is
-    squared; a square is a unit exactly when x is, so the units are
-    picked from the distinct squares.  Capped at n <= 10**6 to keep the
-    scan and its memory bounded.
+    The units are found first: the module's own trial division gives the
+    prime divisors of n, and their multiples are struck out.  x and n - x
+    have the same square, so only the units in [1, n // 2] are squared,
+    and the square of a unit is a unit, so every square is kept.  Capped
+    at n <= 10**6 to keep the scan and its memory bounded.
     """
     n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {_format_int(n)}")
     if n > _ENUMERATION_CAP:
         raise ValueError(f"modulus {_format_int(n)} exceeds the enumeration cap {_ENUMERATION_CAP}")
-    squares = {x * x % n for x in range(1, n // 2 + 1)}
-    return sorted(z for z in squares if math.gcd(z, n) == 1)
+    half = n // 2
+    units = bytearray(b"\x01") * (half + 1)
+    for p, _ in _trial_division(n):
+        units[::p] = bytes(half // p + 1)
+    step = 2 - n % 2  # an even n has only odd units, so no even x is read
+    survivors = itertools.compress(range(1, half + 1, step), units[1::step])
+    return sorted({x * x % n for x in survivors})
+
+
+def _trial_division(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, k), p ascending, with p**k exactly dividing n >= 2."""
+    parts = []
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                k += 1
+                n //= p
+            parts.append((p, k))
+        p += step
+        step = 2
+    if n > 1:
+        parts.append((n, 1))
+    return parts
 
 
 def factor_trial_division(n: int) -> FactoredModulus:
@@ -47,23 +72,9 @@ def factor_trial_division(n: int) -> FactoredModulus:
         raise FactorizationError(
             f"refusing trial division above {_ENUMERATION_CAP}, got {_format_int(n)}"
         )
-    two_exponent = 0
-    while n % 2 == 0:
-        two_exponent += 1
-        n //= 2
-    odd_parts = []
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                k += 1
-                n //= p
-            odd_parts.append((p, k))
-        p += 2
-    if n > 1:
-        odd_parts.append((n, 1))
-    return FactoredModulus(two_exponent, odd_parts)
+    parts = _trial_division(n)
+    two_exponent = parts.pop(0)[1] if parts[0][0] == 2 else 0
+    return FactoredModulus(two_exponent, parts)
 
 
 @dataclass

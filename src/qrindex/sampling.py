@@ -195,7 +195,8 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     raises, and are exact on every exit: a source running dry mid-word
     adds the bits it served, and an attempt whose ``next_bits`` raises
     anything else counts, without its bits.  n = 1 draws zero bits and
-    accepts immediately.  A non-integer n raises TypeError.  Gives up
+    accepts immediately.  A non-integer n, or a ledger without the two
+    totals, raises TypeError before any bit is drawn.  Gives up
     after 128 rejections, which a fair source reaches with probability
     < 2**-128.
     """
@@ -208,6 +209,10 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
     # Totals stay in locals until the finally.  A while loop and a plain
     # source.next_bits call measured faster than a range loop or a method
     # bound before the loop (CPython 3.11).
+    try:
+        attempts_before, bits_before = ledger.attempts, ledger.bits_consumed
+    except AttributeError:
+        raise _wrong_type("ledger", ledger, RandomBitLedger) from None
     attempts = bits = 0
     try:
         while attempts < _MAX_REJECTIONS:
@@ -220,8 +225,8 @@ def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
         bits += exc.served
         raise
     finally:
-        ledger.attempts += attempts
-        ledger.bits_consumed += bits
+        ledger.attempts = attempts_before + attempts
+        ledger.bits_consumed = bits_before + bits
     raise RejectionLimitError(f"no draw below {_format_int(n)} within {_MAX_REJECTIONS} attempts")
 
 

@@ -151,6 +151,13 @@ def test_enumeration_matches_the_definition():
         assert enumerate_qr(n) == expected, n
 
 
+@pytest.mark.parametrize("n", [720720, 997**2, 2**19, 10**6])
+def test_enumeration_matches_the_definition_at_scale(n):
+    # Many small primes, an odd prime square, a power of 2 and the cap.
+    expected = sorted({x * x % n for x in range(1, n) if math.gcd(x, n) == 1})
+    assert enumerate_qr(n) == expected
+
+
 def test_enumeration_confirms_size_formula_sample():
     for n in (7, 32, 99, 128, 255, 1024, 3465):
         m = factor_trial_division(n)

@@ -396,6 +396,15 @@ class TestDrawUniform:
                 sample("x", source)
         assert source.position == 0
 
+    @pytest.mark.parametrize("ledger", [None, object(), "ledger"], ids=["None", "object", "str"])
+    def test_ledger_without_totals_is_a_type_error_and_draws_nothing(self, ledger):
+        # The ledger is read before the first word: the source keeps its
+        # fresh stream, as if the call had not been made.
+        source = SeededBitSource(1)
+        with pytest.raises(TypeError, match=f"^ledger must be a RandomBitLedger, got {type(ledger).__name__}$"):
+            draw_uniform(180, source, ledger)
+        assert source.next_bits(16) == SeededBitSource(1).next_bits(16)
+
     @pytest.mark.parametrize("start", [(0, 0), (1000, 7)], ids=["fresh", "running"])
     @pytest.mark.parametrize("j", [1, 2, 5, 128])
     def test_ledger_is_exact_on_every_exit(self, j, start):
