@@ -182,14 +182,15 @@ class FactoredModulus:
         self.phi = phi
         self._size = size
         self._radices = tuple(radices)
-        # E is 1 mod its part q and 0 mod every other part: decode is one
-        # linear sum.  The steps of a part share its E and keep the scale
-        # apart, as storing p*E would add a modulus-sized integer per part.
+        # The CRT basis E of part q is 1 mod q and 0 mod every other part:
+        # decode is one linear sum.  The steps of a part share its E and keep
+        # the scale apart, as storing p*E would add a modulus-sized integer
+        # per part.
         steps = []
         for p, q, half, lower, *_ in root_steps + two_part:
             if half * lower > 1:  # the part has a digit
-                e = (c := n // q) * pow(c, -1, q)
-                steps += [(r, scale, e) for r, scale in ((half, 1), (lower, p)) if r > 1]
+                basis = (cofactor := n // q) * pow(cofactor, -1, q)
+                steps += [(r, scale, basis) for r, scale in ((half, 1), (lower, p)) if r > 1]
         self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
 

@@ -26,7 +26,7 @@ _SMALL_PRIMES = (
 
 # Miller-Rabin with the first 13 primes as bases is a proven deterministic
 # primality test below this bound (Sorenson and Webster, 2015).  From the
-# bound up, Baillie-PSW (strong base 2 plus strong Lucas) decides.
+# bound up, Baillie-PSW (strong base 2 plus extra strong Lucas) decides.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 
@@ -89,10 +89,12 @@ def is_prime(n: int) -> bool:
 
     Below ~3.3e24 it is Miller-Rabin with the first 13 primes as bases,
     proven deterministic there.  From that bound up it is Baillie-PSW: a
-    strong Miller-Rabin test to base 2, then a strong Lucas test with
-    Selfridge's parameters.  No composite is known to pass Baillie-PSW,
-    and it costs one full-size exponentiation plus a Lucas ladder of a
-    few multiplications per bit of n.
+    strong Miller-Rabin test to base 2, then an extra strong Lucas test
+    with Q = 1.  It costs one full-size exponentiation plus a Lucas ladder
+    of two multiplications per bit of n.  No composite is known to pass
+    Baillie-PSW with either this Lucas test or the strong one with
+    Selfridge's parameters, which earlier versions ran, so the two could
+    give different verdicts only on such an unknown counterexample.
     """
     n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
@@ -115,7 +117,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return not baillie_psw or _strong_lucas(n)
+    return not baillie_psw or _extra_strong_lucas(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -133,47 +135,40 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test for odd n > 2 (Selfridge's method A).
+def _extra_strong_lucas(n: int) -> bool:
+    """Extra strong Lucas probable-prime test for odd n > 2 (Grantham, 2001).
 
-    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
-    Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes when U_d = 0
-    or V_{d*2**r} = 0 (mod n) for some 0 <= r < s.
+    Q = 1 and P is the first of 3, 4, 5, ... with ((P**2 - 4)/n) = -1, as
+    Baillie, Fiori and Wagstaff (2021) choose it.  With n + 1 = d * 2**s,
+    d odd, n passes when U_d = 0 and V_d = +-2, or V_{d*2**r} = 0 (mod n)
+    for some 0 <= r < s - 1.
     """
-    # A square has no D with (D/n) = -1, so the search would never end.
+    # A square has no P with ((P**2 - 4)/n) = -1, so the search would never end.
     if math.isqrt(n) ** 2 == n:
         return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and abs(D) < n:
+    P = 3
+    while (j := _jacobi(P * P - 4, n)) != -1:
+        if j == 0 and (P * P - 4) % n:
             return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
+        P += 1
     d = n + 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    # Binary ladder over the bits of d from k = 1: U_2k = U_k*V_k,
-    # V_2k = V_k**2 - 2*Q**k, and with P = 1, U_k+1 = (U_k + V_k)/2,
-    # V_k+1 = (D*U_k + V_k)/2; halving mod odd n adds n to odd values.
-    U, V, Qk = 1, 1, Q
+    # Montgomery ladder on (V_k, V_k+1) over the bits of d from k = 1:
+    # with Q = 1, V_2k = V_k**2 - 2 and V_2k+1 = V_k*V_k+1 - P.
+    V, W = P % n, (P * P - 2) % n
     for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
         if bit == "1":
-            U, V = (U + V) % n, (D * U + V) % n
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V, Qk = U >> 1, V >> 1, Qk * Q % n
-    if U == 0:
+            V, W = (V * W - P) % n, (W * W - 2) % n
+        else:
+            V, W = (V * V - 2) % n, (V * W - P) % n
+    # D*U_d = 2*V_d+1 - P*V_d, and D = P**2 - 4 is a unit mod n.
+    if (2 * W - P * V) % n == 0 and V in (2, n - 2):
         return True
-    for _ in range(s):
+    for _ in range(s - 1):
         if V == 0:
             return True
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
+        V = (V * V - 2) % n
     return False
 
 

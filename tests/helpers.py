@@ -69,7 +69,7 @@ def miller_rabin_reference(n):
     """Miller-Rabin with 64 bases drawn from an RNG seeded by n itself.
 
     The reference for ``is_prime`` above its deterministic bound: slow,
-    and independent of the strong Lucas test the library runs there.
+    and independent of the extra strong Lucas test the library runs there.
     """
     if n < 2:
         return False

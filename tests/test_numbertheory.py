@@ -150,6 +150,23 @@ def test_sqrt_mod_prime_bounds_p():
     ]
 
 
+# OEIS A217719: the extra strong Lucas pseudoprimes below 10**5.
+_A217719_BELOW_1E5 = (
+    989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077,
+)
+
+
+def _arnault_composite():
+    """F. Arnault, "Constructing Carmichael numbers which are strong
+    pseudoprimes to several bases" (1995): a 397-digit composite that is a
+    strong pseudoprime to every prime base below 307."""
+    p1 = int(
+        "29674495668685510550154174642905332730771991799853043350995075531276838753"
+        "171770199594238596428121188033664754218345562493168782883"
+    )
+    return p1 * (313 * (p1 - 1) + 1) * (353 * (p1 - 1) + 1)
+
+
 class TestIsPrime:
     def test_agrees_with_sieve_below_a_million(self):
         limit = 10**6
@@ -206,17 +223,17 @@ class TestIsPrime:
         assert not is_prime(n)
 
     def test_square_of_a_large_prime_is_refused_without_hanging(self):
-        # A square has no Selfridge D, so without its guard the Lucas
-        # parameter search never ends.  A square reaches the Lucas half of
-        # is_prime only if it passes the strong base-2 test, as the squares
-        # of the Wieferich primes 1093 and 3511 do, so the helper is also
-        # called directly.  Run in a subprocess so a regression fails on
-        # the timeout.
+        # A square has no P with ((P**2 - 4)/n) = -1, so without its guard
+        # the Lucas parameter search never ends.  A square reaches the
+        # Lucas half of is_prime only if it passes the strong base-2 test,
+        # as the squares of the Wieferich primes 1093 and 3511 do, so the
+        # helper is also called directly.  Run in a subprocess so a
+        # regression fails on the timeout.
         script = (
             "from qrindex import is_prime\n"
-            "from qrindex.numbertheory import _strong_lucas\n"
+            "from qrindex.numbertheory import _extra_strong_lucas\n"
             "n = ((1 << 521) - 1) ** 2\n"
-            "print(is_prime(n), [_strong_lucas(m) for m in (1093**2, 3511**2, n)])\n"
+            "print(is_prime(n), [_extra_strong_lucas(m) for m in (1093**2, 3511**2, n)])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
@@ -224,28 +241,64 @@ class TestIsPrime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False [False, False, False]\n"
 
+    @pytest.mark.parametrize("n", _A217719_BELOW_1E5 + (100127, 113573, 125249))
+    def test_extra_strong_lucas_pseudoprimes(self, n):
+        # OEIS A217719: composites that pass the extra strong Lucas test
+        # alone, the last three above the sweep below.
+        assert numbertheory._extra_strong_lucas(n)
+        assert not is_prime(n)
+
     @pytest.mark.parametrize(
         "n", [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
     )
     def test_strong_lucas_pseudoprimes(self, n):
-        # OEIS A217255: composites that pass the strong Lucas test alone.
-        assert numbertheory._strong_lucas(n)
+        # OEIS A217255: composites that pass the strong Lucas test with
+        # Selfridge's parameters.  The extra strong test passes only those
+        # that are also in A217719.
+        assert numbertheory._extra_strong_lucas(n) == (n in _A217719_BELOW_1E5)
         assert not is_prime(n)
 
-    def test_strong_lucas_exits_early_on_a_shared_factor(self):
-        # (5/35) = 0 with 5 < 35: D shares a factor with n, so n is composite.
+    def test_lucas_exits_early_on_a_shared_factor(self):
+        # P = 3 gives D = 5 and (5/35) = 0 with 35 not dividing 5: D shares
+        # a proper factor with n, so n is composite.
         assert numbertheory._jacobi(5, 35) == 0
-        assert numbertheory._strong_lucas(35) is False
+        assert numbertheory._extra_strong_lucas(35) is False
 
-    def test_strong_lucas_below_1e5_passes_exactly_the_primes_and_a217255(self):
-        # Every odd n in [5, 10**5) runs the ladder or the D search, not
-        # only the listed pseudoprimes: the primes and OEIS A217255's
-        # strong Lucas pseudoprimes below 10**5 pass, and nothing else.
-        pseudoprimes = {
-            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
-        }
-        passed = {n for n in range(5, 10**5, 2) if numbertheory._strong_lucas(n)}
-        assert passed == set(sieve_primes(10**5)[2:]) | pseudoprimes
+    @pytest.mark.parametrize("n", [27869, 154697])
+    def test_lucas_rejects_what_a_u_d_squared_check_passes(self, n):
+        # 27,869 = 29 * 31**2 and 154,697 = 37**2 * 113 passed a V-only
+        # ladder that checked U_d**2 = 0 where U_d = 0 is needed.  With
+        # P = 3, 154,697 has V_d = -2 and U_d**2 = 0 but U_d != 0 mod n:
+        # the helper rejects it because it takes U_d itself from V_d and
+        # V_d+1.
+        assert numbertheory._extra_strong_lucas(n) is False
+        assert not is_prime(n)
+
+    def test_lucas_below_1e5_passes_exactly_the_primes_and_a217719(self):
+        # Every odd n in [5, 10**5) runs the ladder or the P search, not
+        # only the listed pseudoprimes: the primes and OEIS A217719's
+        # extra strong Lucas pseudoprimes below 10**5 pass, and nothing else.
+        passed = {n for n in range(5, 10**5, 2) if numbertheory._extra_strong_lucas(n)}
+        assert passed == set(sieve_primes(10**5)[2:]) | set(_A217719_BELOW_1E5)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(_arnault_composite(), id="arnault"),
+            *(pytest.param((1 << p) - 1, id=f"2^{p}-1") for p in (83, 97, 101, 1277)),
+            *(
+                pytest.param((6 * k + 1) * (12 * k + 1) * (18 * k + 1), id=f"chernick-{k}")
+                for k in (14_000_240, 14_000_461, 2**40 + 980, 10**9)
+            ),
+            pytest.param(3_317_044_064_679_887_385_961_981, id="bound"),
+            pytest.param(2**128 + 1, id="2^128+1"),
+        ],
+    )
+    def test_lucas_half_alone_rejects_every_pinned_composite_above_the_bound(self, n):
+        # The composites pinned above against is_prime, where the base-2
+        # step may reject them before the Lucas half runs.
+        assert n >= numbertheory._MR_DETERMINISTIC_BOUND
+        assert numbertheory._extra_strong_lucas(n) is False
 
     def test_strong_pseudoprime_to_the_first_eleven_prime_bases(self):
         # Below the Baillie-PSW bound; base 37 is the first to reject it.
@@ -263,14 +316,8 @@ class TestIsPrime:
         assert not is_prime(n)
 
     def test_arnault_composite_passes_every_prime_base_below_307(self):
-        # F. Arnault, "Constructing Carmichael numbers which are strong
-        # pseudoprimes to several bases" (1995): a 397-digit composite that
-        # only the Lucas half of Baillie-PSW rejects.
-        p1 = int(
-            "29674495668685510550154174642905332730771991799853043350995075531276838753"
-            "171770199594238596428121188033664754218345562493168782883"
-        )
-        n = p1 * (313 * (p1 - 1) + 1) * (353 * (p1 - 1) + 1)
+        # Only the Lucas half of Baillie-PSW rejects Arnault's composite.
+        n = _arnault_composite()
         assert len(str(n)) == 397
         bases = _primes_below(307)
         assert len(bases) == 62
