@@ -4,8 +4,10 @@ Nothing here is clever and nothing here shares code with the codec under
 test: the module's own trial division finds the prime divisors of n,
 the units up to n/2 are what is left when their multiples are struck
 out, and residues come from literally squaring those units.  The
-certifier replays every index against that enumeration.  Kept separate
-so a bug in the fast path cannot hide itself.
+certifier decodes every index and encodes the image in one batch call
+each, and checks both against that enumeration; only when that batch
+pass fails does it replay the indices one at a time, to name each
+violation.  Kept separate so a bug in the fast path cannot hide itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import FactorizationError, _format_int
-from .indexing import FactoredModulus, decode_index, encode_residue, index_space_size
+from .indexing import FactoredModulus, decode_indices, encode_residues, index_space_size
 
 __all__ = ["CertificationReport", "certify_bijection", "enumerate_qr", "factor_trial_division"]
 
@@ -93,11 +95,15 @@ class CertificationReport:
 def certify_bijection(m: FactoredModulus) -> CertificationReport:
     """Prove decode is a bijection onto the enumerated residues for one N.
 
-    Checks, in order: every index decodes without error; no two indices
-    collide; the decoded image equals the brute-force enumeration as a
-    set; encode inverts decode on every index.  Every violation lands in
-    the report instead of raising, so a sweep over many moduli reports
-    all offenders at once.
+    One batch pass decodes every index and encodes the decoded image; N
+    passes when the index space size matches the enumeration, the sorted
+    image equals it and encoding the image gives back ``1..size`` in
+    order.  Otherwise every index is replayed alone to diagnose, in
+    order: every index decodes without error; no two indices collide;
+    encode inverts decode on every index; the decoded image equals the
+    enumeration as a set.  Every violation lands in the report instead
+    of raising, so a sweep over many moduli reports all offenders at
+    once.
     """
     size = index_space_size(m)
     report = CertificationReport(n=m.n, indices_checked=size)
@@ -106,10 +112,34 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
         report.failures.append(
             f"index space size {size} but enumeration found {len(expected)} residues"
         )
+    elif _batch_passes(m, size, expected):
+        return report
+    _diagnose(m, size, expected, report)
+    return report
+
+
+def _batch_passes(m: FactoredModulus, size: int, expected: list[int]) -> bool:
+    """One batch decode of ``1..size`` and one batch encode of its image:
+    the sorted image is ``expected`` and the encode gives ``1..size``."""
+    try:
+        image = decode_indices(m, range(1, size + 1))
+        back = encode_residues(m, image)
+        image.sort()
+        return (
+            image == expected
+            and len(back) == size
+            and all(map(operator.eq, back, range(1, size + 1)))
+        )
+    except Exception:
+        return False
+
+
+def _diagnose(m: FactoredModulus, size: int, expected: list[int], report: CertificationReport):
+    """Replay every index alone, recording each violation in ``report``."""
     seen: dict[int, int] = {}
     for index in range(1, size + 1):
         try:
-            z = decode_index(m, index)
+            z = decode_indices(m, (index,))[0]
         except Exception as exc:
             report.failures.append(f"decode({index}) raised {exc!r}")
             continue
@@ -120,7 +150,7 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
             continue
         seen[z] = index
         try:
-            back = encode_residue(m, z)
+            back = encode_residues(m, (z,))[0]
         except Exception as exc:
             report.failures.append(f"encode({z}) raised {exc!r}")
             continue
@@ -135,4 +165,3 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
         report.failures.append(
             f"image mismatch: missing {missing}, extraneous {extra}"
         )
-    return report

@@ -10,11 +10,17 @@ All numerals are decimal.  The modulus always arrives as a
 factorization string such as ``"2^5 * 3 * 7^2"``; this tool never
 factors anything.
 
+``decode --index -`` and ``encode --residue -`` read one decimal
+integer per line of stdin and print one record per line, as the single
+call prints it; a line that is not an integer is a usage error naming
+the line.
+
 Exit codes: 0 success, 1 selftest found violations, 2 command line
-usage error, 3 domain error (index out of range, not a residue, not a
-unit), 4 validation error (bad factorization string, or a modulus over
-the size bound).  Errors print ``error: <ErrorName>: <detail>`` on
-stderr.
+usage error or a bad stdin line, 3 domain error (index out of range,
+not a residue, not a unit), 4 validation error (bad factorization
+string, or a modulus over the size bound).  Errors print
+``error: <ErrorName>: <detail>`` on stderr; a bad stdin line prints
+``error: line <number>: <detail>``.
 """
 
 from __future__ import annotations
@@ -33,11 +39,13 @@ from .sampling import (
 
 
 def _cmd_decode(args, m, emit) -> None:
-    emit(n=m.n, index=args.index, residue=decode_index(m, args.index))
+    for index in _values(args.index):
+        emit(n=m.n, index=index, residue=decode_index(m, index))
 
 
 def _cmd_encode(args, m, emit) -> None:
-    emit(n=m.n, residue=args.residue, index=encode_residue(m, args.residue))
+    for residue in _values(args.residue):
+        emit(n=m.n, residue=residue, index=encode_residue(m, residue))
 
 
 def _cmd_size(args, m, emit) -> None:
@@ -86,6 +94,36 @@ def _cmd_bench(args, m, emit) -> None:
         )
 
 
+_STDIN = "-"
+
+
+class _LineError(Exception):
+    """A stdin line that is not an integer: a usage error, exit code 2."""
+
+
+def _values(value):
+    """The one integer given, or, for ``-``, one integer per stdin line."""
+    if value != _STDIN:
+        yield value
+        return
+    # int() reads bytes, so a line that is not UTF-8 is a bad line too.
+    for number, line in enumerate(sys.stdin.buffer, 1):
+        try:
+            yield int(line)
+        except ValueError:
+            text = line.strip().decode(errors="replace")
+            raise _LineError(f"line {number}: invalid int value: {text!r}") from None
+
+
+def _int_or_stdin(text: str):
+    if text == _STDIN:
+        return text
+    try:
+        return int(text)
+    except ValueError:  # worded as argparse words a bad type=int value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _uint64(text: str) -> int:
     value = int(text)
     if not 0 <= value < _SEED_BOUND:
@@ -130,13 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, modulus],
         help="map an index in [1, |QR(N)|] to its residue",
     )
-    p.add_argument("--index", required=True, type=int, help="1-based index")
+    p.add_argument(
+        "--index", required=True, type=_int_or_stdin,
+        help="1-based index, or - for one index per line of stdin",
+    )
     p.set_defaults(handler=_cmd_decode)
 
     p = sub.add_parser(
         "encode", parents=[common, modulus], help="map a residue to its index"
     )
-    p.add_argument("--residue", required=True, type=int, help="quadratic residue mod N")
+    p.add_argument(
+        "--residue", required=True, type=_int_or_stdin,
+        help="quadratic residue mod N, or - for one residue per line of stdin",
+    )
     p.set_defaults(handler=_cmd_encode)
 
     p = sub.add_parser(
@@ -217,6 +261,9 @@ def _run(argv) -> int:
     except ValueError as exc:  # every library error, FactorizationError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, FactorizationError) else 3
+    except _LineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _text(value) -> str:

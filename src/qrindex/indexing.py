@@ -21,13 +21,18 @@ The schedule lists, in ascending-prime order, the pair ``(p-1)/2`` and
 ``x - 1``, ``c`` per odd factor, then the 2-part digit.  Indices are
 1-based at the public boundary and 0-based inside the codec.
 
-``decode_index`` maps an index to its residue in O(log^3 N) bit work.
+Each direction of the codec is one batch loop, ``decode_indices`` and
+``encode_residues``: it checks the modulus once, loads its prepared
+steps once, then checks and maps each value in turn, raising at the
+first bad one.  ``decode_index`` and ``encode_residue`` are their
+one-element case.  Decoding an index to its residue takes
+O(log^3 N) bit work.
 The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
-digits take no step.  ``encode_residue`` inverts it in one pass over
-one prepared root step per odd part, in ascending-prime order: a
+digits take no step.  Encoding inverts it, per residue, in one pass
+over one prepared root step per odd part, in ascending-prime order: a
 Tonelli-Shanks root on the step's non-residue power, computed once
 with the modulus, that also yields its inverse, which starts the
 Newton lift to ``p**e`` over the step's prepared ladder, each digit
@@ -71,9 +76,10 @@ from .numbertheory import (
 )
 
 __all__ = [
-    "FactoredModulus", "PrimePower", "RootProfile", "decode_index", "encode_residue",
-    "index_space_size", "index_to_profile", "is_quadratic_residue", "parse_factorization",
-    "profile_to_index", "profile_to_residue", "radix_schedule", "residue_to_profile",
+    "FactoredModulus", "PrimePower", "RootProfile", "decode_index", "decode_indices",
+    "encode_residue", "encode_residues", "index_space_size", "index_to_profile",
+    "is_quadratic_residue", "parse_factorization", "profile_to_index", "profile_to_residue",
+    "radix_schedule", "residue_to_profile",
 ]
 
 
@@ -345,60 +351,93 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
 def decode_index(m: FactoredModulus, index: int) -> int:
     """Map an index in [1, |QR(N)|] to its quadratic residue modulo N.
 
-    Evaluates the linear form ``1 + sum(digit * scale * E)`` mod N over
-    the modulus' prepared decode steps, then squares: no profile is built.
+    The one-element case of ``decode_indices``, which raises as it does.
     """
-    return _decode(m, _zero_based(m, index))
+    return decode_indices(m, (index,))[0]
 
 
 def encode_residue(m: FactoredModulus, z: int) -> int:
     """Map a quadratic residue modulo N to its index; inverse of decode_index.
 
-    One pass over the modulus' prepared root steps adds each digit at its
-    place value: no digit list, no modular inverse, and the gcd with N,
-    the only unit test, only when a step or the 2-part congruence class
-    fails.  z is reduced modulo N first.  Raises NotCoprimeError when z
-    is not a unit, NotAResidueError when some local square root does not
-    exist, ValueError for a negative z and TypeError when z is not an
-    integer, as ``decode_index`` does for its index.
+    The one-element case of ``encode_residues``, which raises as it does.
+    """
+    return encode_residues(m, (z,))[0]
+
+
+def decode_indices(m: FactoredModulus, indices) -> list[int]:
+    """Map each index in [1, |QR(N)|] to its quadratic residue modulo N.
+
+    Checks the modulus once, then each index in turn: a non-integer
+    raises TypeError, as ``range(2.0)`` does, and one outside the index
+    space IndexRangeError, at the first bad index.  Each residue is the
+    linear form ``1 + sum(digit * scale * E)`` mod N over the modulus'
+    prepared decode steps, squared: no profile is built.
+    """
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    size = m._size
+    residues = []
+    for index in indices:
+        index = operator.index(index)
+        if not 1 <= index <= size:
+            raise _out_of_range(m, index)
+        residues.append(_decode(m, index - 1))
+    return residues
+
+
+def encode_residues(m: FactoredModulus, residues) -> list[int]:
+    """Map each quadratic residue modulo N to its index; inverse of
+    ``decode_indices``.
+
+    Checks the modulus once and loads its prepared root steps once.  Per
+    residue, one pass over those steps adds each digit at its place value:
+    no digit list, no modular inverse, and the gcd with N, the only unit
+    test, only when a step or the 2-part congruence class fails.  z is
+    reduced modulo N first.  At the first bad residue, raises
+    NotCoprimeError when z is not a unit, NotAResidueError when some
+    local square root does not exist, ValueError for a negative z and
+    TypeError when z is not an integer, as ``decode_indices`` does for
+    an index.
     """
     # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
     # 2-adic root below 2**(k2-2)); ascending steps name the first bad prime.
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    z = operator.index(z)  # a float or string raises TypeError, as an index does
-    if z < 0:
-        raise ValueError(f"residue must be a natural, got {_format_int(z)}")
-    n = m.n
-    z %= n
-    k2 = m.two_exponent
-    value, place = 0, 1
-    try:
-        for p, q, x_radix, c_radix, s, e, c, ladder in m._root_steps:
-            # One full-width reduction per part: z mod p comes from z mod p**k.
-            # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
-            zq = z % q
-            x, r = _tonelli_shanks(zq % p, p, s, e, c)
-            value += (x - 1) * place
-            place *= x_radix
-            if c_radix > 1:
-                # The lift keeps y = x (mod p), so x stays the canonical root.
-                value += _lift_inverse_root(x, r, zq, q, ladder) // p * place
-                place *= c_radix
-        if not _two_part_is_square(k2, z):
-            raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
-    except NotAResidueError:
-        # The one unit test: a non-unit outranks a non-residue at any prime.
-        g = math.gcd(z, n)
-        if g != 1:
-            raise NotCoprimeError(
-                f"{_format_int(z)} is not a unit modulo {_format_int(n)} (gcd {_format_int(g)})",
-                gcd=g,
-            ) from None
-        raise
-    if k2 > 3:
-        value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
-    return value + 1
+    n, k2, root_steps = m.n, m.two_exponent, m._root_steps
+    indices = []
+    for z in residues:
+        z = operator.index(z)  # a float or string raises TypeError, as an index does
+        if z < 0:
+            raise ValueError(f"residue must be a natural, got {_format_int(z)}")
+        z %= n
+        value, place = 0, 1
+        try:
+            for p, q, x_radix, c_radix, s, e, c, ladder in root_steps:
+                # One full-width reduction per part: z mod p comes from z mod p**k.
+                # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
+                zq = z % q
+                x, r = _tonelli_shanks(zq % p, p, s, e, c)
+                value += (x - 1) * place
+                place *= x_radix
+                if c_radix > 1:
+                    # The lift keeps y = x (mod p), so x stays the canonical root.
+                    value += _lift_inverse_root(x, r, zq, q, ladder) // p * place
+                    place *= c_radix
+            if not _two_part_is_square(k2, z):
+                raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
+        except NotAResidueError:
+            # The one unit test: a non-unit outranks a non-residue at any prime.
+            g = math.gcd(z, n)
+            if g != 1:
+                raise NotCoprimeError(
+                    f"{_format_int(z)} is not a unit modulo {_format_int(n)} (gcd {_format_int(g)})",
+                    gcd=g,
+                ) from None
+            raise
+        if k2 > 3:
+            value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
+        indices.append(value + 1)
+    return indices
 
 
 def _zero_based(m: FactoredModulus, index: int) -> int:
@@ -406,11 +445,15 @@ def _zero_based(m: FactoredModulus, index: int) -> int:
         raise _wrong_type("modulus", m, FactoredModulus)
     index = operator.index(index)  # a float raises TypeError, as range(2.0) does
     if not 1 <= index <= m._size:
-        raise IndexRangeError(
-            f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
-            f" index space is 1..{_format_int(m._size)}"
-        )
+        raise _out_of_range(m, index)
     return index - 1
+
+
+def _out_of_range(m: FactoredModulus, index: int) -> IndexRangeError:
+    return IndexRangeError(
+        f"index {_format_int(index)} out of range for modulus {_format_int(m.n)}:"
+        f" index space is 1..{_format_int(m._size)}"
+    )
 
 
 def _decode(m: FactoredModulus, value: int) -> int:

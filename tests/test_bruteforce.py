@@ -101,26 +101,26 @@ class TestCertifyBijection:
             assert certify_bijection(factor_trial_division(n)).passed, n
 
     def test_collision_and_image_failures_are_reported(self, monkeypatch):
-        monkeypatch.setattr(bruteforce, "decode_index", lambda m, i: 1)
+        monkeypatch.setattr(bruteforce, "decode_indices", lambda m, indices: [1 for _ in indices])
         report = certify_bijection(factor_trial_division(21))
         assert not report.passed
         assert any("collision" in f for f in report.failures)
         assert any("image mismatch" in f for f in report.failures)
 
     def test_decode_exception_is_captured(self, monkeypatch):
-        def broken(m, i):
+        def broken(m, indices):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(bruteforce, "decode_index", broken)
+        monkeypatch.setattr(bruteforce, "decode_indices", broken)
         report = certify_bijection(factor_trial_division(15))
         assert not report.passed
         assert any("raised" in f for f in report.failures)
 
     def test_encode_exception_is_captured(self, monkeypatch):
-        def broken(m, z):
+        def broken(m, residues):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(bruteforce, "encode_residue", broken)
+        monkeypatch.setattr(bruteforce, "encode_residues", broken)
         report = certify_bijection(factor_trial_division(15))
         assert report.failures == [
             "encode(1) raised RuntimeError('boom')",
@@ -128,7 +128,7 @@ class TestCertifyBijection:
         ]
 
     def test_encode_mismatch_is_reported(self, monkeypatch):
-        monkeypatch.setattr(bruteforce, "encode_residue", lambda m, z: 1)
+        monkeypatch.setattr(bruteforce, "encode_residues", lambda m, residues: [1 for _ in residues])
         report = certify_bijection(factor_trial_division(21))
         assert not report.passed
         assert any("roundtrip" in f for f in report.failures)
@@ -137,6 +137,46 @@ class TestCertifyBijection:
         monkeypatch.setattr(bruteforce, "index_space_size", lambda m: 5)
         report = certify_bijection(factor_trial_division(15))
         assert not report.passed
+
+    def test_one_bad_index_is_named_alone(self, monkeypatch):
+        # The batch pass fails on the whole range; the per-index replay then
+        # names only the index that raises, and the residue it never gave.
+        decode = bruteforce.decode_indices
+
+        def broken_at_2(m, indices):
+            indices = list(indices)
+            if 2 in indices:
+                raise RuntimeError("boom")
+            return decode(m, indices)
+
+        monkeypatch.setattr(bruteforce, "decode_indices", broken_at_2)
+        m = factor_trial_division(21)
+        missing = decode(m, [2])
+        report = certify_bijection(m)
+        assert report.failures == [
+            "decode(2) raised RuntimeError('boom')",
+            f"image mismatch: missing {missing}, extraneous []",
+        ]
+
+    def test_a_passing_modulus_takes_one_call_per_direction(self, monkeypatch):
+        calls = []
+
+        def spy(name, batch):
+            def call(m, values):
+                values = list(values)
+                calls.append((name, len(values)))
+                return batch(m, values)
+
+            return call
+
+        monkeypatch.setattr(bruteforce, "decode_indices", spy("decode", bruteforce.decode_indices))
+        monkeypatch.setattr(bruteforce, "encode_residues", spy("encode", bruteforce.encode_residues))
+        for n in (2, 15, 1000):
+            calls.clear()
+            m = factor_trial_division(n)
+            assert certify_bijection(m).passed
+            size = index_space_size(m)
+            assert calls == [("decode", size), ("encode", size)], n
 
 
 def test_certification_report_passed_property():

@@ -75,6 +75,70 @@ class TestEncodeCommand:
         assert err.startswith("error: NotCoprimeError:")
 
 
+class TestBatchMode:
+    """``--index -`` and ``--residue -``: one value per stdin line."""
+
+    @staticmethod
+    def run_with_stdin(capsys, monkeypatch, data, *argv):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "command,option,values",
+        [("decode", "--index", ["1", "2"]), ("encode", "--residue", ["4", "1", "19"])],
+    )
+    def test_each_line_prints_what_the_single_call_prints(
+        self, capsys, monkeypatch, json_flag, command, option, values
+    ):
+        argv = [command, *json_flag, "--modulus", "3*5"]
+        single = "".join(run(capsys, *argv, option, value)[1] for value in values)
+        data = "".join(f" {value}\t\n" for value in values).encode()
+        code, out, err = self.run_with_stdin(capsys, monkeypatch, data, *argv, option, "-")
+        assert (code, out, err) == (0, single, "")
+
+    def test_empty_input_prints_nothing(self, capsys, monkeypatch):
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, b"", "decode", "--modulus", "3*5", "--index", "-"
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_a_domain_error_exits_3_after_the_earlier_records(self, capsys, monkeypatch):
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, b"2\n3\n1\n", "decode", "--modulus", "3*5", "--index", "-"
+        )
+        assert code == 3
+        assert out == "decode n=15 index=2 residue=4\n"
+        assert err == (
+            "error: IndexRangeError: index 3 out of range for modulus 15:"
+            " index space is 1..2\n"
+        )
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, b"4\n2\n", "encode", "--modulus", "3*5", "--residue", "-"
+        )
+        assert code == 3
+        assert out == "encode n=15 residue=4 index=2\n"
+        assert err.startswith("error: NotAResidueError: ")
+
+    @pytest.mark.parametrize(
+        "data,shown", [(b"1\ntwo\n2\n", "'two'"), (b"1\n\n", "''"), (b"1\n\xff\n", "'\ufffd'")]
+    )
+    def test_a_line_that_is_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, data, shown):
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, data, "decode", "--modulus", "3*5", "--index", "-"
+        )
+        assert code == 2
+        assert out == "decode n=15 index=1 residue=1\n"
+        assert err == f"error: line 2: invalid int value: {shown}\n"
+
+    def test_a_bad_single_value_still_reads_as_argparse_words_it(self, capsys):
+        for option, command in (("--index", "decode"), ("--residue", "encode")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--modulus", "3*5", option, "abc"])
+            assert excinfo.value.code == 2
+            assert f"error: argument {option}: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 class TestSizeCommand:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "size", "--modulus", "2^4*3")

@@ -28,7 +28,9 @@ from qrindex import (
     PrimePower,
     RootProfile,
     decode_index,
+    decode_indices,
     encode_residue,
+    encode_residues,
     enumerate_qr,
     factor_trial_division,
     index_space_size,
@@ -609,6 +611,79 @@ class TestRoundtrips:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["2^65536 True", "3^32768 True"]
+
+
+def _outcome(call, *args):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _bad_residues(m):
+    """A float, a negative, a non-unit and, where N has one, a non-residue."""
+    table = set(enumerate_qr(m.n))
+    non_unit = next(p for p in range(2, m.n + 1) if m.n % p == 0)
+    non_residue = [z for z in range(1, m.n) if math.gcd(z, m.n) == 1 and z not in table][:1]
+    return [1.0, -1, non_unit, *non_residue]
+
+
+class TestBatchCodec:
+    """``decode_indices`` and ``encode_residues`` against the single calls."""
+
+    def test_batches_match_the_single_calls_for_every_small_n(self):
+        for n in range(2, 401):
+            m = factor_trial_division(n)
+            indices = range(1, index_space_size(m) + 1)
+            assert decode_indices(m, indices) == [decode_index(m, i) for i in indices], n
+            table = enumerate_qr(n)
+            assert encode_residues(m, table) == [encode_residue(m, z) for z in table], n
+
+    def test_bad_values_raise_as_the_single_call_does_alone_and_mid_batch(self):
+        for n in range(2, 401):
+            m = factor_trial_division(n)
+            size = index_space_size(m)
+            for bad in (0, size + 1, 1.0, -1):
+                raised = _outcome(decode_index, m, bad)
+                assert isinstance(raised, tuple), (n, bad)
+                assert _outcome(decode_indices, m, [bad]) == raised, (n, bad)
+                assert _outcome(decode_indices, m, [1, bad, size]) == raised, (n, bad)
+            for bad in _bad_residues(m):
+                raised = _outcome(encode_residue, m, bad)
+                assert isinstance(raised, tuple), (n, bad)
+                if isinstance(bad, int) and bad > 0:
+                    assert raised == _expected_encode_outcome(m, bad)[:2], (n, bad)
+                assert _outcome(encode_residues, m, [bad]) == raised, (n, bad)
+                assert _outcome(encode_residues, m, [1, bad, 1]) == raised, (n, bad)
+
+    def test_the_first_bad_value_is_the_one_named(self):
+        m = parse_factorization("3 * 5 * 7")
+        assert _outcome(decode_indices, m, [1, 0, 7]) == _outcome(decode_index, m, 0)
+        assert _outcome(decode_indices, m, [1, 7, 0]) == _outcome(decode_index, m, 7)
+        assert _outcome(encode_residues, m, [4, 3, 2]) == _outcome(encode_residue, m, 3)
+        assert _outcome(encode_residues, m, [4, 2, 3]) == _outcome(encode_residue, m, 2)
+
+    @pytest.mark.parametrize("modulus", ["3*5", 15, None])
+    def test_a_modulus_of_the_wrong_type_is_refused_before_any_value(self, modulus):
+        raised = _outcome(decode_index, modulus, 1)
+        assert raised[0] is TypeError
+        assert raised == _outcome(encode_residue, modulus, 4)
+        for values in ([1], [], iter([1])):
+            assert _outcome(decode_indices, modulus, values) == raised
+            assert _outcome(encode_residues, modulus, values) == raised
+
+    def test_an_empty_batch_is_an_empty_list(self):
+        m = parse_factorization("2^4 * 3")
+        assert decode_indices(m, []) == []
+        assert encode_residues(m, ()) == []
+
+    def test_a_generator_is_a_batch(self):
+        m = parse_factorization("2^5 * 3^2 * 5")
+        indices = range(1, index_space_size(m) + 1)
+        residues = decode_indices(m, (i for i in indices))
+        assert residues == decode_indices(m, indices)
+        assert encode_residues(m, (z for z in residues)) == list(indices)
 
 
 class TestProfiles:
