@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
-from .errors import FactorizationError, _format_int
+from .errors import FactorizationError, _Record, _format_int
 from .indexing import FactoredModulus, decode_indices, encode_residues, index_space_size
 
 __all__ = ["CertificationReport", "certify_bijection", "enumerate_qr", "factor_trial_division"]
@@ -79,13 +78,16 @@ def factor_trial_division(n: int) -> FactoredModulus:
     return FactoredModulus(two_exponent, parts)
 
 
-@dataclass
-class CertificationReport:
-    """Outcome of one full-bijection check; passed means no failures."""
+class CertificationReport(_Record):
+    """Outcome of one full-bijection check; passed means no failures, and
+    ``failures`` defaults to a fresh empty list."""
 
-    n: int
-    indices_checked: int
-    failures: list[str] = field(default_factory=list)
+    __slots__ = __match_args__ = ("n", "indices_checked", "failures")
+
+    def __init__(self, n: int, indices_checked: int, failures: list[str] | None = None):
+        self.n = n
+        self.indices_checked = indices_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

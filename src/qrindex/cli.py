@@ -6,7 +6,9 @@ so an error after some records leaves those lines printed.  The human
 line is ``command key=value key=value ...`` (a list value joins with
 commas); under --json it is one compact JSON object with ``command``
 first and then the same keys, in the same order, with the same values.
-All numerals are decimal.  The modulus always arrives as a
+A command on a modulus starts each record with ``n``, which ``emit``
+renders once per command, not once per record.  All numerals are
+decimal.  The modulus always arrives as a
 factorization string such as ``"2^5 * 3 * 7^2"``; this tool never
 factors anything.
 
@@ -40,16 +42,16 @@ from .sampling import (
 
 def _cmd_decode(args, m, emit) -> None:
     for index in _values(args.index):
-        emit(n=m.n, index=index, residue=decode_index(m, index))
+        emit(index=index, residue=decode_index(m, index))
 
 
 def _cmd_encode(args, m, emit) -> None:
     for residue in _values(args.residue):
-        emit(n=m.n, residue=residue, index=encode_residue(m, residue))
+        emit(residue=residue, index=encode_residue(m, residue))
 
 
 def _cmd_size(args, m, emit) -> None:
-    emit(n=m.n, size=index_space_size(m))
+    emit(size=index_space_size(m))
 
 
 def _cmd_sample(args, m, emit) -> None:
@@ -58,7 +60,7 @@ def _cmd_sample(args, m, emit) -> None:
     report = _sample_run(m, args.method, source, args.count, values)
     seed = {} if args.seed is None else {"seed": args.seed}
     emit(
-        n=m.n, method=args.method, count=args.count, **seed,
+        method=args.method, count=args.count, **seed,
         values=values, bits_consumed=report.total_bits, attempts=report.total_attempts,
     )
 
@@ -83,7 +85,6 @@ def _cmd_selftest(args, _, emit) -> int | None:
 def _cmd_bench(args, m, emit) -> None:
     for report in compare_bit_budgets(m, args.count, args.seed):
         emit(
-            n=m.n,
             method=report.method,
             samples=report.samples,
             seed=args.seed,
@@ -247,23 +248,35 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-
-    def emit(**fields) -> None:
-        """Print one record at once: ``command`` first, then ``fields`` in order."""
-        if args.json:
-            print(json.dumps({"command": args.command, **fields}, separators=(",", ":")))
-        else:
-            print(args.command, *(f"{key}={_text(value)}" for key, value in fields.items()))
-
     try:
         m = parse_factorization(args.modulus) if "modulus" in args else None
-        return args.handler(args, m, emit) or 0
+        head = {} if m is None else {"n": m.n}
+        return args.handler(args, m, _printer(args.command, args.json, head)) or 0
     except ValueError as exc:  # every library error, FactorizationError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, FactorizationError) else 3
     except _LineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _printer(command: str, as_json: bool, head: dict):
+    """The ``emit`` of one command.  Each call prints one record at once:
+    ``command``, the ``head`` fields, rendered here once, then the call's
+    own fields, which are never empty, in order."""
+    if as_json:
+        # The head object without its closing brace; each record adds
+        # its own fields' object without its opening brace.
+        start = json.dumps({"command": command, **head}, separators=(",", ":"))[:-1]
+
+        def emit(**fields) -> None:
+            print(start, json.dumps(fields, separators=(",", ":"))[1:], sep=",")
+    else:
+        start = " ".join([command, *(f"{key}={_text(value)}" for key, value in head.items())])
+
+        def emit(**fields) -> None:
+            print(start, *(f"{key}={_text(value)}" for key, value in fields.items()))
+    return emit
 
 
 def _text(value) -> str:

@@ -1,6 +1,6 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the base of its records.
 
-Everything derives from ValueError, so callers that do not care about the
+Every error derives from ValueError, so callers that do not care about the
 exact failure mode can catch one builtin type.
 """
 
@@ -36,6 +36,52 @@ def _pairs(items, noun: str, fields: str, error=ValueError):
             # Named by position: the repr of a huge integer fails past the int/str limit.
             raise error(f"{noun} at position {position} is not a {fields} pair") from None
         yield a, b
+
+
+class _Record:
+    """Base of the package's records, whose ``__slots__`` and
+    ``__match_args__`` name their fields in order.  As a dataclass, a
+    record shows its fields in its repr, equals only a record of its own
+    class with equal fields, is unhashable, and copies and pickles by its
+    fields.  Plain classes keep ``dataclasses`` and the modules it imports
+    out of ``import qrindex``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, through ``_set``, and then refuse
+    assignment and deletion with AttributeError; hashed by its fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class NotCoprimeError(ValueError):

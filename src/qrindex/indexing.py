@@ -57,8 +57,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import mixedradix
 from .errors import (
@@ -66,6 +65,7 @@ from .errors import (
     IndexRangeError,
     NotAResidueError,
     NotCoprimeError,
+    _FrozenRecord,
     _format_int,
     _pairs,
     _wrong_type,
@@ -83,13 +83,10 @@ __all__ = [
 ]
 
 
-class PrimePower(NamedTuple):
-    p: int
-    k: int
+PrimePower = namedtuple("PrimePower", "p k")
 
 
-@dataclass(frozen=True)
-class RootProfile:
+class RootProfile(_FrozenRecord):
     """Canonical per-factor square-root choices for one residue.
 
     ``odd_roots`` holds one ``(x, c)`` pair per odd prime power, aligned
@@ -97,8 +94,12 @@ class RootProfile:
     ``y = 1 + 2*c`` and is present exactly when the 2-exponent exceeds 3.
     """
 
-    odd_roots: tuple[tuple[int, int], ...]
-    two_part_digit: int | None = None
+    __slots__ = __match_args__ = ("odd_roots", "two_part_digit")
+
+    def __init__(
+        self, odd_roots: tuple[tuple[int, int], ...], two_part_digit: int | None = None
+    ):
+        self._set(odd_roots, two_part_digit)
 
 
 class FactoredModulus:

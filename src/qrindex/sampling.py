@@ -6,7 +6,7 @@ strategy spends.  Every built-in source serves its words through the
 one buffered BitSource.next_bits, refilled in blocks: the stream is the
 same bits in the same order for any word sizes, ledgers count the bits
 served, never the bits fetched ahead, and a finite source runs dry
-through the same call.  A ledger is a slotted dataclass that
+through the same call.  A ledger is a slotted record that
 draw_uniform settles once per call, exact on every exit path.  Two
 strategies are implemented on top of the same rejection primitive:
 
@@ -29,9 +29,8 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass
 
-from .errors import _format_int, _wrong_type
+from .errors import _FrozenRecord, _Record, _format_int, _wrong_type
 from .indexing import FactoredModulus, _decode, index_space_size
 
 __all__ = [
@@ -174,16 +173,18 @@ class ScriptedBitSource(BitSource):
         return int("0" + bits, 2), len(bits)
 
 
-@dataclass(slots=True)
-class RandomBitLedger:
+class RandomBitLedger(_Record):
     """Running totals a sampling call adds to: bits drawn, attempts made.
 
-    A slotted dataclass: each draw builds one, so it carries no instance
+    A slotted record: each draw builds one, so it carries no instance
     dict, and an unknown attribute raises AttributeError.
     """
 
-    bits_consumed: int = 0
-    attempts: int = 0
+    __slots__ = __match_args__ = ("bits_consumed", "attempts")
+
+    def __init__(self, bits_consumed: int = 0, attempts: int = 0):
+        self.bits_consumed = bits_consumed
+        self.attempts = attempts
 
 
 def draw_uniform(n: int, source: BitSource, ledger: RandomBitLedger) -> int:
@@ -279,16 +280,21 @@ def sample_residue_classical(
 _SAMPLERS = {"index": sample_residue_by_index, "classical": sample_residue_classical}
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(_FrozenRecord):
     """Aggregate cost statistics for one sampling run."""
 
-    method: str
-    samples: int
-    total_bits: int
-    total_attempts: int
-    mean_bits_per_sample: float
-    theoretical_floor: float
+    __slots__ = __match_args__ = (
+        "method", "samples", "total_bits", "total_attempts", "mean_bits_per_sample",
+        "theoretical_floor",
+    )
+
+    def __init__(
+        self, method: str, samples: int, total_bits: int, total_attempts: int,
+        mean_bits_per_sample: float, theoretical_floor: float,
+    ):
+        self._set(
+            method, samples, total_bits, total_attempts, mean_bits_per_sample, theoretical_floor
+        )
 
 
 def _log2(n: int) -> float:

@@ -97,6 +97,47 @@ class TestBatchMode:
         code, out, err = self.run_with_stdin(capsys, monkeypatch, data, *argv, option, "-")
         assert (code, out, err) == (0, single, "")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "command,option,values",
+        [
+            ("decode", "--index", ["1", "2", "17", "48", "2"]),
+            ("encode", "--residue", ["1", "2161", "1249", "289", "1"]),
+        ],
+    )
+    def test_many_lines_on_a_modulus_with_every_kind_of_part(
+        self, capsys, monkeypatch, json_flag, command, option, values
+    ):
+        argv = [command, *json_flag, "--modulus", "2^6 * 3^2 * 5"]
+        single = [run(capsys, *argv, option, value) for value in values]
+        assert all(code == 0 and err == "" for code, _, err in single)
+        data = "".join(f"{value}\n" for value in values).encode()
+        code, out, err = self.run_with_stdin(capsys, monkeypatch, data, *argv, option, "-")
+        assert (code, out, err) == (0, "".join(out for _, out, _ in single), "")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_n_is_rendered_once_per_command(self, capsys, monkeypatch, json_flag):
+        # Every value the human and the JSON printers render, in order.
+        rendered, text, dumps = [], cli._text, json.dumps
+
+        def spy_text(value):
+            rendered.append(value)
+            return text(value)
+
+        def spy_dumps(obj, **kwargs):
+            rendered.extend(obj.values())
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli, "_text", spy_text)
+        monkeypatch.setattr(cli.json, "dumps", spy_dumps)
+        code, out, _ = self.run_with_stdin(
+            capsys, monkeypatch, b"1\n2\n3\n4\n", "decode", *json_flag,
+            "--modulus", "2^6 * 3^2 * 5", "--index", "-",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert rendered.count(2**6 * 3**2 * 5) == 1
+
     def test_empty_input_prints_nothing(self, capsys, monkeypatch):
         code, out, err = self.run_with_stdin(
             capsys, monkeypatch, b"", "decode", "--modulus", "3*5", "--index", "-"

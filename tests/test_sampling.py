@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -434,7 +433,8 @@ class TestDrawUniform:
         assert source.position == 128 * 3
 
     def test_ledger_is_a_slotted_dataclass(self):
-        assert [f.name for f in dataclasses.fields(RandomBitLedger)] == ["bits_consumed", "attempts"]
+        assert RandomBitLedger.__match_args__ == ("bits_consumed", "attempts")
+        assert RandomBitLedger.__slots__ == ("bits_consumed", "attempts")
         ledger = RandomBitLedger(5, 2)
         assert ledger == RandomBitLedger(bits_consumed=5, attempts=2)
         assert ledger != RandomBitLedger(5, 3)
