@@ -4,10 +4,10 @@ Nothing here is clever and nothing here shares code with the codec under
 test: the module's own trial division finds the prime divisors of n,
 the units up to n/2 are what is left when their multiples are struck
 out, and residues come from literally squaring those units.  The
-certifier decodes every index and encodes the image in one batch call
-each, and checks both against that enumeration; only when that batch
-pass fails does it replay the indices one at a time, to name each
-violation.  Kept separate so a bug in the fast path cannot hide itself.
+certifier decodes every index in one call and encodes the image in one
+call, whether the modulus passes or fails, and reads every violation
+off those two result lists, reported grouped by kind.  Kept separate so
+a bug in the fast path cannot hide itself.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .indexing import FactoredModulus, decode_indices, encode_residues, index_sp
 __all__ = ["CertificationReport", "certify_bijection", "enumerate_qr", "factor_trial_division"]
 
 _ENUMERATION_CAP = 10**6
+_RAISED = object()  # the result of a value whose call raised: equals no result
 
 
 def enumerate_qr(n: int) -> list[int]:
@@ -97,73 +98,64 @@ class CertificationReport(_Record):
 def certify_bijection(m: FactoredModulus) -> CertificationReport:
     """Prove decode is a bijection onto the enumerated residues for one N.
 
-    One batch pass decodes every index and encodes the decoded image; N
-    passes when the index space size matches the enumeration, the sorted
-    image equals it and encoding the image gives back ``1..size`` in
-    order.  Otherwise every index is replayed alone to diagnose, in
-    order: every index decodes without error; no two indices collide;
-    encode inverts decode on every index; the decoded image equals the
-    enumeration as a set.  Every violation lands in the report instead
-    of raising, so a sweep over many moduli reports all offenders at
-    once.
+    One call decodes every index and one call encodes the distinct
+    residues decoded, whether N passes or fails; every violation is read
+    off those two result lists and reported grouped by kind, in this
+    order: the index space size disagrees with the enumeration; an index
+    fails to decode; two indices collide; a residue fails to encode;
+    encode does not invert decode; the decoded image differs from the
+    enumeration as a set.  A result list of the wrong length is a
+    violation too.  Only a call that raises is run again, one value at a
+    time, to name each value that raises.  Every violation lands in the
+    report instead of raising, so a sweep over many moduli reports all
+    offenders at once.
     """
     size = index_space_size(m)
     report = CertificationReport(n=m.n, indices_checked=size)
+    failures = report.failures
     expected = enumerate_qr(m.n)
     if size != len(expected):
-        report.failures.append(
-            f"index space size {size} but enumeration found {len(expected)} residues"
-        )
-    elif _batch_passes(m, size, expected):
-        return report
-    _diagnose(m, size, expected, report)
-    return report
-
-
-def _batch_passes(m: FactoredModulus, size: int, expected: list[int]) -> bool:
-    """One batch decode of ``1..size`` and one batch encode of its image:
-    the sorted image is ``expected`` and the encode gives ``1..size``."""
-    try:
-        image = decode_indices(m, range(1, size + 1))
-        back = encode_residues(m, image)
-        image.sort()
-        return (
-            image == expected
-            and len(back) == size
-            and all(map(operator.eq, back, range(1, size + 1)))
-        )
-    except Exception:
-        return False
-
-
-def _diagnose(m: FactoredModulus, size: int, expected: list[int], report: CertificationReport):
-    """Replay every index alone, recording each violation in ``report``."""
-    seen: dict[int, int] = {}
-    for index in range(1, size + 1):
-        try:
-            z = decode_indices(m, (index,))[0]
-        except Exception as exc:
-            report.failures.append(f"decode({index}) raised {exc!r}")
-            continue
-        if z in seen:
-            report.failures.append(
-                f"decode collision: indices {seen[z]} and {index} both give {z}"
-            )
-            continue
-        seen[z] = index
-        try:
-            back = encode_residues(m, (z,))[0]
-        except Exception as exc:
-            report.failures.append(f"encode({z}) raised {exc!r}")
-            continue
-        if back != index:
-            report.failures.append(
-                f"roundtrip broke: index {index} decodes to {z} but encodes to {back}"
-            )
-    image = sorted(seen)
+        failures.append(f"index space size {size} but enumeration found {len(expected)} residues")
+    indices = range(1, size + 1)
+    first = {}  # each residue, in decode order, and the first index giving it
+    for index, z in zip(indices, _results(decode_indices, m, indices, "decode", failures)):
+        if z is not _RAISED and first.setdefault(z, index) != index:
+            failures.append(f"decode collision: indices {first[z]} and {index} both give {z}")
+    residues, owners = list(first), list(first.values())
+    back = _results(encode_residues, m, residues, "encode", failures)
+    if back != owners:
+        for z, index, got in zip(residues, owners, back):
+            if got is not _RAISED and got != index:
+                failures.append(
+                    f"roundtrip broke: index {index} decodes to {z} but encodes to {got}"
+                )
+    image = sorted(residues)
     if image != expected:
         missing = sorted(set(expected) - set(image))[:5]
         extra = sorted(set(image) - set(expected))[:5]
-        report.failures.append(
-            f"image mismatch: missing {missing}, extraneous {extra}"
-        )
+        failures.append(f"image mismatch: missing {missing}, extraneous {extra}")
+    return report
+
+
+def _results(batch, m: FactoredModulus, values, name: str, failures: list[str]) -> list:
+    """``batch(m, values)``; if that raises, each value alone, with each
+    value that raises named in ``failures`` and its result ``_RAISED``.
+    A call that raises on the whole list but on no single value, and a
+    result list whose length is not ``len(values)``, are named too."""
+    try:
+        results = batch(m, values)
+    except Exception as batch_exc:
+        results, named = [], len(failures)
+        for value in values:
+            try:
+                results.append(batch(m, (value,))[0])
+            except Exception as exc:
+                failures.append(f"{name}({value}) raised {exc!r}")
+                results.append(_RAISED)
+        if len(failures) == named:
+            failures.append(
+                f"{name} raised {batch_exc!r} on {len(values)} values but on no single value"
+            )
+    if len(results) != len(values):
+        failures.append(f"{name} gave {len(results)} results for {len(values)} values")
+    return results

@@ -263,7 +263,9 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
     and the precision ladder its modulus prepared; here the inverse
     ``1/x`` mod p costs one modular inverse and the ladder is planned per
     call.  A p**k over ``_MAX_MODULUS_BITS``, counted as ``k * bitlen(p)``
-    as a modulus is, raises ValueError before any power is built.
+    as a modulus is, raises ValueError before any power is built.  p is
+    not proven prime: an x that shares a factor with a composite p
+    raises ValueError naming both.
     """
     x, z, p, k = map(operator.index, (x, z, p, k))
     if p < 3 or p % 2 == 0:
@@ -284,7 +286,11 @@ def hensel_lift_sqrt(x: int, z: int, p: int, k: int) -> int:
             f"{_format_int(x)} is not a square root of {_format_int(z)}"
             f" modulo {_format_int(p)}"
         )
-    return _lift_inverse_root(x, pow(x, -1, p), z, pk, _precision_ladder(p, k))
+    try:
+        x_inverse = pow(x, -1, p)
+    except ValueError:  # z % p != 0 makes z, and so x, a unit only for a prime p
+        raise ValueError(f"{_format_int(x)} is not a unit modulo {_format_int(p)}") from None
+    return _lift_inverse_root(x, x_inverse, z, pk, _precision_ladder(p, k))
 
 
 def _precision_ladder(p: int, k: int) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qrindex.bruteforce as bruteforce
+import qrindex.indexing as indexing
+import qrindex.numbertheory as numbertheory
 from qrindex import (
     CertificationReport,
     FactorizationError,
@@ -101,11 +105,20 @@ class TestCertifyBijection:
             assert certify_bijection(factor_trial_division(n)).passed, n
 
     def test_collision_and_image_failures_are_reported(self, monkeypatch):
-        monkeypatch.setattr(bruteforce, "decode_indices", lambda m, indices: [1 for _ in indices])
-        report = certify_bijection(factor_trial_division(21))
-        assert not report.passed
-        assert any("collision" in f for f in report.failures)
-        assert any("image mismatch" in f for f in report.failures)
+        # Every violation is read off the two result lists: nothing is run
+        # again, even though the modulus fails.
+        def all_one(m, indices):
+            return [1 for _ in indices]
+
+        calls = _spy(monkeypatch, all_one, bruteforce.encode_residues)
+        m = factor_trial_division(21)
+        report = certify_bijection(m)
+        assert calls == [("decode", index_space_size(m)), ("encode", 1)]
+        assert report.failures == [
+            "decode collision: indices 1 and 2 both give 1",
+            "decode collision: indices 1 and 3 both give 1",
+            "image mismatch: missing [4, 16], extraneous []",
+        ]
 
     def test_decode_exception_is_captured(self, monkeypatch):
         def broken(m, indices):
@@ -139,8 +152,9 @@ class TestCertifyBijection:
         assert not report.passed
 
     def test_one_bad_index_is_named_alone(self, monkeypatch):
-        # The batch pass fails on the whole range; the per-index replay then
-        # names only the index that raises, and the residue it never gave.
+        # The decode call raises on the whole range; running it again one
+        # index at a time names only the index that raises, and the residue
+        # it never gave.
         decode = bruteforce.decode_indices
 
         def broken_at_2(m, indices):
@@ -159,24 +173,118 @@ class TestCertifyBijection:
         ]
 
     def test_a_passing_modulus_takes_one_call_per_direction(self, monkeypatch):
-        calls = []
-
-        def spy(name, batch):
-            def call(m, values):
-                values = list(values)
-                calls.append((name, len(values)))
-                return batch(m, values)
-
-            return call
-
-        monkeypatch.setattr(bruteforce, "decode_indices", spy("decode", bruteforce.decode_indices))
-        monkeypatch.setattr(bruteforce, "encode_residues", spy("encode", bruteforce.encode_residues))
+        calls = _spy(monkeypatch, bruteforce.decode_indices, bruteforce.encode_residues)
         for n in (2, 15, 1000):
             calls.clear()
             m = factor_trial_division(n)
             assert certify_bijection(m).passed
             size = index_space_size(m)
             assert calls == [("decode", size), ("encode", size)], n
+
+    def test_violations_are_grouped_by_kind(self, monkeypatch):
+        decode, encode = bruteforce.decode_indices, bruteforce.encode_residues
+        m = factor_trial_division(45)
+        z = [None] + decode(m, range(1, 7))  # z[i] is the residue of index i
+
+        def decode_stand_in(m, indices):
+            indices = list(indices)
+            if 2 in indices:
+                raise RuntimeError("boom")
+            return [z[1] if i == 4 else z[i] for i in indices]  # 4 collides with 1
+
+        def encode_stand_in(m, residues):
+            residues = list(residues)
+            if z[3] in residues:
+                raise RuntimeError("boom")
+            return [99 if r == z[5] else encode(m, [r])[0] for r in residues]
+
+        monkeypatch.setattr(bruteforce, "decode_indices", decode_stand_in)
+        monkeypatch.setattr(bruteforce, "encode_residues", encode_stand_in)
+        missing = sorted([z[2], z[4]])
+        assert certify_bijection(m).failures == [
+            "decode(2) raised RuntimeError('boom')",
+            f"decode collision: indices 1 and 4 both give {z[1]}",
+            f"encode({z[3]}) raised RuntimeError('boom')",
+            f"roundtrip broke: index 5 decodes to {z[5]} but encodes to 99",
+            f"image mismatch: missing {missing}, extraneous []",
+        ]
+
+    def test_a_short_decode_result_is_reported(self, monkeypatch):
+        decode = bruteforce.decode_indices
+
+        def short(m, indices):
+            return decode(m, indices)[:-1]
+
+        monkeypatch.setattr(bruteforce, "decode_indices", short)
+        m = factor_trial_division(3 * 7)
+        last = decode(m, [index_space_size(m)])
+        assert certify_bijection(m).failures == [
+            "decode gave 2 results for 3 values",
+            f"image mismatch: missing {last}, extraneous []",
+        ]
+
+    def test_a_short_encode_result_is_reported(self, monkeypatch):
+        encode = bruteforce.encode_residues
+
+        def short(m, residues):
+            return encode(m, residues)[:-1]
+
+        monkeypatch.setattr(bruteforce, "encode_residues", short)
+        report = certify_bijection(factor_trial_division(3 * 7))
+        assert report.failures == ["encode gave 2 results for 3 values"]
+
+
+    @pytest.mark.parametrize(
+        "name,attr", [("decode", "decode_indices"), ("encode", "encode_residues")]
+    )
+    def test_a_call_that_raises_only_on_many_values_is_reported(self, monkeypatch, name, attr):
+        # Run alone, every value succeeds and gives the right result, so
+        # only the failed whole-list call itself can be reported.
+        batch = getattr(bruteforce, attr)
+
+        def raises_on_many(m, values):
+            values = list(values)
+            if len(values) > 1:
+                raise RuntimeError("batch only")
+            return batch(m, values)
+
+        monkeypatch.setattr(bruteforce, attr, raises_on_many)
+        report = certify_bijection(factor_trial_division(3 * 7))
+        assert report.failures == [
+            f"{name} raised RuntimeError('batch only') on 3 values but on no single value"
+        ]
+
+
+def _spy(monkeypatch, decode, encode):
+    """Hand the certifier ``decode`` and ``encode`` as its codec; returns the
+    list that records each call as ``(direction, number of values)``."""
+    calls = []
+
+    def spy(name, batch):
+        def call(m, values):
+            values = list(values)
+            calls.append((name, len(values)))
+            return batch(m, values)
+
+        return call
+
+    monkeypatch.setattr(bruteforce, "decode_indices", spy("decode", decode))
+    monkeypatch.setattr(bruteforce, "encode_residues", spy("encode", encode))
+    return calls
+
+
+def test_the_oracle_imports_only_public_codec_names():
+    # The certifier may call the codec only through its public entry
+    # points, never share a private helper with it: a bug in the fast
+    # path must not be able to hide itself.
+    public = {"indexing": indexing.__all__, "numbertheory": numbertheory.__all__}
+    imported = {}
+    for node in ast.walk(ast.parse(Path(bruteforce.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in public:
+            imported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    assert imported["indexing"]  # the walk does find the codec import
+    for module, names in imported.items():
+        assert set(names) <= set(public[module]), module
 
 
 def test_certification_report_passed_property():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -697,6 +698,18 @@ class TestProfiles:
             assert 1 <= x2 <= 3 and c2 == 0
             assert 0 <= profile.two_part_digit < 4
             assert profile_to_index(m, profile) == index
+
+    def test_a_bad_index_is_refused_as_decode_refuses_it(self):
+        m = parse_factorization("3*5")
+        for index in (0, index_space_size(m) + 1):
+            with pytest.raises(IndexRangeError) as decode_error:
+                decode_index(m, index)
+            with pytest.raises(IndexRangeError, match=f"^{re.escape(str(decode_error.value))}$"):
+                index_to_profile(m, index)
+        with pytest.raises(TypeError) as decode_error:
+            decode_index(m, 2.0)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(decode_error.value))}$"):
+            index_to_profile(m, 2.0)
 
     def test_odd_modulus_has_no_two_part_digit(self):
         profile = index_to_profile(parse_factorization("3*5"), 2)

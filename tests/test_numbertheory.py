@@ -691,6 +691,9 @@ class TestHenselLiftSqrt:
             hensel_lift_sqrt(1, 3, 3, 2)  # z not a unit
         with pytest.raises(ValueError):
             hensel_lift_sqrt(2, 11, 5, 2)  # 2*2 = 4 but 11 = 1 mod 5
+        # p is not proven prime: 6*6 = 6 mod 15, but 6 has no inverse there.
+        with pytest.raises(ValueError, match="^6 is not a unit modulo 15$"):
+            hensel_lift_sqrt(6, 6, 15, 2)
 
 
 class TestSqrtMod2k:
