@@ -26,29 +26,39 @@ Each direction of the codec is one batch loop, ``decode_indices`` and
 steps once, then checks and maps each value in turn, raising at the
 first bad one.  ``decode_index`` and ``encode_residue`` are their
 one-element case.  Decoding an index to its residue takes
-O(log^3 N) bit work.
+O(log^3 N) bit work.  A batch to encode whose known length
+(``operator.length_hint``) is at least a part's residue count
+``(p-1)/2 * p**(e-1)``, or ``2**(e-3)``, tabulates that part: one
+table per call, built before the loop by squaring every canonical
+root, maps each unit square modulo the part to its digits, and one
+lookup replaces the part's root and lift for every value.  So no
+table has more entries than the batch has values; a generator, of
+known length 0, and a single value take the per-value path, save for
+the one-entry table of the part 3, prepared with the modulus.
 The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
 digits take no step.  Encoding inverts it, per residue, in one pass
-over one prepared root step per odd part, in ascending-prime order: a
-Tonelli-Shanks root on the step's non-residue power, computed once
-with the modulus, that also yields its inverse, which starts the
-Newton lift to ``p**e`` over the step's prepared ladder, each digit
-added at its place value as it comes, then the 2-part digit at the top
-place, from the 2-adic root.  Both lifts start from a root exact at
-the base precision, the Tonelli-Shanks root modulo p or r = 1 modulo
-2**3, take their rungs from one exponent plan, planned top-down so no
-rung overshoots, and end with one Karp-Markstein step from half
+over one prepared root step per odd part, in ascending-prime order,
+then the 2-part.  Each part's digits ``x - 1 + c*(p-1)/2`` (the 2-part's
+c alone) enter the index at the part's place, the product of the
+residue counts before it, prepared with the modulus.  An odd part's
+digits come from a Tonelli-Shanks root on the step's non-residue power,
+computed once with the modulus, that also yields its inverse, which
+starts the Newton lift to ``p**e`` over the step's prepared ladder; the
+2-part digit comes from the 2-adic root.  Both lifts start from a root
+exact at the base precision, the Tonelli-Shanks root modulo p or r = 1
+modulo 2**3, take their rungs from one exponent plan, planned top-down
+so no rung overshoots, and end with one Karp-Markstein step from half
 precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
 root is the half-precision one.  No digit list is built and no
 modular inverse is taken.  The unit test, a gcd with N, runs only on
 the error path and is the only one: z = 0 mod p fails that prime's
-Tonelli-Shanks step, an even z fails the 2-part congruence class, and
-the gcd then names either one not a unit.  The ``RootProfile`` views
-are ``decode_index`` and ``encode_residue`` composed with
-``mixedradix.pack``/``unpack``.
+Tonelli-Shanks step, which a table miss also reaches, an even z fails
+the 2-part congruence class, and the gcd then names either one not a
+unit.  The ``RootProfile`` views are ``decode_index`` and
+``encode_residue`` composed with ``mixedradix.pack``/``unpack``.
 """
 
 from __future__ import annotations
@@ -117,13 +127,17 @@ class FactoredModulus:
     once: ``|QR(N)|``, the radix schedule, the decode steps, one
     ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
     element of its part (1 modulo that part, 0 modulo the others, one
-    integer per part), and the encode root steps, one ``(p, p**k,
-    (p-1)/2, p**(k-1), s, e, c, ladder)`` per odd part with ``p - 1 =
-    (2e+1) * 2**s``, ``c`` the Tonelli-Shanks non-residue power of order
-    2**s, found once p is proven prime, and ``ladder`` the Newton
-    precisions ``p**j`` that ``numbertheory._precision_ladder`` plans
-    top-down from ``p**ceil(k/2)``, where the lift's Karp-Markstein
-    finish starts (empty when k <= 2).  Both hold the schedule's own
+    integer per part), and the encode root steps, one ``(p, p**k, (p-1)/2,
+    count, place, table, s, e, c, ladder)`` per odd part with ``count =
+    (p-1)/2 * p**(k-1)`` its residues, ``place`` the product of the
+    counts before it, ``table`` the one-entry square table when count is
+    1 (the part 3) and None otherwise, ``p - 1 = (2e+1) * 2**s``, ``c``
+    the Tonelli-Shanks non-residue power of order 2**s, found once p is
+    proven prime, and ``ladder`` the Newton precisions ``p**j`` that
+    ``numbertheory._precision_ladder`` plans top-down from
+    ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
+    (empty when k <= 2); then ``(2**k2, count, place)`` for a 2-part
+    with k2 > 3.  Decode and root steps hold the schedule's own
     radix integers.  Immutable and freely shareable across threads.
     """
 
@@ -164,42 +178,50 @@ class FactoredModulus:
 
         n = 1 << self.two_exponent
         phi = 1 << max(self.two_exponent - 1, 0)
-        size = 1 << max(self.two_exponent - 3, 0)
+        place = 1
         radices: list[int] = []
+        part_radices = []
         root_steps = []
-        two_part = []
+        two_part = None
         for p, k in self.odd_parts:
             q = p ** k
             half, lower = (p - 1) // 2, q // p
             n *= q
             phi *= (p - 1) * lower
-            size *= half * lower
             radices += [half, lower]
+            part_radices.append((p, q, half, lower))
             s, e = _two_adic_split(p)
             c = _nonresidue_power(p)  # p is proven prime above, so the scan ends
-            root_steps.append((p, q, half, lower, s, e, c, _precision_ladder(p, k)))
+            count = half * lower
+            # The one part with a single residue, 3, gets its one-entry table here.
+            table = _square_table(p, q, half, count) if count == 1 else None
+            root_steps.append((p, q, half, count, place, table, s, e, c, _precision_ladder(p, k)))
+            place *= count
         if self.two_exponent > 3:
             radices.append(1 << (self.two_exponent - 3))
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
-            two_part.append((2, 1 << self.two_exponent, 1, radices[-1]))
+            part_radices.append((2, 1 << self.two_exponent, 1, radices[-1]))
+            two_part = (1 << self.two_exponent, radices[-1], place)
+            place *= radices[-1]
         if n < 2:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
 
         self.n = n
         self.phi = phi
-        self._size = size
+        self._size = place
         self._radices = tuple(radices)
         # The CRT basis E of part q is 1 mod q and 0 mod every other part:
         # decode is one linear sum.  The steps of a part share its E and keep
         # the scale apart, as storing p*E would add a modulus-sized integer
         # per part.
         steps = []
-        for p, q, half, lower, *_ in root_steps + two_part:
+        for p, q, half, lower in part_radices:
             if half * lower > 1:  # the part has a digit
                 basis = (cofactor := n // q) * pow(cofactor, -1, q)
                 steps += [(r, scale, basis) for r, scale in ((half, 1), (lower, p)) if r > 1]
         self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
+        self._two_part = two_part
 
     def factor_string(self) -> str:
         """The factorization as ``parse_factorization`` reads it, bases
@@ -391,39 +413,68 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     ``decode_indices``.
 
     Checks the modulus once and loads its prepared root steps once.  Per
-    residue, one pass over those steps adds each digit at its place value:
-    no digit list, no modular inverse, and the gcd with N, the only unit
-    test, only when a step or the 2-part congruence class fails.  z is
-    reduced modulo N first.  At the first bad residue, raises
-    NotCoprimeError when z is not a unit, NotAResidueError when some
-    local square root does not exist, ValueError for a negative z and
-    TypeError when z is not an integer, as ``decode_indices`` does for
-    an index.
+    residue, one pass over those steps adds each part's digits at its
+    prepared place value: no digit list, no modular inverse, and the gcd
+    with N, the only unit test, only when a step or the 2-part
+    congruence class fails.  z is reduced modulo N first.  At the first
+    bad residue, raises NotCoprimeError when z is not a unit,
+    NotAResidueError when some local square root does not exist,
+    ValueError for a negative z and TypeError when z is not an integer,
+    as ``decode_indices`` does for an index.
+
+    When ``operator.length_hint(residues)`` is at least a part's residue
+    count, the call first tabulates that part, squaring each canonical
+    root once, and each residue then takes one lookup there in place of
+    Tonelli-Shanks and the lift, or the 2-adic root.  A miss goes on to
+    Tonelli-Shanks, which raises as it always does.  No table has more
+    entries than the batch has values, and a generator, whose known
+    length is 0, tabulates nothing.  Results and errors are the single
+    calls' either way:
+
+    >>> from qrindex import decode_indices, index_space_size, parse_factorization
+    >>> m = parse_factorization("2^5 * 3^2 * 5")
+    >>> residues = decode_indices(m, range(1, index_space_size(m) + 1))
+    >>> encode_residues(m, residues) == [encode_residue(m, z) for z in residues]
+    True
+    >>> encode_residues(m, residues) == list(range(1, 25))
+    True
     """
     # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
     # 2-adic root below 2**(k2-2)); ascending steps name the first bad prime.
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    n, k2, root_steps = m.n, m.two_exponent, m._root_steps
+    n, k2, steps = m.n, m.two_exponent, m._root_steps
+    # A generator's known length is 0.  One value would tabulate only the
+    # part 3, whose table the modulus holds, so it copies no steps.
+    known = operator.length_hint(residues)
+    table2 = None
+    if k2 > 3:
+        q2, count2, place2 = m._two_part
+    if known > 1:
+        steps = [_tabulated(step, known) for step in steps]
+        if k2 > 3 and count2 <= known:
+            table2 = _square_table(2, q2, 1, count2)
     indices = []
     for z in residues:
         z = operator.index(z)  # a float or string raises TypeError, as an index does
         if z < 0:
             raise ValueError(f"residue must be a natural, got {_format_int(z)}")
         z %= n
-        value, place = 0, 1
+        value = 0
         try:
-            for p, q, x_radix, c_radix, s, e, c, ladder in root_steps:
+            for p, q, half, _, place, table, s, e, c, ladder in steps:
                 # One full-width reduction per part: z mod p comes from z mod p**k.
-                # Tonelli-Shanks refuses z = 0 mod p as a non-residue too.
                 zq = z % q
-                x, r = _tonelli_shanks(zq % p, p, s, e, c)
-                value += (x - 1) * place
-                place *= x_radix
-                if c_radix > 1:
-                    # The lift keeps y = x (mod p), so x stays the canonical root.
-                    value += _lift_inverse_root(x, r, zq, q, ladder) // p * place
-                    place *= c_radix
+                digit = table.get(zq) if table is not None else None
+                if digit is None:
+                    # No table, or a miss: Tonelli-Shanks then refuses z mod p,
+                    # a non-residue or 0, with its own message.
+                    x, r = _tonelli_shanks(zq % p, p, s, e, c)
+                    digit = x - 1
+                    if q != p:
+                        # The lift keeps y = x (mod p), so x stays the canonical root.
+                        digit += _lift_inverse_root(x, r, zq, q, ladder) // p * half
+                value += digit * place
             if not _two_part_is_square(k2, z):
                 raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
         except NotAResidueError:
@@ -436,9 +487,30 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
                 ) from None
             raise
         if k2 > 3:
-            value += (sqrt_mod_2k(z, k2) - 1) // 2 * place
+            # z = 1 mod 8 here, so it is a unit square modulo 2**k2: no miss.
+            digit = table2[z % q2] if table2 is not None else (sqrt_mod_2k(z, k2) - 1) // 2
+            value += digit * place2
         indices.append(value + 1)
     return indices
+
+
+def _tabulated(step: tuple, known: int) -> tuple:
+    # A part gets its table when the batch has at least as many values as
+    # the part has residues, so no table outgrows its batch.
+    p, q, half, count, place, table, *rest = step
+    if table is None and count <= known:
+        return (p, q, half, count, place, _square_table(p, q, half, count), *rest)
+    return step
+
+
+def _square_table(p: int, q: int, half: int, count: int) -> dict[int, int]:
+    """Each unit square modulo the part q mapped to its digit ``(x - 1) +
+    c*half``, by squaring every canonical root ``y = x + c*p``, ``1 <= x
+    <= half``, ``c < count/half``.  The 2-part is p = 2 with half = 1."""
+    squares = [
+        y * y % q for base in range(0, count // half * p, p) for y in range(base + 1, base + half + 1)
+    ]
+    return dict(zip(squares, range(count)))
 
 
 def _zero_based(m: FactoredModulus, index: int) -> int:

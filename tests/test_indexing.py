@@ -615,31 +615,127 @@ class TestRoundtrips:
 
 
 def _outcome(call, *args):
-    """What the call returns, or the type and message of what it raises."""
+    """What the call returns, or the type, message and gcd of what it raises."""
     try:
         return call(*args)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "gcd", None)
 
 
 def _bad_residues(m):
-    """A float, a negative, a non-unit and, where N has one, a non-residue."""
-    table = set(enumerate_qr(m.n))
+    """A float, a negative, a non-unit, a unit that is a non-residue at
+    each odd prime alone and, where the 2-part has a class to fail, a unit
+    square at every odd prime outside it."""
+    parts = [p**k for p, k in m.odd_parts] + ([1 << m.two_exponent] if m.two_exponent else [])
+
+    def alone(a, q):  # a modulo the part q, 1 modulo every other part
+        return crt_combine([(a, q)] + [(1, other) for other in parts if other != q])
+
     non_unit = next(p for p in range(2, m.n + 1) if m.n % p == 0)
-    non_residue = [z for z in range(1, m.n) if math.gcd(z, m.n) == 1 and z not in table][:1]
-    return [1.0, -1, non_unit, *non_residue]
+    bad = [1.0, -1, non_unit]
+    for p, k in m.odd_parts:
+        # Past p when k > 1, so z mod p**k and z mod p differ.
+        non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        bad.append(alone(non_residue + p**k - p, p**k))
+    if m.two_exponent >= 2:
+        bad.append(alone(3, 1 << m.two_exponent))
+    return bad
+
+
+class _TableSpy:
+    """Records the tables ``encode_residues`` builds, as ``(q, entries)``,
+    and the per-value root calls, as the p of each Tonelli-Shanks call and
+    the 2**k of each 2-adic one."""
+
+    def __init__(self, monkeypatch):
+        self.tables, self.roots = [], []
+        square_table, tonelli_shanks = indexing._square_table, indexing._tonelli_shanks
+
+        def table(p, q, half, count):
+            built = square_table(p, q, half, count)
+            self.tables.append((q, len(built)))
+            return built
+
+        def root(a, p, *constants):
+            self.roots.append(p)
+            return tonelli_shanks(a, p, *constants)
+
+        def two_adic(z, k):
+            self.roots.append(1 << k)
+            return sqrt_mod_2k(z, k)
+
+        monkeypatch.setattr(indexing, "_square_table", table)
+        monkeypatch.setattr(indexing, "_tonelli_shanks", root)
+        monkeypatch.setattr(indexing, "sqrt_mod_2k", two_adic)
+
+    def clear(self):
+        self.tables.clear()
+        self.roots.clear()
 
 
 class TestBatchCodec:
     """``decode_indices`` and ``encode_residues`` against the single calls."""
 
     def test_batches_match_the_single_calls_for_every_small_n(self):
-        for n in range(2, 401):
+        # Encode over criterion 1's range: the whole-residue batch looks each
+        # part up in its table, while a single call takes Tonelli-Shanks, the
+        # lift and the 2-adic root, so each path checks the other.
+        for n in range(2, 3001):
             m = factor_trial_division(n)
-            indices = range(1, index_space_size(m) + 1)
-            assert decode_indices(m, indices) == [decode_index(m, i) for i in indices], n
+            if n <= 400:
+                indices = range(1, index_space_size(m) + 1)
+                assert decode_indices(m, indices) == [decode_index(m, i) for i in indices], n
             table = enumerate_qr(n)
             assert encode_residues(m, table) == [encode_residue(m, z) for z in table], n
+
+    def test_a_whole_residue_batch_takes_no_per_value_root(self, monkeypatch):
+        spy = _TableSpy(monkeypatch)
+        for n in range(2, 401):
+            m = factor_trial_division(n)
+            table = enumerate_qr(n)
+            spy.clear()
+            assert decode_indices(m, encode_residues(m, table)) == table, n
+            assert spy.roots == [], n
+            # One table per part with more than one residue, none outgrowing
+            # the batch; the part 3's single entry comes with the modulus.
+            parts = [p**k for p, k in m.odd_parts if p**k != 3]
+            parts += [1 << m.two_exponent] if m.two_exponent > 3 else []
+            assert [q for q, _ in spy.tables] == parts, n
+            assert all(entries <= len(table) for _, entries in spy.tables), n
+
+    @pytest.mark.parametrize("factors", ["2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2"])
+    def test_tables_follow_the_batch_length(self, factors, monkeypatch):
+        m = parse_factorization(factors)
+        # Each part's residue count, and what the spy records for its
+        # per-value root: p for Tonelli-Shanks, 2**k2 for the 2-adic root.
+        counts = {p**k: (p - 1) // 2 * p ** (k - 1) for p, k in m.odd_parts}
+        roots = {p**k: p for p, k in m.odd_parts}
+        if m.two_exponent > 3:
+            counts[1 << m.two_exponent] = 1 << (m.two_exponent - 3)
+            roots[1 << m.two_exponent] = 1 << m.two_exponent
+        residues = decode_indices(m, range(1, index_space_size(m) + 1))
+        spy = _TableSpy(monkeypatch)
+        for length in range(1, 2 * max(counts.values()) + 1):
+            batch = residues[:length]
+            spy.clear()
+            assert encode_residues(m, batch) == list(range(1, length + 1)), length
+            tabulated = [q for q, count in counts.items() if 1 < count <= length]
+            assert sorted(q for q, _ in spy.tables) == sorted(tabulated), length
+            assert all(entries == counts[q] <= length for q, entries in spy.tables), length
+            # The parts with more residues than the batch has values take the
+            # per-value root, once per value.
+            expected = [roots[q] for q, count in counts.items() if count > length] * length
+            assert sorted(spy.roots) == sorted(expected), length
+        # A single value builds no table; a generator, of known length 0,
+        # takes the per-value path for every value.
+        for z in residues[:3]:
+            spy.clear()
+            encode_residue(m, z)
+            assert spy.tables == [], z
+        spy.clear()
+        assert encode_residues(m, (z for z in residues)) == list(range(1, len(residues) + 1))
+        assert spy.tables == []
+        assert len(spy.roots) == len(residues) * len([q for q, c in counts.items() if c > 1])
 
     def test_bad_values_raise_as_the_single_call_does_alone_and_mid_batch(self):
         for n in range(2, 401):
@@ -650,13 +746,21 @@ class TestBatchCodec:
                 assert isinstance(raised, tuple), (n, bad)
                 assert _outcome(decode_indices, m, [bad]) == raised, (n, bad)
                 assert _outcome(decode_indices, m, [1, bad, size]) == raised, (n, bad)
+            # The whole-residue batches tabulate every part, so a bad value
+            # first, in the middle and last meets the table path.
+            table = enumerate_qr(n)
+            middle = len(table) // 2
             for bad in _bad_residues(m):
                 raised = _outcome(encode_residue, m, bad)
                 assert isinstance(raised, tuple), (n, bad)
                 if isinstance(bad, int) and bad > 0:
-                    assert raised == _expected_encode_outcome(m, bad)[:2], (n, bad)
-                assert _outcome(encode_residues, m, [bad]) == raised, (n, bad)
-                assert _outcome(encode_residues, m, [1, bad, 1]) == raised, (n, bad)
+                    assert raised == _expected_encode_outcome(m, bad), (n, bad)
+                batches = (
+                    [bad], [1, bad, 1], [bad, *table], [*table[:middle], bad, *table[middle:]],
+                    [*table, bad],
+                )
+                for i, batch in enumerate(batches):
+                    assert _outcome(encode_residues, m, batch) == raised, (n, bad, i)
 
     def test_the_first_bad_value_is_the_one_named(self):
         m = parse_factorization("3 * 5 * 7")
@@ -900,15 +1004,21 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the schedule's radices themselves, and its
-        # Newton ladder, planned top-down: it ends on the half rung
+        # A root step holds the schedule's x radix itself, its part's
+        # residue count and place (the product of the counts before it),
+        # the one-entry table of the part 3 and no other, and its Newton
+        # ladder, planned top-down: it ends on the half rung
         # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
         # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.
         assert len(m._root_steps) == m.r
+        expected_place = 1
         for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, c_radix, s, e, c, ladder = step
+            sp, q, x_radix, count, place, table, s, e, c, ladder = step
             assert sp == p and q == p**k
-            assert x_radix is m._radices[2 * i] and c_radix is m._radices[2 * i + 1]
+            assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
+            assert place == expected_place
+            expected_place *= count
+            assert table == ({1: 0} if q == 3 else None)
             assert (2 * e + 1) << s == p - 1 and s >= 1
             assert pow(c, 1 << (s - 1), p) == p - 1
             assert isinstance(ladder, tuple)
@@ -919,6 +1029,13 @@ class TestCrtBasis:
             assert ladder == tuple(p**j for j in exponents)
             assert exponents[0] == 2 and exponents[-1] == (k + 1) // 2
             assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
+        # The 2-part, with a digit past 2^3, takes the top place.
+        if m.two_exponent > 3:
+            assert m._two_part == (1 << m.two_exponent, m._radices[-1], expected_place)
+            expected_place *= m._radices[-1]
+        else:
+            assert m._two_part is None
+        assert expected_place == index_space_size(m)
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_encode_matches_the_checked_pack_path(self, m):
