@@ -99,7 +99,10 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
     """Prove decode is a bijection onto the enumerated residues for one N.
 
     One call decodes every index and one call encodes the distinct
-    residues decoded, whether N passes or fails; every violation is read
+    residues decoded, whether N passes or fails.  The decode call takes
+    ``range(1, size + 1)``, so for an index space of at most 4096
+    indices it certifies ``decode_indices``' whole-space walk, not the
+    per-index path, which larger spaces take.  Every violation is read
     off those two result lists and reported grouped by kind, in this
     order: the index space size disagrees with the enumeration; an index
     fails to decode; two indices collide; a residue fails to encode;

@@ -29,21 +29,26 @@ one-element case.  Decoding an index to its residue takes
 O(log^3 N) bit work.  A batch to encode whose known length
 (``operator.length_hint``) is at least a part's residue count
 ``(p-1)/2 * p**(e-1)``, or ``2**(e-3)``, tabulates that part: one
-table per call, built before the loop by squaring every canonical
-root, maps each unit square modulo the part to its digits, and one
-lookup replaces the part's root and lift for every value.  So no
-table has more entries than the batch has values; a generator, of
-known length 0, and a single value take the per-value path, save for
-the one-entry table of the part 3, prepared with the modulus.
+table per call, built by squaring every canonical root once the first
+value is known to be a unit square, maps each unit square modulo the
+part to its digits, and one lookup replaces the part's root and lift
+for every value.  So no table has more entries than the batch
+has values, and a batch whose first value is bad builds none; a
+generator, of known length 0, and a single value take the per-value
+path, save for the one-entry table of the part 3, prepared with the
+modulus.
 The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
-digits take no step.  Encoding inverts it, per residue, in one pass
-over one prepared root step per odd part, in ascending-prime order,
-then the 2-part.  Each part's digits ``x - 1 + c*(p-1)/2`` (the 2-part's
-c alone) enter the index at the part's place, the product of the
-residue counts before it, prepared with the modulus.  An odd part's
+digits take no step.  The form is linear, so a whole index space of
+at most ``_BLOCK`` indices, passed as ``range(1, |QR(N)| + 1)``, is
+decoded by building every root sum in index order, one term per digit,
+and squaring each once.  Encoding inverts the form, per residue, in
+one pass over one prepared root step per odd part, in ascending-prime
+order, then the 2-part.  Each part's digits ``x - 1 + c*(p-1)/2`` (the
+2-part's c alone) enter the index at the part's place, the product of
+the residue counts before it, prepared with the modulus.  An odd part's
 digits come from a Tonelli-Shanks root on the step's non-residue power,
 computed once with the modulus, that also yields its inverse, which
 starts the Newton lift to ``p**e`` over the step's prepared ladder; the
@@ -395,10 +400,25 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     space IndexRangeError, at the first bad index.  Each residue is the
     linear form ``1 + sum(digit * scale * E)`` mod N over the modulus'
     prepared decode steps, squared: no profile is built.
+
+    A ``range`` over the whole index space ``1..|QR(N)|``, when that
+    space holds at most ``_BLOCK`` indices, is walked instead: the root
+    sums of every digit tuple are built in index order, most significant
+    step outermost, one term per digit, and each is squared once.  Any
+    other iterable, every other range included, takes the per-index
+    path, with the same results:
+
+    >>> from qrindex import index_space_size, parse_factorization
+    >>> m = parse_factorization("2^5 * 3^2 * 5")
+    >>> indices = range(1, index_space_size(m) + 1)
+    >>> decode_indices(m, indices) == decode_indices(m, list(indices))
+    True
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
     size = m._size
+    if type(indices) is range and size <= _BLOCK and indices == range(1, size + 1):
+        return _decode_all(m)
     residues = []
     for index in indices:
         index = operator.index(index)
@@ -423,13 +443,14 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     as ``decode_indices`` does for an index.
 
     When ``operator.length_hint(residues)`` is at least a part's residue
-    count, the call first tabulates that part, squaring each canonical
-    root once, and each residue then takes one lookup there in place of
-    Tonelli-Shanks and the lift, or the 2-adic root.  A miss goes on to
-    Tonelli-Shanks, which raises as it always does.  No table has more
-    entries than the batch has values, and a generator, whose known
-    length is 0, tabulates nothing.  Results and errors are the single
-    calls' either way:
+    count, the call tabulates that part once the first value is known to
+    be a unit square, squaring each canonical root once, and each residue
+    then takes one lookup there in place of Tonelli-Shanks and the lift,
+    or the 2-adic root.  A miss goes on to Tonelli-Shanks, which raises as
+    it always does.  No table has more entries than the batch has values;
+    a batch whose first value is bad, and a generator, whose known length
+    is 0, tabulate nothing.  Results and errors are the single calls'
+    either way:
 
     >>> from qrindex import decode_indices, index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -450,16 +471,21 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     table2 = None
     if k2 > 3:
         q2, count2, place2 = m._two_part
-    if known > 1:
-        steps = [_tabulated(step, known) for step in steps]
-        if k2 > 3 and count2 <= known:
-            table2 = _square_table(2, q2, 1, count2)
+    # The tables wait for a first value that is a unit square, so a batch
+    # that fails at its first value builds none.
+    pending = known > 1
     indices = []
     for z in residues:
         z = operator.index(z)  # a float or string raises TypeError, as an index does
         if z < 0:
             raise ValueError(f"residue must be a natural, got {_format_int(z)}")
         z %= n
+        if pending:
+            pending = False
+            if is_quadratic_residue(m, z):
+                steps = [_tabulated(step, known) for step in steps]
+                if k2 > 3 and count2 <= known:
+                    table2 = _square_table(2, q2, 1, count2)
         value = 0
         try:
             for p, q, half, _, place, table, s, e, c, ladder in steps:
@@ -537,6 +563,20 @@ def _decode(m: FactoredModulus, value: int) -> int:
         root += digit * scale * e
     root %= m.n
     return root * root % m.n
+
+
+_BLOCK = 1 << 12  # the largest index space decode_indices walks whole
+
+
+def _decode_all(m: FactoredModulus) -> list[int]:
+    # The residue of every index, in order: the roots 1 + sum(digit * t),
+    # t = scale * E mod n, with the newest, more significant step outermost.
+    n = m.n
+    roots = [1]
+    for radix, scale, e in m._decode_steps:
+        t = scale * e % n
+        roots = [u + r for u in range(0, radix * t, t) for r in roots]
+    return [r * r % n for r in roots]
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:

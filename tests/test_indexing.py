@@ -677,14 +677,19 @@ class TestBatchCodec:
     """``decode_indices`` and ``encode_residues`` against the single calls."""
 
     def test_batches_match_the_single_calls_for_every_small_n(self):
-        # Encode over criterion 1's range: the whole-residue batch looks each
-        # part up in its table, while a single call takes Tonelli-Shanks, the
-        # lift and the 2-adic root, so each path checks the other.
+        # Over criterion 1's range, each fast path against the per-value one.
+        # A range walks the index space, while a list takes the per-index
+        # ``_decode`` that the single calls and the sampler use; criterion 1
+        # certifies the walk, so this keeps ``_decode`` checked everywhere.
+        # The whole-residue batch looks each part up in its table, while a
+        # single call takes Tonelli-Shanks, the lift and the 2-adic root.
         for n in range(2, 3001):
             m = factor_trial_division(n)
+            indices = range(1, index_space_size(m) + 1)
+            residues = decode_indices(m, list(indices))
+            assert decode_indices(m, indices) == residues, n
             if n <= 400:
-                indices = range(1, index_space_size(m) + 1)
-                assert decode_indices(m, indices) == [decode_index(m, i) for i in indices], n
+                assert [decode_index(m, i) for i in indices] == residues, n
             table = enumerate_qr(n)
             assert encode_residues(m, table) == [encode_residue(m, z) for z in table], n
 
@@ -736,6 +741,28 @@ class TestBatchCodec:
         assert encode_residues(m, (z for z in residues)) == list(range(1, len(residues) + 1))
         assert spy.tables == []
         assert len(spy.roots) == len(residues) * len([q for q, c in counts.items() if c > 1])
+
+    def test_a_batch_whose_first_value_is_bad_builds_no_table(self, monkeypatch):
+        spy = _TableSpy(monkeypatch)
+        # The part 3^11 has 59,049 residues, fewer than the range has values.
+        m = parse_factorization("3^11")
+        raised = _outcome(encode_residue, m, 2)
+        assert raised[1] == "2 is not a quadratic residue modulo 3"
+        spy.clear()
+        assert _outcome(encode_residues, m, range(2, 200000)) == raised
+        assert spy.tables == []
+        for factors in ("2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2"):
+            m = parse_factorization(factors)
+            residues = decode_indices(m, range(1, index_space_size(m) + 1))
+            for bad in _bad_residues(m):
+                raised = _outcome(encode_residue, m, bad)
+                spy.clear()
+                assert _outcome(encode_residues, m, [bad, *residues]) == raised, (factors, bad)
+                assert spy.tables == [], (factors, bad)
+            # A good first value tabulates every part the batch outnumbers.
+            spy.clear()
+            assert encode_residues(m, [*residues, 1]) == [*range(1, len(residues) + 1), 1]
+            assert spy.tables != []
 
     def test_bad_values_raise_as_the_single_call_does_alone_and_mid_batch(self):
         for n in range(2, 401):
@@ -789,6 +816,69 @@ class TestBatchCodec:
         residues = decode_indices(m, (i for i in indices))
         assert residues == decode_indices(m, indices)
         assert encode_residues(m, (z for z in residues)) == list(indices)
+
+
+class _WalkSpy:
+    """Records the modulus of each whole-space walk ``decode_indices`` takes."""
+
+    def __init__(self, monkeypatch):
+        self.walks = []
+        decode_all = indexing._decode_all
+
+        def walk(m):
+            self.walks.append(m)
+            return decode_all(m)
+
+        monkeypatch.setattr(indexing, "_decode_all", walk)
+
+
+class TestRangeWalk:
+    """``decode_indices`` walks a whole index space of at most ``_BLOCK``
+    indices; every other iterable takes the per-index path, the reference
+    here."""
+
+    @pytest.mark.parametrize(
+        "factors", ["2^6 * 3^2 * 5", "3^2 * 5^2 * 7 * 11", "2^9 * 3^3 * 5 * 7", "2^15"]
+    )
+    def test_a_whole_space_is_walked_and_matches_the_list_path(self, factors, monkeypatch):
+        m = parse_factorization(factors)
+        indices = range(1, index_space_size(m) + 1)
+        expected = decode_indices(m, list(indices))
+        spy = _WalkSpy(monkeypatch)
+        assert decode_indices(m, indices) == expected
+        assert spy.walks == [m]
+
+    def test_every_other_range_takes_the_per_index_path(self, monkeypatch):
+        m = parse_factorization("2^6 * 3^2 * 5")
+        size = index_space_size(m)
+        spy = _WalkSpy(monkeypatch)
+        for indices in (
+            range(1, size), range(2, size + 1), range(5, 10), range(size, size + 1),
+            range(size, 0, -1), range(1, size + 1, 2), range(size, size - 5, -2),
+            range(1, 1), range(5, 3), range(0, 0), range(size + 5, size + 5), range(-3, -9),
+        ):
+            assert decode_indices(m, indices) == decode_indices(m, list(indices)), indices
+        # A whole space past the block: 2^16 has 8,192 residues.
+        m = parse_factorization("2^16")
+        indices = range(1, index_space_size(m) + 1)
+        assert len(indices) > indexing._BLOCK
+        assert decode_indices(m, indices) == decode_indices(m, list(indices))
+        assert spy.walks == []
+
+    def test_bad_ranges_raise_as_the_list_path_does(self, monkeypatch):
+        m = parse_factorization("2^6 * 3^2 * 5")
+        size = index_space_size(m)
+        spy = _WalkSpy(monkeypatch)
+        for indices in (
+            range(0, 3), range(-2, 5), range(size + 1, size + 5), range(1, size + 2),
+            range(size, size + 2),
+        ):
+            raised = _outcome(decode_indices, m, list(indices))
+            assert raised[0] is IndexRangeError, indices
+            assert _outcome(decode_indices, m, indices) == raised, indices
+        # Too long to list: it raises for the first index past the end.
+        assert _outcome(decode_indices, m, range(1, 10**100)) == _outcome(decode_index, m, size + 1)
+        assert spy.walks == []
 
 
 class TestProfiles:
