@@ -100,18 +100,19 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
 
     One call decodes every index and one call encodes the distinct
     residues decoded, whether N passes or fails.  The decode call takes
-    ``range(1, size + 1)``, so for an index space of at most 4096
-    indices it certifies ``decode_indices``' whole-space walk, not the
-    per-index path, which larger spaces take.  Every violation is read
-    off those two result lists and reported grouped by kind, in this
-    order: the index space size disagrees with the enumeration; an index
-    fails to decode; two indices collide; a residue fails to encode;
-    encode does not invert decode; the decoded image differs from the
-    enumeration as a set.  A result list of the wrong length is a
-    violation too.  Only a call that raises is run again, one value at a
-    time, to name each value that raises.  Every violation lands in the
-    report instead of raising, so a sweep over many moduli reports all
-    offenders at once.
+    ``range(1, size + 1)``.  A modulus with at most 4096 residues
+    decodes from the table it built with them, which every decode on
+    it reads, the sampler's included, so that table is what is
+    certified; a larger one decodes each index by the CRT sum.  Every
+    violation is read off those two result lists and reported grouped
+    by kind, in this order: the index space size disagrees with the
+    enumeration; an index fails to decode; two indices collide; a
+    residue fails to encode; encode does not invert decode; the decoded
+    image differs from the enumeration as a set.  A result list of the
+    wrong length is a violation too.  Only a call that raises is run
+    again, one value at a time, to name each value that raises.  Every
+    violation lands in the report instead of raising, so a sweep over
+    many moduli reports all offenders at once.
     """
     size = index_space_size(m)
     report = CertificationReport(n=m.n, indices_checked=size)

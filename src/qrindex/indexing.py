@@ -41,10 +41,12 @@ The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
 the x digit, p for the c digit and 2 for the 2-part digit; radix-1
-digits take no step.  The form is linear, so a whole index space of
-at most ``_BLOCK`` indices, passed as ``range(1, |QR(N)| + 1)``, is
-decoded by building every root sum in index order, one term per digit,
-and squaring each once.  Encoding inverts the form, per residue, in
+digits take no step.  The form is linear, so a modulus with at most
+``_BLOCK`` = 4096 residues walks its whole index space once, as it is
+built: every root sum in index order, one term per digit, each squared
+once.  It keeps the residues as a tuple, and every decode on it, the
+index sampler's included, is a lookup there; a larger modulus decodes
+each index by the sum.  Encoding inverts the form, per residue, in
 one pass over one prepared root step per odd part, in ascending-prime
 order, then the 2-part.  Each part's digits ``x - 1 + c*(p-1)/2`` (the
 2-part's c alone) enter the index at the part's place, the product of
@@ -143,7 +145,11 @@ class FactoredModulus:
     ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
     (empty when k <= 2); then ``(2**k2, count, place)`` for a 2-part
     with k2 > 3.  Decode and root steps hold the schedule's own
-    radix integers.  Immutable and freely shareable across threads.
+    radix integers.  When ``|QR(N)| <= _BLOCK`` = 4096, the residues of
+    every index, in order, as a tuple of at most 4096 ints built by one
+    walk of the decode steps; None otherwise.  Equality and hashing
+    compare the factorization alone.  Immutable and freely shareable
+    across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -227,6 +233,10 @@ class FactoredModulus:
         self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
         self._two_part = two_part
+        # Every residue in index order when there are at most _BLOCK of them:
+        # decoding such a modulus is a lookup.  A tuple, so no caller can
+        # change what later decodes return.
+        self._residues = tuple(_decode_all(self)) if place <= _BLOCK else None
 
     def factor_string(self) -> str:
         """The factorization as ``parse_factorization`` reads it, bases
@@ -397,16 +407,16 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
 
     Checks the modulus once, then each index in turn: a non-integer
     raises TypeError, as ``range(2.0)`` does, and one outside the index
-    space IndexRangeError, at the first bad index.  Each residue is the
-    linear form ``1 + sum(digit * scale * E)`` mod N over the modulus'
-    prepared decode steps, squared: no profile is built.
+    space IndexRangeError, at the first bad index.  A modulus with at
+    most ``_BLOCK`` residues looks each one up in the table it built
+    with them; a larger one computes the linear form ``1 + sum(digit *
+    scale * E)`` mod N over its prepared decode steps and squares it.
+    No profile is built.
 
-    A ``range`` over the whole index space ``1..|QR(N)|``, when that
-    space holds at most ``_BLOCK`` indices, is walked instead: the root
-    sums of every digit tuple are built in index order, most significant
-    step outermost, one term per digit, and each is squared once.  Any
-    other iterable, every other range included, takes the per-index
-    path, with the same results:
+    On a modulus with a table, a step-1 ``range`` inside ``1..|QR(N)|``
+    is a slice of the table, copied into a new list.  Any other
+    iterable, every other range included, takes the per-index path,
+    with the same results:
 
     >>> from qrindex import index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -416,9 +426,12 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    size = m._size
-    if type(indices) is range and size <= _BLOCK and indices == range(1, size + 1):
-        return _decode_all(m)
+    size, table = m._size, m._residues
+    if (
+        table is not None and type(indices) is range and indices.step == 1
+        and indices.start >= 1 and indices.stop <= size + 1
+    ):
+        return list(table[indices.start - 1:indices.stop - 1])
     residues = []
     for index in indices:
         index = operator.index(index)
@@ -556,6 +569,14 @@ def _out_of_range(m: FactoredModulus, index: int) -> IndexRangeError:
 
 
 def _decode(m: FactoredModulus, value: int) -> int:
+    # The residue at 0-based value, which must be below |QR(N)|.
+    table = m._residues
+    if table is not None:
+        return table[value]
+    return _decode_sum(m, value)
+
+
+def _decode_sum(m: FactoredModulus, value: int) -> int:
     # The roots are 1 + digit*scale per part and the basis sums to 1 mod N.
     root = 1
     for radix, scale, e in m._decode_steps:
@@ -565,15 +586,20 @@ def _decode(m: FactoredModulus, value: int) -> int:
     return root * root % m.n
 
 
-_BLOCK = 1 << 12  # the largest index space decode_indices walks whole
+_BLOCK = 1 << 12  # the largest index space whose residues the modulus holds
 
 
 def _decode_all(m: FactoredModulus) -> list[int]:
     # The residue of every index, in order: the roots 1 + sum(digit * t),
     # t = scale * E mod n, with the newest, more significant step outermost.
-    n = m.n
-    roots = [1]
-    for radix, scale, e in m._decode_steps:
+    # The first step's roots are a range, so no comprehension runs over [1].
+    n, steps = m.n, m._decode_steps
+    if not steps:
+        return [1]
+    radix, scale, e = steps[0]
+    t = scale * e % n
+    roots = range(1, 1 + radix * t, t)
+    for radix, scale, e in steps[1:]:
         t = scale * e % n
         roots = [u + r for u in range(0, radix * t, t) for r in roots]
     return [r * r % n for r in roots]

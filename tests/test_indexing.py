@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 import subprocess
@@ -678,18 +679,15 @@ class TestBatchCodec:
 
     def test_batches_match_the_single_calls_for_every_small_n(self):
         # Over criterion 1's range, each fast path against the per-value one.
-        # A range walks the index space, while a list takes the per-index
-        # ``_decode`` that the single calls and the sampler use; criterion 1
-        # certifies the walk, so this keeps ``_decode`` checked everywhere.
-        # The whole-residue batch looks each part up in its table, while a
-        # single call takes Tonelli-Shanks, the lift and the 2-adic root.
+        # Every decode here reads the modulus' residue table, which
+        # TestResidueTable checks against the CRT sum.  The whole-residue
+        # batch looks each part up in its encode table, while a single call
+        # takes Tonelli-Shanks, the lift and the 2-adic root.
         for n in range(2, 3001):
             m = factor_trial_division(n)
-            indices = range(1, index_space_size(m) + 1)
-            residues = decode_indices(m, list(indices))
-            assert decode_indices(m, indices) == residues, n
             if n <= 400:
-                assert [decode_index(m, i) for i in indices] == residues, n
+                indices = range(1, index_space_size(m) + 1)
+                assert [decode_index(m, i) for i in indices] == decode_indices(m, indices), n
             table = enumerate_qr(n)
             assert encode_residues(m, table) == [encode_residue(m, z) for z in table], n
 
@@ -819,7 +817,8 @@ class TestBatchCodec:
 
 
 class _WalkSpy:
-    """Records the modulus of each whole-space walk ``decode_indices`` takes."""
+    """Records the modulus of each whole-space walk, which a modulus with
+    at most ``_BLOCK`` residues takes once, as it is built."""
 
     def __init__(self, monkeypatch):
         self.walks = []
@@ -832,37 +831,114 @@ class _WalkSpy:
         monkeypatch.setattr(indexing, "_decode_all", walk)
 
 
+def _crt_sums(m):
+    """Every residue of m by the CRT sum, the arithmetic decode path."""
+    return [indexing._decode_sum(m, value) for value in range(index_space_size(m))]
+
+
+class TestResidueTable:
+    """A modulus with at most ``_BLOCK`` residues holds all of them, in
+    index order, and decodes by lookup; the CRT sum is the reference."""
+
+    def test_the_table_matches_the_crt_sum_for_every_small_n(self):
+        # Criterion 1's range: every modulus there has a table, which the
+        # gate certifies, so the sum that larger moduli take is checked here.
+        for n in range(2, 3001):
+            m = factor_trial_division(n)
+            assert m._residues is not None, n
+            assert list(m._residues) == _crt_sums(m), n
+
+    @pytest.mark.parametrize(
+        "factors,table",
+        [("3*5*7*11*13", True), ("2^15", True), ("5 * 4099", False), ("2^16", False)],
+    )
+    def test_the_block_decides_whether_a_modulus_holds_a_table(self, factors, table):
+        # 2^15 has exactly _BLOCK = 4096 residues, 5 * 4099 has 4098 and
+        # 2^16 has 8192; 4099 is prime.
+        m = parse_factorization(factors)
+        size = index_space_size(m)
+        assert (size <= indexing._BLOCK) is table
+        assert (m._residues is not None) is table
+        expected = _crt_sums(m)
+        assert indexing._decode_all(m) == expected
+        assert decode_indices(m, range(1, size + 1)) == expected
+        assert decode_indices(m, list(range(1, size + 1))) == expected
+        assert [decode_index(m, i) for i in (1, 2, size - 1, size)] == expected[:2] + expected[-2:]
+        if table:
+            # A tuple: no caller can change what later decodes return.
+            assert type(m._residues) is tuple
+            assert list(m._residues) == expected
+
+    def test_a_returned_list_is_the_callers_own(self):
+        m = parse_factorization("2^6 * 3^2 * 5")
+        size = index_space_size(m)
+        expected = _crt_sums(m)
+        for indices in (range(1, size + 1), range(3, 9), list(range(1, size + 1)), [4]):
+            got = decode_indices(m, indices)
+            got[0] = 0
+            got.append(0)
+            assert decode_indices(m, range(1, size + 1)) == expected, indices
+            assert decode_index(m, indices[0]) == expected[indices[0] - 1], indices
+        assert list(m._residues) == expected
+
+    def test_equality_and_hash_ignore_the_table(self):
+        a, b = parse_factorization("2^3 * 5 * 7"), FactoredModulus(3, [(7, 1), (5, 1)])
+        b._residues = None
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a, b} == {a}
+
+    @pytest.mark.parametrize("factors", ["3*5*7*11*13", "2^15", "5 * 4099"])
+    def test_a_pickled_modulus_decodes_the_same(self, factors):
+        m = parse_factorization(factors)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m
+        size = index_space_size(m)
+        assert back._residues == m._residues
+        assert decode_indices(back, range(1, size + 1)) == decode_indices(m, range(1, size + 1))
+
+
 class TestRangeWalk:
-    """``decode_indices`` walks a whole index space of at most ``_BLOCK``
-    indices; every other iterable takes the per-index path, the reference
-    here."""
+    """The whole-space walk runs once per modulus with at most ``_BLOCK``
+    residues, as it is built, and never above; no decode walks again.  A
+    step-1 range inside the index space is a slice of the table; every
+    other iterable takes the per-index path, the reference here."""
 
     @pytest.mark.parametrize(
         "factors", ["2^6 * 3^2 * 5", "3^2 * 5^2 * 7 * 11", "2^9 * 3^3 * 5 * 7", "2^15"]
     )
-    def test_a_whole_space_is_walked_and_matches_the_list_path(self, factors, monkeypatch):
-        m = parse_factorization(factors)
-        indices = range(1, index_space_size(m) + 1)
-        expected = decode_indices(m, list(indices))
+    def test_the_walk_runs_once_as_the_modulus_is_built(self, factors, monkeypatch):
         spy = _WalkSpy(monkeypatch)
+        m = parse_factorization(factors)
+        assert len(spy.walks) == 1 and spy.walks[0] is m
+        indices = range(1, index_space_size(m) + 1)
+        expected = _crt_sums(m)
         assert decode_indices(m, indices) == expected
-        assert spy.walks == [m]
+        assert decode_indices(m, list(indices)) == expected
+        assert decode_index(m, indices[-1]) == expected[-1]
+        assert len(spy.walks) == 1
 
-    def test_every_other_range_takes_the_per_index_path(self, monkeypatch):
+    def test_no_walk_above_the_block(self, monkeypatch):
+        spy = _WalkSpy(monkeypatch)
+        for factors in ("2^16", "5 * 4099"):
+            m = parse_factorization(factors)
+            indices = range(1, index_space_size(m) + 1)
+            assert len(indices) > indexing._BLOCK
+            assert decode_indices(m, indices) == decode_indices(m, list(indices))
+            assert decode_indices(m, range(3, 9)) == decode_indices(m, list(range(3, 9)))
+        assert spy.walks == []
+
+    def test_every_other_range_matches_the_list_path(self, monkeypatch):
         m = parse_factorization("2^6 * 3^2 * 5")
         size = index_space_size(m)
         spy = _WalkSpy(monkeypatch)
         for indices in (
             range(1, size), range(2, size + 1), range(5, 10), range(size, size + 1),
-            range(size, 0, -1), range(1, size + 1, 2), range(size, size - 5, -2),
+            range(1, 2), range(size, 0, -1), range(1, size + 1, 2), range(size, size - 5, -2),
             range(1, 1), range(5, 3), range(0, 0), range(size + 5, size + 5), range(-3, -9),
+            range(size + 3, 2),
         ):
             assert decode_indices(m, indices) == decode_indices(m, list(indices)), indices
-        # A whole space past the block: 2^16 has 8,192 residues.
-        m = parse_factorization("2^16")
-        indices = range(1, index_space_size(m) + 1)
-        assert len(indices) > indexing._BLOCK
-        assert decode_indices(m, indices) == decode_indices(m, list(indices))
         assert spy.walks == []
 
     def test_bad_ranges_raise_as_the_list_path_does(self, monkeypatch):
@@ -871,7 +947,7 @@ class TestRangeWalk:
         spy = _WalkSpy(monkeypatch)
         for indices in (
             range(0, 3), range(-2, 5), range(size + 1, size + 5), range(1, size + 2),
-            range(size, size + 2),
+            range(size, size + 2), range(0, size + 1), range(1, size + 2, 1),
         ):
             raised = _outcome(decode_indices, m, list(indices))
             assert raised[0] is IndexRangeError, indices

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import qrindex.indexing as indexing
 import qrindex.sampling as sampling
 from helpers import sample_residue_by_index_reference
 from qrindex import (
@@ -23,6 +24,7 @@ from qrindex import (
     draw_uniform,
     enumerate_qr,
     factor_trial_division,
+    index_space_size,
     parse_factorization,
     sample_residue_by_index,
     sample_residue_classical,
@@ -315,11 +317,17 @@ def test_seeded_samples_are_pinned(modulus, method, pin):
 def test_index_sampler_matches_the_decode_index_path(factors):
     # The sampler decodes the drawn value directly; the reference adds 1
     # and goes through decode_index.  |QR(24)| = 1, so that one draws no bits.
+    # Both read the modulus' residue table when it has one (15015, 8064,
+    # 2^12, 24), so a third stream decodes its draws by the CRT sum.
     m = parse_factorization(factors)
-    fast, slow = SeededBitSource(2018), SeededBitSource(2018)
+    fast, slow, arithmetic = SeededBitSource(2018), SeededBitSource(2018), SeededBitSource(2018)
     for i in range(2000):
-        assert sample_residue_by_index(m, fast) == sample_residue_by_index_reference(m, slow), i
-    assert fast.next_bits(64) == slow.next_bits(64)
+        drawn = sample_residue_by_index(m, fast)
+        assert drawn == sample_residue_by_index_reference(m, slow), i
+        ledger = RandomBitLedger()
+        value = draw_uniform(index_space_size(m), arithmetic, ledger)
+        assert drawn == (indexing._decode_sum(m, value), ledger), i
+    assert fast.next_bits(64) == slow.next_bits(64) == arithmetic.next_bits(64)
 
 
 class TestDrawUniform:
