@@ -33,10 +33,11 @@ table per call, built by squaring every canonical root once the first
 value is known to be a unit square, maps each unit square modulo the
 part to its digits, and one lookup replaces the part's root and lift
 for every value.  So no table has more entries than the batch
-has values, and a batch whose first value is bad builds none; a
-generator, of known length 0, and a single value take the per-value
-path, save for the one-entry table of the part 3, prepared with the
-modulus.
+has values, and a batch whose first value is bad builds none.  A part
+with one residue, 3 or ``2**e`` with e <= 3, carries its one-entry
+table ``{1: 0}``, prepared with the modulus; every other part of a
+generator, of known length 0, or of a single value takes the per-value
+path, and a batch that tabulates no part checks no first value.
 The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
@@ -47,12 +48,14 @@ built: every root sum in index order, one term per digit, each squared
 once.  It keeps the residues as a tuple, and every decode on it, the
 index sampler's included, is a lookup there; a larger modulus decodes
 each index by the sum.  Encoding inverts the form, per residue, in
-one pass over one prepared root step per odd part, in ascending-prime
-order, then the 2-part.  Each part's digits ``x - 1 + c*(p-1)/2`` (the
-2-part's c alone) enter the index at the part's place, the product of
-the residue counts before it, prepared with the modulus.  An odd part's
-digits come from a Tonelli-Shanks root on the step's non-residue power,
-computed once with the modulus, that also yields its inverse, which
+one pass over one prepared root step per prime power: the odd parts in
+ascending-prime order, then the 2-part, whose root ``1 + 2*c`` is an
+odd part's ``x + c*p`` with p = 2 and x fixed at 1.  Each part's
+digits ``x - 1 + c*(p-1)/2`` (the 2-part's c alone) enter the index at
+the part's place, the product of the residue counts before it,
+prepared with the modulus.  An odd part's digits come from a
+Tonelli-Shanks root on the step's non-residue power, computed once
+with the modulus, that also yields its inverse, which
 starts the Newton lift to ``p**e`` over the step's prepared ladder; the
 2-part digit comes from the 2-adic root.  Both lifts start from a root
 exact at the base precision, the Tonelli-Shanks root modulo p or r = 1
@@ -62,9 +65,9 @@ precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
 root is the half-precision one.  No digit list is built and no
 modular inverse is taken.  The unit test, a gcd with N, runs only on
 the error path and is the only one: z = 0 mod p fails that prime's
-Tonelli-Shanks step, which a table miss also reaches, an even z fails
-the 2-part congruence class, and the gcd then names either one not a
-unit.  The ``RootProfile`` views are ``decode_index`` and
+Tonelli-Shanks step, an even z fails the 2-part step's congruence
+class, a table miss reaches either, and the gcd then names either one
+not a unit.  The ``RootProfile`` views are ``decode_index`` and
 ``encode_residue`` composed with ``mixedradix.pack``/``unpack``.
 """
 
@@ -134,22 +137,25 @@ class FactoredModulus:
     once: ``|QR(N)|``, the radix schedule, the decode steps, one
     ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
     element of its part (1 modulo that part, 0 modulo the others, one
-    integer per part), and the encode root steps, one ``(p, p**k, (p-1)/2,
-    count, place, table, s, e, c, ladder)`` per odd part with ``count =
-    (p-1)/2 * p**(k-1)`` its residues, ``place`` the product of the
-    counts before it, ``table`` the one-entry square table when count is
-    1 (the part 3) and None otherwise, ``p - 1 = (2e+1) * 2**s``, ``c``
-    the Tonelli-Shanks non-residue power of order 2**s, found once p is
-    proven prime, and ``ladder`` the Newton precisions ``p**j`` that
+    integer per part), and the encode root steps, one ``(p, p**k, half,
+    count, place, table, root)`` per prime power, the odd parts ascending
+    and then the 2-part when k2 >= 1.  ``count`` is the part's residues,
+    ``place`` the product of the counts before it and ``table`` the
+    one-entry square table ``{1: 0}`` when count is 1 (the part 3, and
+    ``2**k2`` with k2 <= 3) and None otherwise.  An odd part has ``half
+    = (p-1)/2``, ``count = half * p**(k-1)`` and ``root = (s, e, c,
+    ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the Tonelli-Shanks
+    non-residue power of order 2**s, found once p is proven prime, and
+    ``ladder`` the Newton precisions ``p**j`` that
     ``numbertheory._precision_ladder`` plans top-down from
     ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
-    (empty when k <= 2); then ``(2**k2, count, place)`` for a 2-part
-    with k2 > 3.  Decode and root steps hold the schedule's own
-    radix integers.  When ``|QR(N)| <= _BLOCK`` = 4096, the residues of
-    every index, in order, as a tuple of at most 4096 ints built by one
-    walk of the decode steps; None otherwise.  Equality and hashing
-    compare the factorization alone.  Immutable and freely shareable
-    across threads.
+    (empty when k <= 2).  The 2-part has ``p = 2``, ``half = 1``,
+    ``count = 2**max(k2-3, 0)`` and ``root = k2``.  Decode and root
+    steps hold the schedule's own radix integers.  When ``|QR(N)| <=
+    _BLOCK`` = 4096, the residues of every index, in order, as a tuple of
+    at most 4096 ints built by one walk of the decode steps; None
+    otherwise.  Equality and hashing compare the factorization alone.
+    Immutable and freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -189,50 +195,46 @@ class FactoredModulus:
 
         n = 1 << self.two_exponent
         phi = 1 << max(self.two_exponent - 1, 0)
-        place = 1
         radices: list[int] = []
-        part_radices = []
-        root_steps = []
-        two_part = None
+        parts = []
         for p, k in self.odd_parts:
             q = p ** k
             half, lower = (p - 1) // 2, q // p
             n *= q
             phi *= (p - 1) * lower
             radices += [half, lower]
-            part_radices.append((p, q, half, lower))
             s, e = _two_adic_split(p)
             c = _nonresidue_power(p)  # p is proven prime above, so the scan ends
-            count = half * lower
-            # The one part with a single residue, 3, gets its one-entry table here.
-            table = _square_table(p, q, half, count) if count == 1 else None
-            root_steps.append((p, q, half, count, place, table, s, e, c, _precision_ladder(p, k)))
-            place *= count
-        if self.two_exponent > 3:
-            radices.append(1 << (self.two_exponent - 3))
+            parts.append((p, q, half, half * lower, (s, e, c, _precision_ladder(p, k))))
+        if self.two_exponent:
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
-            part_radices.append((2, 1 << self.two_exponent, 1, radices[-1]))
-            two_part = (1 << self.two_exponent, radices[-1], place)
-            place *= radices[-1]
+            count = 1 << max(self.two_exponent - 3, 0)
+            if count > 1:
+                radices.append(count)
+            parts.append((2, 1 << self.two_exponent, 1, count, self.two_exponent))
         if n < 2:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
 
         self.n = n
         self.phi = phi
-        self._size = place
         self._radices = tuple(radices)
         # The CRT basis E of part q is 1 mod q and 0 mod every other part:
         # decode is one linear sum.  The steps of a part share its E and keep
         # the scale apart, as storing p*E would add a modulus-sized integer
         # per part.
-        steps = []
-        for p, q, half, lower in part_radices:
-            if half * lower > 1:  # the part has a digit
+        place = 1
+        root_steps, steps = [], []
+        for p, q, half, count, root in parts:
+            # A part with one residue, 3 or 2**k2 with k2 <= 3, holds its
+            # one-entry table, so a single value looks it up too.
+            root_steps.append((p, q, half, count, place, {1: 0} if count == 1 else None, root))
+            place *= count
+            if count > 1:  # the part has a digit
                 basis = (cofactor := n // q) * pow(cofactor, -1, q)
-                steps += [(r, scale, basis) for r, scale in ((half, 1), (lower, p)) if r > 1]
+                steps += [(r, scale, basis) for r, scale in ((half, 1), (count // half, p)) if r > 1]
+        self._size = place
         self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
-        self._two_part = two_part
         # Every residue in index order when there are at most _BLOCK of them:
         # decoding such a modulus is a lookup.  A tuple, so no caller can
         # change what later decodes return.
@@ -446,10 +448,10 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     ``decode_indices``.
 
     Checks the modulus once and loads its prepared root steps once.  Per
-    residue, one pass over those steps adds each part's digits at its
-    prepared place value: no digit list, no modular inverse, and the gcd
-    with N, the only unit test, only when a step or the 2-part
-    congruence class fails.  z is reduced modulo N first.  At the first
+    residue, one pass over those steps, one per prime power with the
+    2-part last, adds each part's digits at its prepared place value: no
+    digit list, no modular inverse, and the gcd with N, the only unit
+    test, only when a step fails.  z is reduced modulo N first.  At the first
     bad residue, raises NotCoprimeError when z is not a unit,
     NotAResidueError when some local square root does not exist,
     ValueError for a negative z and TypeError when z is not an integer,
@@ -459,11 +461,14 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     count, the call tabulates that part once the first value is known to
     be a unit square, squaring each canonical root once, and each residue
     then takes one lookup there in place of Tonelli-Shanks and the lift,
-    or the 2-adic root.  A miss goes on to Tonelli-Shanks, which raises as
-    it always does.  No table has more entries than the batch has values;
-    a batch whose first value is bad, and a generator, whose known length
-    is 0, tabulate nothing.  Results and errors are the single calls'
-    either way:
+    or the 2-adic root.  A miss goes on to the part's own step,
+    Tonelli-Shanks or the 2-part congruence class, which raises as it
+    always does.  A part with one residue holds its one-entry table
+    already.  No table has more entries than the batch has values; a
+    batch whose first value is bad, and a generator, whose known length
+    is 0, tabulate nothing, and a batch that no part's table fits checks
+    no first value.  Results and errors are the single calls' either
+    way:
 
     >>> from qrindex import decode_indices, index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -474,19 +479,17 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     True
     """
     # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
-    # 2-adic root below 2**(k2-2)); ascending steps name the first bad prime.
+    # 2-adic root below 2**(k2-2)); ascending steps, the 2-part last, name
+    # the first bad prime.
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    n, k2, steps = m.n, m.two_exponent, m._root_steps
-    # A generator's known length is 0.  One value would tabulate only the
-    # part 3, whose table the modulus holds, so it copies no steps.
+    n, steps = m.n, m._root_steps
+    # A generator's known length is 0, and a single value fits no table the
+    # modulus lacks: neither checks nor copies.  The tables wait for a first
+    # value that is a unit square, so a batch that fails at its first value
+    # builds none; a batch that no table fits skips that check.
     known = operator.length_hint(residues)
-    table2 = None
-    if k2 > 3:
-        q2, count2, place2 = m._two_part
-    # The tables wait for a first value that is a unit square, so a batch
-    # that fails at its first value builds none.
-    pending = known > 1
+    pending = known > 1 and any(t is None and count <= known for _, _, _, count, _, t, _ in steps)
     indices = []
     for z in residues:
         z = operator.index(z)  # a float or string raises TypeError, as an index does
@@ -497,25 +500,31 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
             pending = False
             if is_quadratic_residue(m, z):
                 steps = [_tabulated(step, known) for step in steps]
-                if k2 > 3 and count2 <= known:
-                    table2 = _square_table(2, q2, 1, count2)
         value = 0
         try:
-            for p, q, half, _, place, table, s, e, c, ladder in steps:
+            for p, q, half, _, place, table, root in steps:
                 # One full-width reduction per part: z mod p comes from z mod p**k.
                 zq = z % q
                 digit = table.get(zq) if table is not None else None
                 if digit is None:
-                    # No table, or a miss: Tonelli-Shanks then refuses z mod p,
-                    # a non-residue or 0, with its own message.
-                    x, r = _tonelli_shanks(zq % p, p, s, e, c)
-                    digit = x - 1
-                    if q != p:
-                        # The lift keeps y = x (mod p), so x stays the canonical root.
-                        digit += _lift_inverse_root(x, r, zq, q, ladder) // p * half
+                    # No table, or a miss: the part's root step, which raises.
+                    if p == 2:
+                        # The class test of _two_part_is_square: zq is below 8
+                        # when k2 <= 3, so a miss of its table {1: 0} fails here.
+                        if zq & 7 != 1:
+                            raise NotAResidueError(
+                                f"{_format_int(z)} is not a quadratic residue modulo 2**{root}"
+                            )
+                        digit = (sqrt_mod_2k(zq, root) - 1) // 2
+                    else:
+                        # Tonelli-Shanks refuses z mod p, a non-residue or 0.
+                        s, e, c, ladder = root
+                        x, r = _tonelli_shanks(zq % p, p, s, e, c)
+                        digit = x - 1
+                        if q != p:
+                            # The lift keeps y = x (mod p), so x stays the canonical root.
+                            digit += _lift_inverse_root(x, r, zq, q, ladder) // p * half
                 value += digit * place
-            if not _two_part_is_square(k2, z):
-                raise NotAResidueError(f"{_format_int(z)} is not a quadratic residue modulo 2**{k2}")
         except NotAResidueError:
             # The one unit test: a non-unit outranks a non-residue at any prime.
             g = math.gcd(z, n)
@@ -525,10 +534,6 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
                     gcd=g,
                 ) from None
             raise
-        if k2 > 3:
-            # z = 1 mod 8 here, so it is a unit square modulo 2**k2: no miss.
-            digit = table2[z % q2] if table2 is not None else (sqrt_mod_2k(z, k2) - 1) // 2
-            value += digit * place2
         indices.append(value + 1)
     return indices
 
@@ -536,9 +541,9 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
 def _tabulated(step: tuple, known: int) -> tuple:
     # A part gets its table when the batch has at least as many values as
     # the part has residues, so no table outgrows its batch.
-    p, q, half, count, place, table, *rest = step
+    p, q, half, count, place, table, root = step
     if table is None and count <= known:
-        return (p, q, half, count, place, _square_table(p, q, half, count), *rest)
+        return (p, q, half, count, place, _square_table(p, q, half, count), root)
     return step
 
 
@@ -616,7 +621,7 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
         return False
     z %= m.n
     # Euler's criterion also refuses z = 0 mod p, as 0**((p-1)/2) = 0.
-    for p, _, half, *_ in m._root_steps:
+    for p, _, half, *_ in m._root_steps[:m.r]:
         if pow(z % p, half, p) != 1:
             return False
     return _two_part_is_square(m.two_exponent, z)

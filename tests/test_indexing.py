@@ -626,7 +626,8 @@ def _outcome(call, *args):
 def _bad_residues(m):
     """A float, a negative, a non-unit, a unit that is a non-residue at
     each odd prime alone and, where the 2-part has a class to fail, a unit
-    square at every odd prime outside it."""
+    square at every odd prime outside it: 3 mod 2**k2, and 5 and 7 mod 8
+    too when k2 >= 3."""
     parts = [p**k for p, k in m.odd_parts] + ([1 << m.two_exponent] if m.two_exponent else [])
 
     def alone(a, q):  # a modulo the part q, 1 modulo every other part
@@ -640,6 +641,8 @@ def _bad_residues(m):
         bad.append(alone(non_residue + p**k - p, p**k))
     if m.two_exponent >= 2:
         bad.append(alone(3, 1 << m.two_exponent))
+    if m.two_exponent >= 3:
+        bad += [alone(5, 1 << m.two_exponent), alone(7, 1 << m.two_exponent)]
     return bad
 
 
@@ -749,7 +752,8 @@ class TestBatchCodec:
         spy.clear()
         assert _outcome(encode_residues, m, range(2, 200000)) == raised
         assert spy.tables == []
-        for factors in ("2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2"):
+        # 2^3 misses its one-entry table, the larger 2-parts their square tables.
+        for factors in ("2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2", "2^3 * 3 * 5 * 7"):
             m = parse_factorization(factors)
             residues = decode_indices(m, range(1, index_space_size(m) + 1))
             for bad in _bad_residues(m):
@@ -761,6 +765,26 @@ class TestBatchCodec:
             spy.clear()
             assert encode_residues(m, [*residues, 1]) == [*range(1, len(residues) + 1), 1]
             assert spy.tables != []
+
+    def test_a_batch_checks_its_first_value_only_when_it_tabulates(self, monkeypatch):
+        # The check costs an Euler power per odd prime, so a batch that no
+        # part's table fits skips it.
+        calls = []
+        check = indexing.is_quadratic_residue
+
+        def spy(m, z):
+            calls.append(z)
+            return check(m, z)
+
+        monkeypatch.setattr(indexing, "is_quadratic_residue", spy)
+        m = squarefree_semiprime_modulus(512, random.Random(33))
+        residues = [decode_index(m, i) for i in (1, index_space_size(m))]
+        assert encode_residues(m, residues) == [encode_residue(m, z) for z in residues]
+        assert calls == []
+        m = parse_factorization("2^6 * 3^2 * 7")
+        residues = decode_indices(m, range(1, index_space_size(m) + 1))
+        assert encode_residues(m, residues) == list(range(1, len(residues) + 1))
+        assert calls == [residues[0]]
 
     def test_bad_values_raise_as_the_single_call_does_alone_and_mid_batch(self):
         for n in range(2, 401):
@@ -1170,21 +1194,30 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # A root step holds the schedule's x radix itself, its part's
-        # residue count and place (the product of the counts before it),
-        # the one-entry table of the part 3 and no other, and its Newton
-        # ladder, planned top-down: it ends on the half rung
+        # One root step per part, the odd parts ascending and the 2-part
+        # last, each with its residue count and place (the product of the
+        # counts before it), and a one-entry table exactly when the part has
+        # one residue.  An odd step holds the schedule's x radix itself and
+        # its Newton ladder, planned top-down: it ends on the half rung
         # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
-        # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.
-        assert len(m._root_steps) == m.r
+        # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.  The
+        # 2-part step holds k2, with half 1 and 2^max(k2-3, 0) residues.
+        parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
+        assert len(m._root_steps) == len(parts)
         expected_place = 1
-        for i, ((p, k), step) in enumerate(zip(m.odd_parts, m._root_steps)):
-            sp, q, x_radix, count, place, table, s, e, c, ladder = step
+        for i, ((p, k), step) in enumerate(zip(parts, m._root_steps)):
+            sp, q, x_radix, count, place, table, root = step
             assert sp == p and q == p**k
-            assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
             assert place == expected_place
             expected_place *= count
-            assert table == ({1: 0} if q == 3 else None)
+            assert table == ({1: 0} if count == 1 else None)
+            if p == 2:
+                assert x_radix == 1 and root == k
+                assert count == 1 << max(k - 3, 0)
+                assert count == 1 or count is m._radices[-1]
+                continue
+            assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
+            s, e, c, ladder = root
             assert (2 * e + 1) << s == p - 1 and s >= 1
             assert pow(c, 1 << (s - 1), p) == p - 1
             assert isinstance(ladder, tuple)
@@ -1195,12 +1228,6 @@ class TestCrtBasis:
             assert ladder == tuple(p**j for j in exponents)
             assert exponents[0] == 2 and exponents[-1] == (k + 1) // 2
             assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
-        # The 2-part, with a digit past 2^3, takes the top place.
-        if m.two_exponent > 3:
-            assert m._two_part == (1 << m.two_exponent, m._radices[-1], expected_place)
-            expected_place *= m._radices[-1]
-        else:
-            assert m._two_part is None
         assert expected_place == index_space_size(m)
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)

@@ -632,7 +632,7 @@ class TestHenselLiftSqrt:
         rng = random.Random(p)
         for k in range(1, 17):
             pk = p**k
-            ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            *_, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
             for _ in range(4):
                 x, z = _random_unit_square(p, pk, rng)
                 r = pow(x, -1, p)
@@ -647,7 +647,7 @@ class TestHenselLiftSqrt:
             x, z = _random_unit_square(p, pk, random.Random(k))
             r = pow(x, -1, p)
             expected = lift_inverse_root_reference(r, z, p, pk)
-            ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            *_, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
             assert numbertheory._lift_inverse_root(x, r, z, pk, ladder) == expected, k
             assert hensel_lift_sqrt(x, z, p, k) == expected, k
 
