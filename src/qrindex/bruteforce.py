@@ -6,8 +6,10 @@ the units up to n/2 are what is left when their multiples are struck
 out, and residues come from literally squaring those units.  The
 certifier decodes every index in one call and encodes the image in one
 call, whether the modulus passes or fails, and reads every violation
-off those two result lists, reported grouped by kind.  Kept separate so
-a bug in the fast path cannot hide itself.
+off those two result lists, reported grouped by kind.  A clean decode,
+distinct residues with nothing raised, is the image as it stands; only
+another outcome is searched index by index for collisions.  Kept
+separate so a bug in the fast path cannot hide itself.
 """
 
 from __future__ import annotations
@@ -103,7 +105,11 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
     ``range(1, size + 1)``.  A modulus with at most 4096 residues
     decodes from the table it built with them, which every decode on
     it reads, the sampler's included, so that table is what is
-    certified; a larger one decodes each index by the CRT sum.  Every
+    certified; a larger one decodes each index by the CRT sum.  When
+    the decode call raises nothing and gives ``size`` distinct residues,
+    that list, in decode order, is what is encoded, each residue owned by
+    its own index; any other outcome is read index by index, keeping the
+    first index of each residue and naming every collision.  Every
     violation is read off those two result lists and reported grouped
     by kind, in this order: the index space size disagrees with the
     enumeration; an index fails to decode; two indices collide; a
@@ -121,11 +127,17 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
     if size != len(expected):
         failures.append(f"index space size {size} but enumeration found {len(expected)} residues")
     indices = range(1, size + 1)
-    first = {}  # each residue, in decode order, and the first index giving it
-    for index, z in zip(indices, _results(decode_indices, m, indices, "decode", failures)):
-        if z is not _RAISED and first.setdefault(z, index) != index:
-            failures.append(f"decode collision: indices {first[z]} and {index} both give {z}")
-    residues, owners = list(first), list(first.values())
+    named = len(failures)
+    decoded = _results(decode_indices, m, indices, "decode", failures)
+    if len(failures) == named and len(set(decoded)) == size:
+        # A clean decode: size distinct residues, each owned by its index.
+        residues, owners = decoded, list(indices)
+    else:
+        first = {}  # each residue, in decode order, and the first index giving it
+        for index, z in zip(indices, decoded):
+            if z is not _RAISED and first.setdefault(z, index) != index:
+                failures.append(f"decode collision: indices {first[z]} and {index} both give {z}")
+        residues, owners = list(first), list(first.values())
     back = _results(encode_residues, m, residues, "encode", failures)
     if back != owners:
         for z, index, got in zip(residues, owners, back):

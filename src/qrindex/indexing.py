@@ -37,7 +37,12 @@ has values, and a batch whose first value is bad builds none.  A part
 with one residue, 3 or ``2**e`` with e <= 3, carries its one-entry
 table ``{1: 0}``, prepared with the modulus; every other part of a
 generator, of known length 0, or of a single value takes the per-value
-path, and a batch that tabulates no part checks no first value.
+path, and a batch that tabulates no part checks no first value.  When
+every part of a batch of at least ``_COLUMN_MIN`` = 16 values has or
+gets a table, the batch is encoded one part at a time, a chunk of at
+most ``_COLUMN`` = 4096 values read into a list once and a list
+comprehension of lookups per part over it; a bad value sends its chunk
+back through the per-value loop, which raises as the single call does.
 The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
 v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
 ``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
@@ -73,6 +78,7 @@ not a unit.  The ``RootProfile`` views are ``decode_index`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -400,8 +406,11 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     """Map a quadratic residue modulo N to its index; inverse of decode_index.
 
     The one-element case of ``encode_residues``, which raises as it does.
+    It goes straight to the per-value loop: one value has no batch to size.
     """
-    return encode_residues(m, (z,))[0]
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    return _encode_each(m, m._root_steps, (z,))[0]
 
 
 def decode_indices(m: FactoredModulus, indices) -> list[int]:
@@ -461,14 +470,26 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     count, the call tabulates that part once the first value is known to
     be a unit square, squaring each canonical root once, and each residue
     then takes one lookup there in place of Tonelli-Shanks and the lift,
-    or the 2-adic root.  A miss goes on to the part's own step,
-    Tonelli-Shanks or the 2-part congruence class, which raises as it
-    always does.  A part with one residue holds its one-entry table
-    already.  No table has more entries than the batch has values; a
-    batch whose first value is bad, and a generator, whose known length
+    or the 2-adic root.  A part with one residue holds its one-entry
+    table already.  No table has more entries than the batch has values;
+    a batch whose first value is bad, and a generator, whose known length
     is 0, tabulate nothing, and a batch that no part's table fits checks
-    no first value.  Results and errors are the single calls' either
-    way:
+    no first value.
+
+    When every part has or gets a table and the batch has at least
+    ``_COLUMN_MIN`` = 16 values, it is encoded column by column, in
+    chunks of at most ``_COLUMN`` = 4096 values: each chunk is read into
+    a list once, and one list comprehension per part looks up every
+    value's ``z mod p**k`` and adds its digits at the part's place.  The
+    one-entry parts are looked up too; their miss is how an even z, or
+    z = 2 mod 3, fails.  When any value of a chunk is not a natural or
+    misses a table, that chunk is replayed through the per-value loop,
+    which raises as the single call does, so a bad value is read at most
+    one chunk ahead.  A shorter batch, and one that tabulates only some
+    parts, goes value by value: a tabulated part is one lookup, and a
+    miss goes on to the part's own step, Tonelli-Shanks or the 2-part
+    congruence class, which raises as it always does.  An iterator is
+    read once either way.  Results and errors are the single calls':
 
     >>> from qrindex import decode_indices, index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -478,28 +499,73 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     >>> encode_residues(m, residues) == list(range(1, 25))
     True
     """
+    if not isinstance(m, FactoredModulus):
+        raise _wrong_type("modulus", m, FactoredModulus)
+    steps = m._root_steps
+    # A generator's known length is 0, and a single value fits no table the
+    # modulus lacks: both go value by value, as they always have.
+    known = operator.length_hint(residues)
+    if known < 2:
+        return _encode_each(m, steps, residues)
+    if any(t is None and count <= known for _, _, _, count, _, t, _ in steps):
+        # The tables wait for a first value that is a unit square, so a
+        # batch that fails at its first value builds none and reads no
+        # further.  The peek consumes an iterator's first value, so it goes
+        # back in front; a container gives each pass a fresh iterator.
+        values = iter(residues)
+        head = list(itertools.islice(values, 1))
+        if values is residues:
+            residues = itertools.chain(head, values)
+        try:
+            square = bool(head) and is_quadratic_residue(m, head[0])
+        except TypeError:
+            square = False  # the per-value loop raises it, as a single call does
+        if square:
+            steps = [_tabulated(step, known) for step in steps]
+    # Below _COLUMN_MIN values, the column pass costs more than it saves.
+    if known >= _COLUMN_MIN and all(t is not None for _, _, _, _, _, t, _ in steps):
+        return _encode_columns(m, steps, residues)
+    return _encode_each(m, steps, residues)
+
+
+def _encode_columns(m: FactoredModulus, steps, residues) -> list[int]:
+    # Every part has a table.  A chunk of at most _COLUMN values is read into
+    # a list once and encoded one part at a time; a bad value replays its
+    # chunk through the per-value loop, which raises at the first one, so a
+    # batch is read at most one chunk past its first bad value.
+    (_, q0, _, _, _, table0, _), *rest = steps
+    residues = iter(residues)
+    indices = []
+    while chunk := list(itertools.islice(residues, _COLUMN)):
+        try:
+            zs = list(map(operator.index, chunk))
+            if min(zs) < 0:
+                raise ValueError  # z % q would hide the sign
+            # Every q divides N, so z mod q needs no z mod N first.  The
+            # first part's place is 1.
+            column = [table0[z % q0] + 1 for z in zs]
+            for _, q, _, _, place, table, _ in rest:
+                column = [i + table[z % q] * place for i, z in zip(column, zs)]
+        except (TypeError, ValueError, KeyError):
+            # A non-integer, a negative value or a miss in some table.
+            column = _encode_each(m, steps, chunk)
+        indices += column
+    return indices
+
+
+def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
+    # The per-value loop, over steps that may carry tables: a tabulated part
+    # is one lookup, and a miss goes on to the part's own root step.
     # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
     # 2-adic root below 2**(k2-2)); ascending steps, the 2-part last, name
     # the first bad prime.
-    if not isinstance(m, FactoredModulus):
-        raise _wrong_type("modulus", m, FactoredModulus)
-    n, steps = m.n, m._root_steps
-    # A generator's known length is 0, and a single value fits no table the
-    # modulus lacks: neither checks nor copies.  The tables wait for a first
-    # value that is a unit square, so a batch that fails at its first value
-    # builds none; a batch that no table fits skips that check.
-    known = operator.length_hint(residues)
-    pending = known > 1 and any(t is None and count <= known for _, _, _, count, _, t, _ in steps)
+    n = m.n
     indices = []
     for z in residues:
         z = operator.index(z)  # a float or string raises TypeError, as an index does
         if z < 0:
             raise ValueError(f"residue must be a natural, got {_format_int(z)}")
         z %= n
-        if pending:
-            pending = False
-            if is_quadratic_residue(m, z):
-                steps = [_tabulated(step, known) for step in steps]
         value = 0
         try:
             for p, q, half, _, place, table, root in steps:
@@ -592,6 +658,8 @@ def _decode_sum(m: FactoredModulus, value: int) -> int:
 
 
 _BLOCK = 1 << 12  # the largest index space whose residues the modulus holds
+_COLUMN = 1 << 12  # the most values a column encode reads before it checks them
+_COLUMN_MIN = 16  # the shortest batch a column encode is faster on
 
 
 def _decode_all(m: FactoredModulus) -> list[int]:

@@ -146,6 +146,31 @@ class TestCertifyBijection:
         assert not report.passed
         assert any("roundtrip" in f for f in report.failures)
 
+    def test_a_permuted_decode_breaks_the_roundtrip(self, monkeypatch):
+        # Distinct residues with nothing raised take the clean-decode path,
+        # which hands the decoded list itself to encode; a permutation of
+        # the right image is then caught by the roundtrip alone.
+        decode, encode = bruteforce.decode_indices, bruteforce.encode_residues
+        m = factor_trial_division(3 * 7)
+        z = decode(m, range(1, 4))
+        decoded, encoded = [], []
+
+        def reversed_decode(m, indices):
+            decoded.append(decode(m, indices)[::-1])
+            return decoded[-1]
+
+        def encode_spy(m, residues):
+            encoded.append(residues)
+            return encode(m, residues)
+
+        monkeypatch.setattr(bruteforce, "decode_indices", reversed_decode)
+        monkeypatch.setattr(bruteforce, "encode_residues", encode_spy)
+        assert certify_bijection(m).failures == [
+            f"roundtrip broke: index 1 decodes to {z[2]} but encodes to 3",
+            f"roundtrip broke: index 3 decodes to {z[0]} but encodes to 1",
+        ]
+        assert len(encoded) == 1 and encoded[0] is decoded[0]
+
     def test_size_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(bruteforce, "index_space_size", lambda m: 5)
         report = certify_bijection(factor_trial_division(15))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import pickle
@@ -5,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -684,15 +686,25 @@ class TestBatchCodec:
         # Over criterion 1's range, each fast path against the per-value one.
         # Every decode here reads the modulus' residue table, which
         # TestResidueTable checks against the CRT sum.  The whole-residue
-        # batch looks each part up in its encode table, while a single call
-        # takes Tonelli-Shanks, the lift and the 2-adic root.
+        # batch, and any batch of at least _COLUMN_MIN values as long as
+        # every part's residue count, is encoded column by column from the
+        # encode tables; a shorter batch, or one shorter than some part's
+        # count, goes value by value, tabulating only the parts it
+        # outnumbers.  A single call takes Tonelli-Shanks, the lift and the
+        # 2-adic root.
         for n in range(2, 3001):
             m = factor_trial_division(n)
             if n <= 400:
                 indices = range(1, index_space_size(m) + 1)
                 assert [decode_index(m, i) for i in indices] == decode_indices(m, indices), n
             table = enumerate_qr(n)
-            assert encode_residues(m, table) == [encode_residue(m, z) for z in table], n
+            singles = [encode_residue(m, z) for z in table]
+            counts = [(p - 1) // 2 * p ** (k - 1) for p, k in m.odd_parts]
+            counts += [1 << max(m.two_exponent - 3, 0)]
+            lengths = {len(table)} | {c + d for c in counts if c > 1 for d in (-1, 0)}
+            lengths |= {indexing._COLUMN_MIN - 1, indexing._COLUMN_MIN} & set(range(len(table)))
+            for length in sorted(lengths):
+                assert encode_residues(m, table[:length]) == singles[:length], (n, length)
 
     def test_a_whole_residue_batch_takes_no_per_value_root(self, monkeypatch):
         spy = _TableSpy(monkeypatch)
@@ -766,6 +778,41 @@ class TestBatchCodec:
             assert encode_residues(m, [*residues, 1]) == [*range(1, len(residues) + 1), 1]
             assert spy.tables != []
 
+    def test_the_column_path_takes_batches_of_its_minimum_length(self, monkeypatch):
+        calls = []
+        columns = indexing._encode_columns
+
+        def spy(m, steps, residues):
+            calls.append(len(residues))
+            return columns(m, steps, residues)
+
+        monkeypatch.setattr(indexing, "_encode_columns", spy)
+        # 30 residues, and no part has more than 5.
+        m = parse_factorization("2^3 * 3 * 5 * 7 * 11")
+        residues = decode_indices(m, range(1, index_space_size(m) + 1))
+        shortest = indexing._COLUMN_MIN
+        for length in (2, shortest - 1, shortest, len(residues)):
+            assert encode_residues(m, residues[:length]) == list(range(1, length + 1)), length
+        assert calls == [shortest, len(residues)]
+
+    def test_a_huge_batch_reads_little_past_its_first_bad_value(self):
+        # 3 and 2^3 * 3 hold every table already, so any batch of two or
+        # more goes column by column; 3^11 tabulates, after a first value
+        # that is a unit square.  A batch of 10^9 must fail as a single
+        # call does, after reading at most one chunk.
+        cases = [("3", 2), ("3^11", 2), ("3", 1), ("2^3 * 3", 1), ("2^3 * 3", 5)]
+        for factors, start in cases:
+            m = parse_factorization(factors)
+            bad = next(z for z in range(start, 100) if not indexing.is_quadratic_residue(m, z))
+            tracemalloc.start()
+            try:
+                outcome = _outcome(encode_residues, m, range(start, 10**9))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert outcome == _outcome(encode_residue, m, bad), factors
+            assert peak < 1 << 20, (factors, start, peak)
+
     def test_a_batch_checks_its_first_value_only_when_it_tabulates(self, monkeypatch):
         # The check costs an Euler power per odd prime, so a batch that no
         # part's table fits skips it.
@@ -810,6 +857,37 @@ class TestBatchCodec:
                 )
                 for i, batch in enumerate(batches):
                     assert _outcome(encode_residues, m, batch) == raised, (n, bad, i)
+
+    @pytest.mark.parametrize("factors", ["7", "41", "2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^3 * 3 * 5 * 7"])
+    def test_every_sized_batch_is_read_once_as_the_list_is(self, factors):
+        # An iterator's length hint is its list's length, so it tabulates and
+        # takes the column path as the list does, and must be read once: the
+        # peek at its first value loses none, and the replay after a bad
+        # value sees every value the first pass saw.  7 and 2^3 * 3 * 5 * 7
+        # have fewer residues than a column batch needs; the long batches
+        # span two chunks, with a bad value on either side of the boundary.
+        m = parse_factorization(factors)
+        residues = decode_indices(m, range(1, index_space_size(m) + 1))
+        middle, edge = len(residues) // 2, indexing._COLUMN
+        long = residues * (edge // len(residues) + 2)
+        batches = [residues, long]
+        for bad in _bad_residues(m):
+            batches += [[bad, *residues], [*residues[:middle], bad, *residues[middle:]], [*residues, bad]]
+            batches += [[*long[:edge - 1], bad, *long[edge:]], [*long[:edge], bad, *long[edge + 1:]]]
+        for batch in batches:
+            expected = _outcome(lambda m, batch: [encode_residue(m, z) for z in batch], m, batch)
+            kinds = [list, iter, tuple, collections.deque]
+            if len(set(batch)) == len(batch):  # keys would merge 1.0 into 1
+                kinds.append(lambda values: dict.fromkeys(values).keys())
+            for kind in kinds:
+                assert _outcome(encode_residues, m, kind(batch)) == expected, (len(batch), kind)
+        # Ranges: every value congruent to 1, and runs with bad values first,
+        # in the middle and near the end.
+        n, size = m.n, index_space_size(m)
+        ranges = [range(1, 1 + 2 * size * n, n), range(2 * size), range(1, 2 * size), range(1, 4)]
+        ranges += [range(n - 2 * size, n + 2), range(-1, n * size, n), range(1, n * size, n - 1)]
+        for values in ranges:
+            assert _outcome(encode_residues, m, values) == _outcome(encode_residues, m, list(values))
 
     def test_the_first_bad_value_is_the_one_named(self):
         m = parse_factorization("3 * 5 * 7")
