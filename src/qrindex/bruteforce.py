@@ -105,7 +105,8 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
     ``range(1, size + 1)``.  A modulus with at most 4096 residues
     decodes from the table it built with them, which every decode on
     it reads, the sampler's included, so that table is what is
-    certified; a larger one decodes each index by the CRT sum.  When
+    certified; a larger one decodes each index by per-part squares and
+    their CRT sum.  When
     the decode call raises nothing and gives ``size`` distinct residues,
     that list, in decode order, is what is encoded, each residue owned by
     its own index; any other outcome is read index by index, keeping the

@@ -43,16 +43,21 @@ gets a table, the batch is encoded one part at a time, a chunk of at
 most ``_COLUMN`` = 4096 values read into a list once and a list
 comprehension of lookups per part over it; a bad value sends its chunk
 back through the per-value loop, which raises as the single call does.
-The CRT basis ``E_i`` sums to 1 modulo N, so the root at 0-based value
-v is the linear form ``1 + sum(digit * scale * E)`` mod N over one step
-``(radix, scale, E)`` per digit, prepared with the modulus: scale 1 for
-the x digit, p for the c digit and 2 for the 2-part digit; radix-1
-digits take no step.  The form is linear, so a modulus with at most
-``_BLOCK`` = 4096 residues walks its whole index space once, as it is
-built: every root sum in index order, one term per digit, each squared
-once.  It keeps the residues as a tuple, and every decode on it, the
-index sampler's included, is a lookup there; a larger modulus decodes
-each index by the sum.  Encoding inverts the form, per residue, in
+The CRT basis ``E_i`` is 1 modulo its part, 0 modulo the others, and
+sums to 1 modulo N.  CRT is a ring isomorphism, so a modulus with more
+than ``_BLOCK`` = 4096 residues decodes the 0-based value v part by
+part over one step ``(count, half, p, q, E)`` per part with a digit,
+prepared with the modulus: the part's digit splits into c and x - 1,
+its root ``y = x + c*p`` (``1 + 2*c`` for the 2-part) is squared
+modulo its own q, the 2-part by the mask ``q - 1``, and the residue is
+``1 + sum((y*y mod q - 1) * E)`` mod N, with no square of an N-sized
+root.  A smaller modulus walks its whole index space once instead, as
+it is built, in the root domain: the root is the linear form ``1 +
+sum(digit * scale * E)`` mod N, scale 1 for the x digit and p for the
+c digit, so every root sum is built in index order, one term per
+digit, and each is squared once modulo N.  It keeps the residues as a
+tuple, and every decode on it, the index sampler's included, is a
+lookup there.  Encoding inverts the decode, per residue, in
 one pass over one prepared root step per prime power: the odd parts in
 ascending-prime order, then the 2-part, whose root ``1 + 2*c`` is an
 odd part's ``x + c*p`` with p = 2 and x fixed at 1.  Each part's
@@ -62,11 +67,11 @@ prepared with the modulus.  An odd part's digits come from a
 Tonelli-Shanks root on the step's non-residue power, computed once
 with the modulus, that also yields its inverse, which
 starts the Newton lift to ``p**e`` over the step's prepared ladder; the
-2-part digit comes from the 2-adic root.  Both lifts start from a root
-exact at the base precision, the Tonelli-Shanks root modulo p or r = 1
-modulo 2**3, take their rungs from one exponent plan, planned top-down
-so no rung overshoots, and end with one Karp-Markstein step from half
-precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
+2-part digit comes from the 2-adic root of z masked by ``q - 1``.  Both
+lifts start from a root exact at the base precision, the Tonelli-Shanks
+root modulo p or r = 1 modulo 2**3, take their rungs from one exponent
+plan, planned top-down so no rung overshoots, and end with one
+Karp-Markstein step from half precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
 root is the half-precision one.  No digit list is built and no
 modular inverse is taken.  The unit test, a gcd with N, runs only on
 the error path and is the only one: z = 0 mod p fails that prime's
@@ -140,28 +145,32 @@ class FactoredModulus:
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
     of distinct odd primes) and ``phi`` (Euler's totient).  Built here
-    once: ``|QR(N)|``, the radix schedule, the decode steps, one
-    ``(radix, scale, E)`` per radix above 1 with ``E`` the CRT basis
-    element of its part (1 modulo that part, 0 modulo the others, one
-    integer per part), and the encode root steps, one ``(p, p**k, half,
-    count, place, table, root)`` per prime power, the odd parts ascending
-    and then the 2-part when k2 >= 1.  ``count`` is the part's residues,
-    ``place`` the product of the counts before it and ``table`` the
-    one-entry square table ``{1: 0}`` when count is 1 (the part 3, and
-    ``2**k2`` with k2 <= 3) and None otherwise.  An odd part has ``half
-    = (p-1)/2``, ``count = half * p**(k-1)`` and ``root = (s, e, c,
+    once: ``|QR(N)|``, the radix schedule and its layout, one ``(radix,
+    p, k, name, offset)`` per schedule digit (an odd part's ``x - 1`` and
+    ``c``, then the 2-part's digit when k2 > 3), the decode steps, one
+    ``(count, half, p, p**k, E)`` per part with more than one residue,
+    with ``E`` the CRT basis element of its part (1 modulo that part, 0
+    modulo the others), and the encode root steps, one ``(p, p**k, half,
+    count, place, table, root)`` per prime power.  All three list the odd
+    parts ascending and then the 2-part when k2 >= 1.  ``count`` is the
+    part's residues, ``place`` the product of the counts before it and
+    ``table`` the one-entry square table ``{1: 0}`` when count is 1 (the
+    part 3, and ``2**k2`` with k2 <= 3) and None otherwise.  An odd part
+    has ``half = (p-1)/2``, ``count = half * p**(k-1)`` and ``root = (s, e, c,
     ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the Tonelli-Shanks
     non-residue power of order 2**s, found once p is proven prime, and
     ``ladder`` the Newton precisions ``p**j`` that
     ``numbertheory._precision_ladder`` plans top-down from
     ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
     (empty when k <= 2).  The 2-part has ``p = 2``, ``half = 1``,
-    ``count = 2**max(k2-3, 0)`` and ``root = k2``.  Decode and root
-    steps hold the schedule's own radix integers.  When ``|QR(N)| <=
+    ``count = 2**max(k2-3, 0)`` and ``root = k2``.  The steps hold
+    the schedule's own radix integers.  When ``|QR(N)| <=
     _BLOCK`` = 4096, the residues of every index, in order, as a tuple of
-    at most 4096 ints built by one walk of the decode steps; None
-    otherwise.  Equality and hashing compare the factorization alone.
-    Immutable and freely shareable across threads.
+    at most 4096 ints built by one walk of the roots over the decode
+    steps, each root squared modulo N; None otherwise, and each decode
+    then squares every part's root modulo the part alone.  Equality and
+    hashing compare the factorization alone.  Immutable and freely
+    shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -201,44 +210,50 @@ class FactoredModulus:
 
         n = 1 << self.two_exponent
         phi = 1 << max(self.two_exponent - 1, 0)
-        radices: list[int] = []
+        # One entry per prime power, the odd parts ascending and then the
+        # 2-part, ending with its schedule digits as (radix, p, k, name,
+        # offset): the radix schedule, the profile views, the decode steps
+        # and the root steps are all built from this list.
         parts = []
         for p, k in self.odd_parts:
             q = p ** k
             half, lower = (p - 1) // 2, q // p
             n *= q
             phi *= (p - 1) * lower
-            radices += [half, lower]
             s, e = _two_adic_split(p)
             c = _nonresidue_power(p)  # p is proven prime above, so the scan ends
-            parts.append((p, q, half, half * lower, (s, e, c, _precision_ladder(p, k))))
+            root = (s, e, c, _precision_ladder(p, k))
+            digits = ((half, p, k, "root x", 1), (lower, p, k, "lift digit c", 0))
+            parts.append((p, q, half, half * lower, root, digits))
         if self.two_exponent:
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
-            count = 1 << max(self.two_exponent - 3, 0)
-            if count > 1:
-                radices.append(count)
-            parts.append((2, 1 << self.two_exponent, 1, count, self.two_exponent))
+            k2 = self.two_exponent
+            count = 1 << max(k2 - 3, 0)
+            digits = ((count, 2, k2, "2-part digit", 0),) if count > 1 else ()
+            parts.append((2, 1 << k2, 1, count, k2, digits))
         if n < 2:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
 
         self.n = n
         self.phi = phi
-        self._radices = tuple(radices)
-        # The CRT basis E of part q is 1 mod q and 0 mod every other part:
-        # decode is one linear sum.  The steps of a part share its E and keep
-        # the scale apart, as storing p*E would add a modulus-sized integer
-        # per part.
+        # The CRT basis E of part q is 1 mod q and 0 mod every other part.
         place = 1
-        root_steps, steps = [], []
-        for p, q, half, count, root in parts:
+        layout, root_steps, steps = [], [], []
+        for p, q, half, count, root, digits in parts:
+            layout += digits
             # A part with one residue, 3 or 2**k2 with k2 <= 3, holds its
             # one-entry table, so a single value looks it up too.
             root_steps.append((p, q, half, count, place, {1: 0} if count == 1 else None, root))
             place *= count
             if count > 1:  # the part has a digit
                 basis = (cofactor := n // q) * pow(cofactor, -1, q)
-                steps += [(r, scale, basis) for r, scale in ((half, 1), (count // half, p)) if r > 1]
+                steps.append((count, half, p, q, basis))
         self._size = place
+        # Tuples of lists: a tuple of a generator is allocated oversized and
+        # shrunk, so each modulus would park one more block on the
+        # interpreter's tuple free lists, about 0.4 MB over N = 2..3000.
+        self._layout = tuple(layout)
+        self._radices = tuple([slot[0] for slot in layout])
         self._decode_steps = tuple(steps)
         self._root_steps = tuple(root_steps)
         # Every residue in index order when there are at most _BLOCK of them:
@@ -367,13 +382,10 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     except IndexRangeError as exc:
         position = exc.position
     # Re-raised naming the value the caller passed (x, not x - 1).
-    i, lift = divmod(position, 2)
-    p, k = m.odd_parts[i] if i < m.r else (2, m.two_exponent)
-    name = ("root x", "lift digit c")[lift] if i < m.r else "2-part digit"
-    low = 1 if name == "root x" else 0
+    radix, p, k, name, low = m._layout[position]
     raise IndexRangeError(
         f"{name} = {_format_int(digits[position] + low)} out of range"
-        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
+        f" {low}..{_format_int(radix - 1 + low)}"
         f" for prime power {_power(p, k, _format_int)}"
     )
 
@@ -420,9 +432,10 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     raises TypeError, as ``range(2.0)`` does, and one outside the index
     space IndexRangeError, at the first bad index.  A modulus with at
     most ``_BLOCK`` residues looks each one up in the table it built
-    with them; a larger one computes the linear form ``1 + sum(digit *
-    scale * E)`` mod N over its prepared decode steps and squares it.
-    No profile is built.
+    with them.  A larger one squares each part's canonical root modulo
+    that part alone, the 2-part by a mask, and recombines the squares as
+    ``1 + sum((y*y mod q - 1) * E)`` mod N over its prepared decode
+    steps: no root modulo N is built or squared.  No profile is built.
 
     On a modulus with a table, a step-1 ``range`` inside ``1..|QR(N)|``
     is a slice of the table, copied into a new list.  Any other
@@ -570,7 +583,7 @@ def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
         try:
             for p, q, half, _, place, table, root in steps:
                 # One full-width reduction per part: z mod p comes from z mod p**k.
-                zq = z % q
+                zq = z & (q - 1) if p == 2 else z % q
                 digit = table.get(zq) if table is not None else None
                 if digit is None:
                     # No table, or a miss: the part's root step, which raises.
@@ -648,13 +661,16 @@ def _decode(m: FactoredModulus, value: int) -> int:
 
 
 def _decode_sum(m: FactoredModulus, value: int) -> int:
-    # The roots are 1 + digit*scale per part and the basis sums to 1 mod N.
-    root = 1
-    for radix, scale, e in m._decode_steps:
-        value, digit = divmod(value, radix)
-        root += digit * scale * e
-    root %= m.n
-    return root * root % m.n
+    # Each part's canonical root y = 1 + x + c*p, 0-based x, is squared modulo
+    # its own q, the 2-part's by a mask: CRT is a ring isomorphism and the
+    # basis sums to 1 mod N, so z = 1 + sum((y*y mod q - 1) * E) mod N.
+    z = 1
+    for count, half, p, q, e in m._decode_steps:
+        value, digit = divmod(value, count)
+        c, x = divmod(digit, half)
+        y = 1 + x + c * p
+        z += ((y * y & (q - 1) if p == 2 else y * y % q) - 1) * e
+    return z % m.n
 
 
 _BLOCK = 1 << 12  # the largest index space whose residues the modulus holds
@@ -663,17 +679,23 @@ _COLUMN_MIN = 16  # the shortest batch a column encode is faster on
 
 
 def _decode_all(m: FactoredModulus) -> list[int]:
-    # The residue of every index, in order: the roots 1 + sum(digit * t),
-    # t = scale * E mod n, with the newest, more significant step outermost.
-    # The first step's roots are a range, so no comprehension runs over [1].
-    n, steps = m.n, m._decode_steps
-    if not steps:
+    # The residue of every index, in order, in the root domain, apart from
+    # _decode_sum's per-part squares: the roots 1 + sum(digit * t) with one t
+    # = scale * E mod n per digit above radix 1 (scale 1 for x, p for c), the
+    # newest, more significant digit outermost, each squared modulo n.  The
+    # first digit's roots are a range, so no comprehension runs over [1].
+    n = m.n
+    terms = [
+        (radix, scale * e % n)
+        for count, half, p, _, e in m._decode_steps
+        for radix, scale in ((half, 1), (count // half, p))
+        if radix > 1
+    ]
+    if not terms:
         return [1]
-    radix, scale, e = steps[0]
-    t = scale * e % n
+    (radix, t), *rest = terms
     roots = range(1, 1 + radix * t, t)
-    for radix, scale, e in steps[1:]:
-        t = scale * e % n
+    for radix, t in rest:
         roots = [u + r for u in range(0, radix * t, t) for r in roots]
     return [r * r % n for r in roots]
 
@@ -702,5 +724,10 @@ def _two_part_is_square(k2: int, z: int) -> bool:
 
 
 def _profile(m: FactoredModulus, digits) -> RootProfile:
-    odd_roots = tuple((digits[2 * i] + 1, digits[2 * i + 1]) for i in range(m.r))
-    return RootProfile(odd_roots, digits[-1] if m.two_exponent > 3 else None)
+    # Each part's schedule digits, back at the values the profile holds: an
+    # odd part's (x, c), and the 2-part's digit when the 2-part has one.
+    roots = {}
+    for (_, p, _, _, low), digit in zip(m._layout, digits):
+        roots.setdefault(p, []).append(digit + low)
+    two = roots.pop(2, [None])
+    return RootProfile(tuple(map(tuple, roots.values())), *two)

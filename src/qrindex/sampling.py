@@ -240,9 +240,10 @@ def sample_residue_by_index(
     The drawn value is the 0-based index, decoded by the core that
     ``decode_index`` runs after its range check, which a value below
     |QR(N)| cannot fail: one lookup in the table of residues a modulus
-    with at most 4096 of them holds, or else the CRT sum and a squaring
-    modulo N.  Returns the residue and a fresh ledger holding this
-    call's bit and attempt counts.
+    with at most 4096 of them holds, or else each part's root squared
+    modulo its own prime power and the squares recombined by CRT.
+    Returns the residue and a fresh ledger holding this call's bit and
+    attempt counts.
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)

@@ -104,6 +104,17 @@ class TestCertifyBijection:
         for n in (2, 4, 8, 16, 9, 27, 31, 45, 60, 64, 105, 240, 841, 1000):
             assert certify_bijection(factor_trial_division(n)).passed, n
 
+    @pytest.mark.parametrize("n,size", [(5 * 4099, 4098), (2**16, 8192), (888800, 10000)])
+    def test_moduli_without_a_table_pass_against_brute_force(self, n, size):
+        # Above 4096 residues each index decodes by the per-part square
+        # sum, not from a table; the enumeration is brute force.  888,800
+        # is 2^5 * 5^2 * 11 * 101, with a 2-part digit.
+        m = factor_trial_division(n)
+        assert m._residues is None
+        report = certify_bijection(m)
+        assert report.failures == []
+        assert report.indices_checked == size
+
     def test_collision_and_image_failures_are_reported(self, monkeypatch):
         # Every violation is read off the two result lists: nothing is run
         # again, even though the modulus fails.

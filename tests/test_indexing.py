@@ -685,10 +685,10 @@ class TestBatchCodec:
     def test_batches_match_the_single_calls_for_every_small_n(self):
         # Over criterion 1's range, each fast path against the per-value one.
         # Every decode here reads the modulus' residue table, which
-        # TestResidueTable checks against the CRT sum.  The whole-residue
-        # batch, and any batch of at least _COLUMN_MIN values as long as
-        # every part's residue count, is encoded column by column from the
-        # encode tables; a shorter batch, or one shorter than some part's
+        # TestResidueTable checks against the per-part squares.  The
+        # whole-residue batch, and any batch of at least _COLUMN_MIN values
+        # as long as every part's residue count, is encoded column by column
+        # from the encode tables; a shorter batch, or one shorter than some part's
         # count, goes value by value, tabulating only the parts it
         # outnumbers.  A single call takes Tonelli-Shanks, the lift and the
         # 2-adic root.
@@ -934,13 +934,15 @@ class _WalkSpy:
 
 
 def _crt_sums(m):
-    """Every residue of m by the CRT sum, the arithmetic decode path."""
+    """Every residue of m by per-part squares, the arithmetic decode path."""
     return [indexing._decode_sum(m, value) for value in range(index_space_size(m))]
 
 
 class TestResidueTable:
     """A modulus with at most ``_BLOCK`` residues holds all of them, in
-    index order, and decodes by lookup; the CRT sum is the reference."""
+    index order, and decodes by lookup.  The table is built in the root
+    domain, one square modulo N per root; the per-part squares and their
+    CRT sum, a second decoder, are the reference."""
 
     def test_the_table_matches_the_crt_sum_for_every_small_n(self):
         # Criterion 1's range: every modulus there has a table, which the
@@ -1219,15 +1221,17 @@ def _basis_moduli():
 
 
 def _parts_and_steps(m):
-    # The prime-power parts, and (radix, scale, part) for each digit of
-    # radix above 1 in schedule order: the decode steps m should hold.
-    parts = [p**k for p, k in m.odd_parts] + ([1 << m.two_exponent] if m.two_exponent else [])
+    # The prime-power parts, and (count, half, p, q, part) for each part
+    # with a digit, the odd parts ascending and then the 2-part: the decode
+    # steps m should hold, with the part's position in place of its E.
+    parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
     steps = []
-    for i, (p, k) in enumerate(m.odd_parts):
-        steps += [((p - 1) // 2, 1, i), (p ** (k - 1), p, i)]
-    if m.two_exponent > 3:
-        steps.append((1 << (m.two_exponent - 3), 2, m.r))
-    return parts, [step for step in steps if step[0] > 1]
+    for i, (p, k) in enumerate(parts):
+        half = max((p - 1) // 2, 1)
+        count = half * p ** (k - 1) if p > 2 else 1 << max(k - 3, 0)
+        if count > 1:
+            steps.append((count, half, p, p**k, i))
+    return [p**k for p, k in parts], steps
 
 
 class TestCrtBasis:
@@ -1239,7 +1243,7 @@ class TestCrtBasis:
         parts, expected = _parts_and_steps(m)
         assert math.prod(parts) == m.n
         assert len(m._decode_steps) == len(expected)
-        for (_, _, i), (_, _, e) in zip(expected, m._decode_steps):
+        for (*_, i), (*_, e) in zip(expected, m._decode_steps):
             assert 0 <= e < m.n
             for j, q in enumerate(parts):
                 assert e % q == (1 if i == j else 0), (i, j)
@@ -1259,16 +1263,24 @@ class TestCrtBasis:
             assert decode_index(m, index) == root * root % m.n
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
-    def test_decode_steps_share_the_basis(self, m):
-        # Both steps of a part hold the same E, not a new N-sized multiple,
-        # and a part with no digit (3, or 2^k with k <= 3) has no step.
+    def test_decode_steps_follow_the_root_steps(self, m):
+        # One step per part with a digit, in root-step order, holding that
+        # root step's residue count, x radix, prime and power; a part with
+        # no digit (3, or 2^k with k <= 3) has none.  Each count is its
+        # part's schedule radices multiplied, and the counts multiply to
+        # the index space.
         parts, expected = _parts_and_steps(m)
-        assert [step[:2] for step in m._decode_steps] == [step[:2] for step in expected]
-        assert [radix for radix, _, _ in m._decode_steps] == [r for r in m._radices if r > 1]
-        shared = {}
-        for (_, _, i), (_, _, e) in zip(expected, m._decode_steps):
-            assert shared.setdefault(i, e) is e
-        assert shared.keys() == {i for i, q in enumerate(parts) if q not in (2, 3, 4, 8)}
+        assert [step[:4] for step in m._decode_steps] == [step[:4] for step in expected]
+        roots = [(count, half, p, q) for p, q, half, count, *_ in m._root_steps if count > 1]
+        assert [step[:4] for step in m._decode_steps] == roots
+        assert math.prod(count for count, *_ in m._decode_steps) == index_space_size(m)
+        radices = iter(m._radices)
+        for p, q, half, count, *_ in m._root_steps:
+            width = 2 if p > 2 else int(count > 1)
+            assert math.prod(itertools.islice(radices, width)) == count, q
+        assert next(radices, None) is None
+        with_digit = {i for i, q in enumerate(parts) if q not in (2, 3, 4, 8)}
+        assert {i for *_, i in expected} == with_digit
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
@@ -1320,6 +1332,50 @@ class TestCrtBasis:
             m = factor_trial_division(n)
             for z in enumerate_qr(n):
                 assert encode_residue(m, z) == profile_to_index(m, residue_to_profile(m, z)), (n, z)
+
+
+def _carry_values(m):
+    # 0-based values on both sides of every digit carry: each part's x digit
+    # into its c digit, and the part's last digit into the next part.
+    size = index_space_size(m)
+    values = {0, size - 1}
+    for _, _, half, count, place, _, _ in m._root_steps:
+        for carry in (place * half, place * count):
+            values.update(v for v in (carry - 1, carry) if 0 <= v < size)
+    return sorted(values)
+
+
+class TestDefinition:
+    """The paper's indexing on moduli with no residue table, read off the
+    profile with nothing but squaring: no CRT basis, Tonelli-Shanks or
+    lift.  A unit square modulo p^k has exactly the roots +-y, and only
+    one has x <= (p-1)/2; modulo 2^k2 only one of its roots is 1 + 2d with
+    d below 2^(k2-3).  So each profile pins the residue its index decodes
+    to, part by part."""
+
+    @pytest.mark.parametrize("shape", ["powers", "semiprime2048"])
+    def test_every_part_squares_its_canonical_root(self, shape):
+        if shape == "powers":  # the codec-powers shape, 2^1024 * 3^256 * p^8 * q^4
+            m = FactoredModulus(1024, _POWERS)
+        else:
+            m = squarefree_semiprime_modulus(2048, random.Random(2048))
+        assert m._residues is None
+        size = index_space_size(m)
+        rng = random.Random(35)
+        values = _carry_values(m) + [rng.randrange(size) for _ in range(200)]
+        indices = [v + 1 for v in values]
+        residues = decode_indices(m, indices)
+        for index, z in zip(indices, residues):
+            profile = index_to_profile(m, index)
+            for (p, k), (x, c) in zip(m.odd_parts, profile.odd_roots):
+                assert 1 <= x <= (p - 1) // 2 and 0 <= c < p ** (k - 1), (index, p)
+                assert (x + c * p) ** 2 % p**k == z % p**k, (index, p)
+            if m.two_exponent:
+                d = profile.two_part_digit
+                assert d is None or 0 <= d < 1 << (m.two_exponent - 3), index
+                y = 1 if d is None else 1 + 2 * d
+                assert y * y % (1 << m.two_exponent) == z % (1 << m.two_exponent), index
+        assert encode_residues(m, residues) == indices
 
 
 class TestIsQuadraticResidue:

@@ -318,7 +318,7 @@ def test_index_sampler_matches_the_decode_index_path(factors):
     # The sampler decodes the drawn value directly; the reference adds 1
     # and goes through decode_index.  |QR(24)| = 1, so that one draws no bits.
     # Both read the modulus' residue table when it has one (15015, 8064,
-    # 2^12, 24), so a third stream decodes its draws by the CRT sum.
+    # 2^12, 24), so a third stream decodes its draws by the per-part squares.
     m = parse_factorization(factors)
     fast, slow, arithmetic = SeededBitSource(2018), SeededBitSource(2018), SeededBitSource(2018)
     for i in range(2000):
