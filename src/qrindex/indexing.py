@@ -26,21 +26,16 @@ Each direction of the codec is one batch loop, ``decode_indices`` and
 steps once, then checks and maps each value in turn, raising at the
 first bad one.  ``decode_index`` and ``encode_residue`` are their
 one-element case.  Decoding an index to its residue takes
-O(log^3 N) bit work.  A batch to encode whose known length
-(``operator.length_hint``) is at least a part's residue count
-``(p-1)/2 * p**(e-1)``, or ``2**(e-3)``, tabulates that part: one
-table per call, built by squaring every canonical root once the first
-value is known to be a unit square, maps each unit square modulo the
-part to its digits, and one lookup replaces the part's root and lift
-for every value.  So no table has more entries than the batch
-has values, and a batch whose first value is bad builds none.  A part
-with one residue, 3 or ``2**e`` with e <= 3, carries its one-entry
-table ``{1: 0}``, prepared with the modulus; every other part of a
-generator, of known length 0, or of a single value takes the per-value
-path, and a batch that tabulates no part checks no first value.  When
-every part of a batch of at least ``_COLUMN_MIN`` = 16 values has or
-gets a table, the batch is encoded one part at a time, a chunk of at
-most ``_COLUMN`` = 4096 values read into a list once and a list
+O(log^3 N) bit work.  The first encode on a modulus builds its root
+steps, which it keeps: each part's Tonelli-Shanks constants and, in
+ascending part order while the tables hold at most ``_TABLE_ENTRIES`` =
+16384 entries in all, a table that maps each unit square modulo the
+part to its digits, built by squaring every canonical root once.  A
+tabulated part is one lookup in place of its root and lift.  A part with
+one residue, 3 or ``2**e`` with e <= 3, always has its table ``{1: 0}``.
+When every part has a table and a batch has at least ``_COLUMN_MIN`` =
+16 values, the batch is encoded one part at a time, a chunk of at most
+``_COLUMN`` = 4096 values read into a list once and a list
 comprehension of lookups per part over it; a bad value sends its chunk
 back through the per-value loop, which raises as the single call does.
 The CRT basis ``E_i`` is 1 modulo its part, 0 modulo the others, and
@@ -64,8 +59,8 @@ odd part's ``x + c*p`` with p = 2 and x fixed at 1.  Each part's
 digits ``x - 1 + c*(p-1)/2`` (the 2-part's c alone) enter the index at
 the part's place, the product of the residue counts before it,
 prepared with the modulus.  An odd part's digits come from a
-Tonelli-Shanks root on the step's non-residue power, computed once
-with the modulus, that also yields its inverse, which
+Tonelli-Shanks root on the step's non-residue power, computed on the
+first encode, that also yields its inverse, which
 starts the Newton lift to ``p**e`` over the step's prepared ladder; the
 2-part digit comes from the 2-adic root of z masked by ``q - 1``.  Both
 lifts start from a root exact at the base precision, the Tonelli-Shanks
@@ -150,27 +145,30 @@ class FactoredModulus:
     ``c``, then the 2-part's digit when k2 > 3), the decode steps, one
     ``(count, half, p, p**k, E)`` per part with more than one residue,
     with ``E`` the CRT basis element of its part (1 modulo that part, 0
-    modulo the others), and the encode root steps, one ``(p, p**k, half,
-    count, place, table, root)`` per prime power.  All three list the odd
-    parts ascending and then the 2-part when k2 >= 1.  ``count`` is the
-    part's residues, ``place`` the product of the counts before it and
-    ``table`` the one-entry square table ``{1: 0}`` when count is 1 (the
-    part 3, and ``2**k2`` with k2 <= 3) and None otherwise.  An odd part
-    has ``half = (p-1)/2``, ``count = half * p**(k-1)`` and ``root = (s, e, c,
-    ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the Tonelli-Shanks
-    non-residue power of order 2**s, found once p is proven prime, and
-    ``ladder`` the Newton precisions ``p**j`` that
-    ``numbertheory._precision_ladder`` plans top-down from
-    ``p**ceil(k/2)``, where the lift's Karp-Markstein finish starts
-    (empty when k <= 2).  The 2-part has ``p = 2``, ``half = 1``,
-    ``count = 2**max(k2-3, 0)`` and ``root = k2``.  The steps hold
-    the schedule's own radix integers.  When ``|QR(N)| <=
-    _BLOCK`` = 4096, the residues of every index, in order, as a tuple of
-    at most 4096 ints built by one walk of the roots over the decode
-    steps, each root squared modulo N; None otherwise, and each decode
-    then squares every part's root modulo the part alone.  Equality and
-    hashing compare the factorization alone.  Immutable and freely
-    shareable across threads.
+    modulo the others), and the parts, one ``(p, p**k, half, count,
+    place, k)`` per prime power, holding the schedule's own radix
+    integers.  Both list the odd parts ascending and then the 2-part
+    when k2 >= 1.  ``count`` is the part's residues and ``place`` the
+    product of the counts before it; an odd part has ``half = (p-1)/2``
+    and ``count = half * p**(k-1)``, the 2-part ``p = 2``, ``half = 1``
+    and ``count = 2**max(k2-3, 0)``.  When ``|QR(N)| <= _BLOCK`` = 4096,
+    the residues of every index, in order, as a tuple built by one walk
+    of the roots over the decode steps, each root squared modulo N; None
+    otherwise, and each decode then squares every part's root modulo the
+    part alone.
+
+    Built on the first encode, and kept: the root steps, one ``(p, p**k,
+    half, count, place, table, root)`` per part.  An odd part's ``root =
+    (s, e, c, ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the
+    Tonelli-Shanks non-residue power of order 2**s, and ``ladder`` the
+    Newton precisions ``p**j`` that ``numbertheory._precision_ladder``
+    plans top-down from ``p**ceil(k/2)``, where the lift's
+    Karp-Markstein finish starts (empty when k <= 2); the 2-part's
+    ``root = k2``.  ``table`` is ``{1: 0}`` when count is 1, the part's
+    square table while the tables hold at most ``_TABLE_ENTRIES`` =
+    16384 entries in all, and None otherwise.  Equality and hashing
+    compare the factorization alone.  No state changes a result, so a
+    modulus is freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -220,11 +218,8 @@ class FactoredModulus:
             half, lower = (p - 1) // 2, q // p
             n *= q
             phi *= (p - 1) * lower
-            s, e = _two_adic_split(p)
-            c = _nonresidue_power(p)  # p is proven prime above, so the scan ends
-            root = (s, e, c, _precision_ladder(p, k))
             digits = ((half, p, k, "root x", 1), (lower, p, k, "lift digit c", 0))
-            parts.append((p, q, half, half * lower, root, digits))
+            parts.append((p, q, half, half * lower, k, digits))
         if self.two_exponent:
             # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
             k2 = self.two_exponent
@@ -238,12 +233,10 @@ class FactoredModulus:
         self.phi = phi
         # The CRT basis E of part q is 1 mod q and 0 mod every other part.
         place = 1
-        layout, root_steps, steps = [], [], []
-        for p, q, half, count, root, digits in parts:
+        layout, placed, steps = [], [], []
+        for p, q, half, count, k, digits in parts:
             layout += digits
-            # A part with one residue, 3 or 2**k2 with k2 <= 3, holds its
-            # one-entry table, so a single value looks it up too.
-            root_steps.append((p, q, half, count, place, {1: 0} if count == 1 else None, root))
+            placed.append((p, q, half, count, place, k))
             place *= count
             if count > 1:  # the part has a digit
                 basis = (cofactor := n // q) * pow(cofactor, -1, q)
@@ -255,7 +248,8 @@ class FactoredModulus:
         self._layout = tuple(layout)
         self._radices = tuple([slot[0] for slot in layout])
         self._decode_steps = tuple(steps)
-        self._root_steps = tuple(root_steps)
+        self._parts = tuple(placed)
+        self._root_steps = None  # built by _build_root_steps on the first encode
         # Every residue in index order when there are at most _BLOCK of them:
         # decoding such a modulus is a lookup.  A tuple, so no caller can
         # change what later decodes return.
@@ -418,11 +412,12 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     """Map a quadratic residue modulo N to its index; inverse of decode_index.
 
     The one-element case of ``encode_residues``, which raises as it does.
-    It goes straight to the per-value loop: one value has no batch to size.
+    The first encode on a modulus, this one too, builds its root steps and
+    tables; the value then goes straight to the per-value loop.
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    return _encode_each(m, m._root_steps, (z,))[0]
+    return _encode_each(m, m._root_steps or _build_root_steps(m), (z,))[0]
 
 
 def decode_indices(m: FactoredModulus, indices) -> list[int]:
@@ -469,40 +464,29 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     """Map each quadratic residue modulo N to its index; inverse of
     ``decode_indices``.
 
-    Checks the modulus once and loads its prepared root steps once.  Per
-    residue, one pass over those steps, one per prime power with the
-    2-part last, adds each part's digits at its prepared place value: no
-    digit list, no modular inverse, and the gcd with N, the only unit
-    test, only when a step fails.  z is reduced modulo N first.  At the first
-    bad residue, raises NotCoprimeError when z is not a unit,
-    NotAResidueError when some local square root does not exist,
-    ValueError for a negative z and TypeError when z is not an integer,
-    as ``decode_indices`` does for an index.
+    Checks the modulus once and loads its root steps once, building them
+    on its first encode.  Per residue, one pass over those steps, one per
+    prime power with the 2-part last, adds each part's digits at its
+    prepared place value: a lookup in a tabulated part, else
+    Tonelli-Shanks and the lift, or the 2-adic root.  No digit list, no
+    modular inverse, and the gcd with N, the only unit test, only when a
+    step fails.  z is reduced modulo N first.  At the first bad residue,
+    raises NotCoprimeError when z is not a unit, NotAResidueError when
+    some local square root does not exist, ValueError for a negative z
+    and TypeError when z is not an integer, as ``decode_indices`` does
+    for an index.
 
-    When ``operator.length_hint(residues)`` is at least a part's residue
-    count, the call tabulates that part once the first value is known to
-    be a unit square, squaring each canonical root once, and each residue
-    then takes one lookup there in place of Tonelli-Shanks and the lift,
-    or the 2-adic root.  A part with one residue holds its one-entry
-    table already.  No table has more entries than the batch has values;
-    a batch whose first value is bad, and a generator, whose known length
-    is 0, tabulate nothing, and a batch that no part's table fits checks
-    no first value.
-
-    When every part has or gets a table and the batch has at least
-    ``_COLUMN_MIN`` = 16 values, it is encoded column by column, in
-    chunks of at most ``_COLUMN`` = 4096 values: each chunk is read into
-    a list once, and one list comprehension per part looks up every
+    When every part has a table and ``operator.length_hint(residues)`` is
+    at least ``_COLUMN_MIN`` = 16, the batch is encoded column by column,
+    in chunks of at most ``_COLUMN`` = 4096 values: each chunk is read
+    into a list once, and one list comprehension per part looks up every
     value's ``z mod p**k`` and adds its digits at the part's place.  The
-    one-entry parts are looked up too; their miss is how an even z, or
-    z = 2 mod 3, fails.  When any value of a chunk is not a natural or
+    one-entry parts are looked up too; their miss is how an even z, or z
+    = 2 mod 3, fails.  When any value of a chunk is not a natural or
     misses a table, that chunk is replayed through the per-value loop,
     which raises as the single call does, so a bad value is read at most
-    one chunk ahead.  A shorter batch, and one that tabulates only some
-    parts, goes value by value: a tabulated part is one lookup, and a
-    miss goes on to the part's own step, Tonelli-Shanks or the 2-part
-    congruence class, which raises as it always does.  An iterator is
-    read once either way.  Results and errors are the single calls':
+    one chunk ahead.  An iterator is read once either way.  Results and
+    errors are the single calls':
 
     >>> from qrindex import decode_indices, index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -514,29 +498,9 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    steps = m._root_steps
-    # A generator's known length is 0, and a single value fits no table the
-    # modulus lacks: both go value by value, as they always have.
-    known = operator.length_hint(residues)
-    if known < 2:
-        return _encode_each(m, steps, residues)
-    if any(t is None and count <= known for _, _, _, count, _, t, _ in steps):
-        # The tables wait for a first value that is a unit square, so a
-        # batch that fails at its first value builds none and reads no
-        # further.  The peek consumes an iterator's first value, so it goes
-        # back in front; a container gives each pass a fresh iterator.
-        values = iter(residues)
-        head = list(itertools.islice(values, 1))
-        if values is residues:
-            residues = itertools.chain(head, values)
-        try:
-            square = bool(head) and is_quadratic_residue(m, head[0])
-        except TypeError:
-            square = False  # the per-value loop raises it, as a single call does
-        if square:
-            steps = [_tabulated(step, known) for step in steps]
+    steps = m._root_steps or _build_root_steps(m)
     # Below _COLUMN_MIN values, the column pass costs more than it saves.
-    if known >= _COLUMN_MIN and all(t is not None for _, _, _, _, _, t, _ in steps):
+    if operator.length_hint(residues) >= _COLUMN_MIN and all(step[5] is not None for step in steps):
         return _encode_columns(m, steps, residues)
     return _encode_each(m, steps, residues)
 
@@ -617,22 +581,37 @@ def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
     return indices
 
 
-def _tabulated(step: tuple, known: int) -> tuple:
-    # A part gets its table when the batch has at least as many values as
-    # the part has residues, so no table outgrows its batch.
-    p, q, half, count, place, table, root = step
-    if table is None and count <= known:
-        return (p, q, half, count, place, _square_table(p, q, half, count), root)
-    return step
+def _build_root_steps(m: FactoredModulus) -> tuple:
+    # Everything only encoding reads, built on the first encode and kept: a
+    # decode-only modulus scans for no non-residue.  A plain attribute, set
+    # once: writing a cached_property would turn the modulus' inline
+    # attributes into a dict and slow every later load, _decode's too.
+    # Two threads racing here build equal steps, and either may be kept.
+    steps, entries = [], _TABLE_ENTRIES
+    for p, q, half, count, place, k in m._parts:
+        root = k
+        if p > 2:  # p is proven prime, so the non-residue scan ends
+            root = (*_two_adic_split(p), _nonresidue_power(p), _precision_ladder(p, k))
+        table = None
+        if count == 1:  # 3, or 2**k2 with k2 <= 3: a miss is how z fails here
+            table = {1: 0}
+        elif count <= entries:
+            table, entries = _square_table(p, q, half, count), entries - count
+        steps.append((p, q, half, count, place, table, root))
+    m._root_steps = steps = tuple(steps)
+    return steps
 
 
 def _square_table(p: int, q: int, half: int, count: int) -> dict[int, int]:
     """Each unit square modulo the part q mapped to its digit ``(x - 1) +
     c*half``, by squaring every canonical root ``y = x + c*p``, ``1 <= x
     <= half``, ``c < count/half``.  The 2-part is p = 2 with half = 1."""
-    squares = [
-        y * y % q for base in range(0, count // half * p, p) for y in range(base + 1, base + half + 1)
-    ]
+    if half == 1:  # 3**k and the 2-part: x = 1, so the roots are one range
+        squares = [y * y % q for y in range(1, count * p, p)]
+    else:
+        squares = [
+            y * y % q for base in range(0, count // half * p, p) for y in range(base + 1, base + half + 1)
+        ]
     return dict(zip(squares, range(count)))
 
 
@@ -676,6 +655,7 @@ def _decode_sum(m: FactoredModulus, value: int) -> int:
 _BLOCK = 1 << 12  # the largest index space whose residues the modulus holds
 _COLUMN = 1 << 12  # the most values a column encode reads before it checks them
 _COLUMN_MIN = 16  # the shortest batch a column encode is faster on
+_TABLE_ENTRIES = 1 << 14  # the most entries the square tables of one modulus hold
 
 
 def _decode_all(m: FactoredModulus) -> list[int]:
@@ -711,8 +691,8 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
         return False
     z %= m.n
     # Euler's criterion also refuses z = 0 mod p, as 0**((p-1)/2) = 0.
-    for p, _, half, *_ in m._root_steps[:m.r]:
-        if pow(z % p, half, p) != 1:
+    for p, _ in m.odd_parts:
+        if pow(z % p, p >> 1, p) != 1:
             return False
     return _two_part_is_square(m.two_exponent, z)
 

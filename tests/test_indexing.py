@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -399,21 +400,31 @@ class TestEncodeResidue:
         with pytest.raises(NotAResidueError):
             encode_residue(parse_factorization("2^2*7"), 11)
 
-    def test_non_residue_is_refused_before_any_nonresidue_scan(self, monkeypatch):
-        # The modulus prepares the non-residue power c once; encoding a
-        # residue or a non-residue never scans for a non-residue again.
+    def test_only_the_first_encode_scans_for_a_nonresidue(self, monkeypatch):
+        # A modulus finds each odd prime's non-residue power c on its first
+        # encode, a non-residue's included, and keeps it: no decode scans,
+        # and no later encode, of a residue or a non-residue, scans again.
         p = 2**255 - 19  # 5 mod 8: 2 is a non-residue
+        scans = []
+        scan = numbertheory._nonresidue_power
+
+        def spy(p):
+            scans.append(p)
+            return scan(p)
+
+        monkeypatch.setattr(indexing, "_nonresidue_power", spy)
         m = parse_factorization(f"{p} * {_P64}")
-
-        def scan(p):
-            raise AssertionError(f"non-residue scan modulo {p}")
-
-        for module in (numbertheory, indexing):
-            monkeypatch.setattr(module, "_nonresidue_power", scan)
+        assert decode_index(m, 5) == decode_index(m, 5)
+        assert scans == []
+        with pytest.raises(NotAResidueError):
+            encode_residue(m, 2)
+        assert scans == [_P64, p]
+        scans.clear()
         with pytest.raises(NotAResidueError):
             encode_residue(m, 2)
         for b in (3, 12345, 2**100 + 7):
             assert decode_index(m, encode_residue(m, b * b % m.n)) == b * b % m.n
+        assert scans == []
 
     def test_non_unit_rejected_with_gcd(self):
         with pytest.raises(NotCoprimeError) as excinfo:
@@ -617,6 +628,11 @@ class TestRoundtrips:
         assert proc.stdout.splitlines() == ["2^65536 True", "3^32768 True"]
 
 
+def _steps(m):
+    """The modulus' root steps, built as its first encode builds them."""
+    return m._root_steps or indexing._build_root_steps(m)
+
+
 def _outcome(call, *args):
     """What the call returns, or the type, message and gcd of what it raises."""
     try:
@@ -685,13 +701,12 @@ class TestBatchCodec:
     def test_batches_match_the_single_calls_for_every_small_n(self):
         # Over criterion 1's range, each fast path against the per-value one.
         # Every decode here reads the modulus' residue table, which
-        # TestResidueTable checks against the per-part squares.  The
-        # whole-residue batch, and any batch of at least _COLUMN_MIN values
-        # as long as every part's residue count, is encoded column by column
-        # from the encode tables; a shorter batch, or one shorter than some part's
-        # count, goes value by value, tabulating only the parts it
-        # outnumbers.  A single call takes Tonelli-Shanks, the lift and the
-        # 2-adic root.
+        # TestResidueTable checks against the per-part squares.  No modulus
+        # here comes near _TABLE_ENTRIES, so the first encode tabulates
+        # every part: a batch of at least _COLUMN_MIN values is encoded
+        # column by column, and a shorter one, as a single call, value by
+        # value through the same tables.  TestEncodeState checks the root
+        # path without tables against the oracle.
         for n in range(2, 3001):
             m = factor_trial_division(n)
             if n <= 400:
@@ -722,61 +737,47 @@ class TestBatchCodec:
             assert all(entries <= len(table) for _, entries in spy.tables), n
 
     @pytest.mark.parametrize("factors", ["2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2"])
-    def test_tables_follow_the_batch_length(self, factors, monkeypatch):
-        m = parse_factorization(factors)
-        # Each part's residue count, and what the spy records for its
-        # per-value root: p for Tonelli-Shanks, 2**k2 for the 2-adic root.
-        counts = {p**k: (p - 1) // 2 * p ** (k - 1) for p, k in m.odd_parts}
-        roots = {p**k: p for p, k in m.odd_parts}
-        if m.two_exponent > 3:
-            counts[1 << m.two_exponent] = 1 << (m.two_exponent - 3)
-            roots[1 << m.two_exponent] = 1 << m.two_exponent
-        residues = decode_indices(m, range(1, index_space_size(m) + 1))
+    def test_tables_follow_the_modulus(self, factors, monkeypatch):
+        # The first encode, a single call here, builds one table per part
+        # with more than one residue, in root-step order, the 2-part last:
+        # none comes near _TABLE_ENTRIES.  Every later call, a single one, a
+        # list batch of any length or a generator, builds none and takes no
+        # per-value root.
         spy = _TableSpy(monkeypatch)
-        for length in range(1, 2 * max(counts.values()) + 1):
-            batch = residues[:length]
-            spy.clear()
-            assert encode_residues(m, batch) == list(range(1, length + 1)), length
-            tabulated = [q for q, count in counts.items() if 1 < count <= length]
-            assert sorted(q for q, _ in spy.tables) == sorted(tabulated), length
-            assert all(entries == counts[q] <= length for q, entries in spy.tables), length
-            # The parts with more residues than the batch has values take the
-            # per-value root, once per value.
-            expected = [roots[q] for q, count in counts.items() if count > length] * length
-            assert sorted(spy.roots) == sorted(expected), length
-        # A single value builds no table; a generator, of known length 0,
-        # takes the per-value path for every value.
-        for z in residues[:3]:
-            spy.clear()
-            encode_residue(m, z)
-            assert spy.tables == [], z
-        spy.clear()
-        assert encode_residues(m, (z for z in residues)) == list(range(1, len(residues) + 1))
+        m = parse_factorization(factors)
+        counts = [(p**k, (p - 1) // 2 * p ** (k - 1)) for p, k in m.odd_parts]
+        counts += [(1 << m.two_exponent, 1 << (m.two_exponent - 3))] if m.two_exponent > 3 else []
+        residues = decode_indices(m, range(1, index_space_size(m) + 1))
         assert spy.tables == []
-        assert len(spy.roots) == len(residues) * len([q for q, c in counts.items() if c > 1])
+        assert encode_residue(m, residues[-1]) == len(residues)
+        assert spy.tables == [(q, count) for q, count in counts if count > 1]
+        assert spy.roots == []
+        spy.clear()
+        for z in residues[:3]:
+            encode_residue(m, z)
+        for length in range(1, len(residues) + 1):
+            assert encode_residues(m, residues[:length]) == list(range(1, length + 1)), length
+        assert encode_residues(m, (z for z in residues)) == list(range(1, len(residues) + 1))
+        assert spy.tables == [] and spy.roots == []
 
     def test_a_batch_whose_first_value_is_bad_builds_no_table(self, monkeypatch):
         spy = _TableSpy(monkeypatch)
-        # The part 3^11 has 59,049 residues, fewer than the range has values.
+        # The part 3^11 has 59,049 residues, more than _TABLE_ENTRIES, so it
+        # has no table however long its batch is, and every value takes
+        # Tonelli-Shanks and the lift.
         m = parse_factorization("3^11")
         raised = _outcome(encode_residue, m, 2)
         assert raised[1] == "2 is not a quadratic residue modulo 3"
-        spy.clear()
         assert _outcome(encode_residues, m, range(2, 200000)) == raised
         assert spy.tables == []
+        assert [table for *_, table, _ in _steps(m)] == [None]
         # 2^3 misses its one-entry table, the larger 2-parts their square tables.
         for factors in ("2^6 * 3^2 * 7", "3 * 5 * 2^9", "2^4 * 3^3 * 11^2", "2^3 * 3 * 5 * 7"):
             m = parse_factorization(factors)
             residues = decode_indices(m, range(1, index_space_size(m) + 1))
             for bad in _bad_residues(m):
                 raised = _outcome(encode_residue, m, bad)
-                spy.clear()
                 assert _outcome(encode_residues, m, [bad, *residues]) == raised, (factors, bad)
-                assert spy.tables == [], (factors, bad)
-            # A good first value tabulates every part the batch outnumbers.
-            spy.clear()
-            assert encode_residues(m, [*residues, 1]) == [*range(1, len(residues) + 1), 1]
-            assert spy.tables != []
 
     def test_the_column_path_takes_batches_of_its_minimum_length(self, monkeypatch):
         calls = []
@@ -796,10 +797,10 @@ class TestBatchCodec:
         assert calls == [shortest, len(residues)]
 
     def test_a_huge_batch_reads_little_past_its_first_bad_value(self):
-        # 3 and 2^3 * 3 hold every table already, so any batch of two or
-        # more goes column by column; 3^11 tabulates, after a first value
-        # that is a unit square.  A batch of 10^9 must fail as a single
-        # call does, after reading at most one chunk.
+        # 3 and 2^3 * 3 have every table, so a range goes column by column;
+        # 3^11 is past _TABLE_ENTRIES, so its range goes value by value.  A
+        # batch of 10^9 must fail as a single call does, after reading at
+        # most one chunk.
         cases = [("3", 2), ("3^11", 2), ("3", 1), ("2^3 * 3", 1), ("2^3 * 3", 5)]
         for factors, start in cases:
             m = parse_factorization(factors)
@@ -812,26 +813,6 @@ class TestBatchCodec:
                 tracemalloc.stop()
             assert outcome == _outcome(encode_residue, m, bad), factors
             assert peak < 1 << 20, (factors, start, peak)
-
-    def test_a_batch_checks_its_first_value_only_when_it_tabulates(self, monkeypatch):
-        # The check costs an Euler power per odd prime, so a batch that no
-        # part's table fits skips it.
-        calls = []
-        check = indexing.is_quadratic_residue
-
-        def spy(m, z):
-            calls.append(z)
-            return check(m, z)
-
-        monkeypatch.setattr(indexing, "is_quadratic_residue", spy)
-        m = squarefree_semiprime_modulus(512, random.Random(33))
-        residues = [decode_index(m, i) for i in (1, index_space_size(m))]
-        assert encode_residues(m, residues) == [encode_residue(m, z) for z in residues]
-        assert calls == []
-        m = parse_factorization("2^6 * 3^2 * 7")
-        residues = decode_indices(m, range(1, index_space_size(m) + 1))
-        assert encode_residues(m, residues) == list(range(1, len(residues) + 1))
-        assert calls == [residues[0]]
 
     def test_bad_values_raise_as_the_single_call_does_alone_and_mid_batch(self):
         for n in range(2, 401):
@@ -916,6 +897,100 @@ class TestBatchCodec:
         residues = decode_indices(m, (i for i in indices))
         assert residues == decode_indices(m, indices)
         assert encode_residues(m, (z for z in residues)) == list(indices)
+
+
+class TestEncodeState:
+    """What only encoding reads is built on a modulus' first encode, in
+    ``_root_steps``, and kept: the Tonelli-Shanks constants and the square
+    tables, in root-step order while they hold at most ``_TABLE_ENTRIES``
+    entries in all."""
+
+    def test_a_membership_test_builds_no_encode_state(self, monkeypatch):
+        calls = []
+        for name in ("_square_table", "_nonresidue_power"):
+            monkeypatch.setattr(indexing, name, lambda *args, name=name: calls.append(name))
+        m = parse_factorization("2^6 * 3^2 * 5 * 1009")
+        assert is_quadratic_residue(m, 1) and not is_quadratic_residue(m, 2)
+        assert decode_index(m, 5) > 0
+        assert calls == [] and m._root_steps is None
+
+    def test_the_bound_can_leave_a_later_part_without_a_table(self, monkeypatch):
+        # 16381 has 8,190 residues and 16411 has 8,205: together they are
+        # past _TABLE_ENTRIES = 16,384, so only the smaller prime, first in
+        # root-step order, is tabulated, and every value takes a lookup
+        # there and Tonelli-Shanks at 16411.
+        spy = _TableSpy(monkeypatch)
+        m = parse_factorization("16381 * 16411")
+        size = index_space_size(m)
+        indices = [1, 2, 8190, 8191, 8192, *range(size // 2, size // 2 + 40), size - 1, size]
+        residues = decode_indices(m, indices)
+        singles = [encode_residue(m, z) for z in residues]
+        assert spy.tables == [(16381, 8190)]
+        assert spy.roots == [16411] * len(residues)
+        assert singles == indices
+        assert encode_residues(m, residues) == singles
+        assert encode_residues(m, iter(residues)) == singles
+        for bad in _bad_residues(m):
+            raised = _outcome(encode_residue, m, bad)
+            assert _outcome(encode_residues, m, [*residues, bad]) == raised, bad
+
+    def test_the_root_path_alone_matches_the_tables(self, monkeypatch):
+        # With no room for square tables, every part with more than one
+        # residue takes Tonelli-Shanks and the lift, or the 2-adic root,
+        # single or batched, and must give the tables' indices, which decode
+        # back to the oracle's residues.
+        for n in range(2, 401):
+            table = enumerate_qr(n)
+            expected = encode_residues(factor_trial_division(n), table)
+            assert decode_indices(factor_trial_division(n), expected) == table, n
+            with monkeypatch.context() as patch:
+                patch.setattr(indexing, "_TABLE_ENTRIES", 0)
+                m = factor_trial_division(n)
+                assert [encode_residue(m, z) for z in table] == expected, n
+                assert encode_residues(m, table) == expected, n
+                assert all(t is None or t == {1: 0} for *_, t, _ in _steps(m)), n
+
+    def test_racing_first_encodes_agree_with_serial_ones(self):
+        factors = "1009 * 1013"
+        m = parse_factorization(factors)
+        size = index_space_size(m)
+        residues = decode_indices(m, range(1, size + 1, 997))
+        serial = [encode_residue(m, z) for z in residues]
+        for _ in range(5):
+            fresh = parse_factorization(factors)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(i):
+                barrier.wait()
+                results[i] = [encode_residue(fresh, z) for z in residues]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert results == [serial] * 4
+            assert fresh._root_steps is not None and fresh._root_steps == m._root_steps
+
+    @pytest.mark.parametrize("shape", ["primes-3-to-397", "2^17"])
+    def test_a_first_encode_allocates_little(self, shape):
+        # The 77 odd primes from 3 to 397 make 6,904 table entries; 2^17 has
+        # exactly _TABLE_ENTRIES residues, so its table is the largest one
+        # part can have.
+        if shape == "2^17":
+            m, bound = parse_factorization("2^17"), 3 << 20
+        else:
+            primes = [p for p in range(3, 398) if is_prime(p)]
+            m, bound = FactoredModulus(0, [(p, 1) for p in primes]), 1 << 20
+        tracemalloc.start()
+        try:
+            assert encode_residue(m, 1) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(t) for *_, t, _ in _steps(m) if t) <= indexing._TABLE_ENTRIES
+        assert peak < bound, peak
 
 
 class _WalkSpy:
@@ -1271,11 +1346,11 @@ class TestCrtBasis:
         # the index space.
         parts, expected = _parts_and_steps(m)
         assert [step[:4] for step in m._decode_steps] == [step[:4] for step in expected]
-        roots = [(count, half, p, q) for p, q, half, count, *_ in m._root_steps if count > 1]
+        roots = [(count, half, p, q) for p, q, half, count, *_ in _steps(m) if count > 1]
         assert [step[:4] for step in m._decode_steps] == roots
         assert math.prod(count for count, *_ in m._decode_steps) == index_space_size(m)
         radices = iter(m._radices)
-        for p, q, half, count, *_ in m._root_steps:
+        for p, q, half, count, *_ in _steps(m):
             width = 2 if p > 2 else int(count > 1)
             assert math.prod(itertools.islice(radices, width)) == count, q
         assert next(radices, None) is None
@@ -1286,21 +1361,33 @@ class TestCrtBasis:
     def test_root_steps_share_the_schedule(self, m):
         # One root step per part, the odd parts ascending and the 2-part
         # last, each with its residue count and place (the product of the
-        # counts before it), and a one-entry table exactly when the part has
-        # one residue.  An odd step holds the schedule's x radix itself and
+        # counts before it), and its table: {1: 0} when the part has one
+        # residue, else every canonical root's square mapped to its digit
+        # while the tables so far hold at most _TABLE_ENTRIES entries, and
+        # None past that.  An odd step holds the schedule's x radix itself and
         # its Newton ladder, planned top-down: it ends on the half rung
         # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
         # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.  The
         # 2-part step holds k2, with half 1 and 2^max(k2-3, 0) residues.
         parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
-        assert len(m._root_steps) == len(parts)
-        expected_place = 1
-        for i, ((p, k), step) in enumerate(zip(parts, m._root_steps)):
+        assert len(_steps(m)) == len(parts)
+        assert [step[:5] for step in _steps(m)] == [part[:5] for part in m._parts]
+        expected_place, entries = 1, indexing._TABLE_ENTRIES
+        for i, ((p, k), step) in enumerate(zip(parts, _steps(m))):
             sp, q, x_radix, count, place, table, root = step
-            assert sp == p and q == p**k
+            assert sp == p and q == p**k and m._parts[i][5] == k
             assert place == expected_place
             expected_place *= count
-            assert table == ({1: 0} if count == 1 else None)
+            if count == 1:
+                assert table == {1: 0}
+            elif count <= entries:
+                entries -= count
+                assert table == {
+                    (x + c * p) ** 2 % q: x - 1 + c * x_radix
+                    for c in range(count // x_radix) for x in range(1, x_radix + 1)
+                }
+            else:
+                assert table is None
             if p == 2:
                 assert x_radix == 1 and root == k
                 assert count == 1 << max(k - 3, 0)
@@ -1339,7 +1426,7 @@ def _carry_values(m):
     # into its c digit, and the part's last digit into the next part.
     size = index_space_size(m)
     values = {0, size - 1}
-    for _, _, half, count, place, _, _ in m._root_steps:
+    for _, _, half, count, place, _, _ in _steps(m):
         for carry in (place * half, place * count):
             values.update(v for v in (carry - 1, carry) if 0 <= v < size)
     return sorted(values)

@@ -464,8 +464,9 @@ class TestSqrtModPrime:
         # Builtin pow calls are counted the way the benchmark tracer
         # counts them, by shadowing the module's global name.  The loop's
         # pow(c, 2**j) calls have exponents below 2**s, so they are not
-        # full size, and c is a constant the modulus prepared: every
-        # encode costs one full-size pow, the first on a modulus included.
+        # full size, and c is a constant the modulus keeps from its first
+        # encode, which pays one more full-size pow for it when s > 1 (c is
+        # p - 1 when s = 1): every later encode costs one full-size pow.
         calls = []
 
         def counting_pow(*args):
@@ -492,9 +493,12 @@ class TestSqrtModPrime:
             return sum(1 for _, e, _ in calls if e.bit_length() > s)
 
         # First calls: a non-residue, and residues whose loop needs c.
+        assert full_size_pows(2, p5) == 2
+        assert full_size_pows(12345**2 % p_high, p_high) == 2
         assert full_size_pows(2, p5) == 1
         assert full_size_pows(12345**2 % p_high, p_high) == 1
         # p = 3 mod 4: one pow for a residue, the non-residue is not needed.
+        assert full_size_pows(25, p3) == 1 and len(calls) == 1
         assert full_size_pows(25, p3) == 1 and len(calls) == 1
         assert full_size_pows(p3 - 1, p3) == 1
         # p = 1 mod 4 with a**q = 1: one pow, nothing else.
@@ -632,7 +636,7 @@ class TestHenselLiftSqrt:
         rng = random.Random(p)
         for k in range(1, 17):
             pk = p**k
-            *_, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            *_, ladder = indexing._build_root_steps(FactoredModulus(0, [(p, k)]))[0][-1]
             for _ in range(4):
                 x, z = _random_unit_square(p, pk, rng)
                 r = pow(x, -1, p)
@@ -647,7 +651,7 @@ class TestHenselLiftSqrt:
             x, z = _random_unit_square(p, pk, random.Random(k))
             r = pow(x, -1, p)
             expected = lift_inverse_root_reference(r, z, p, pk)
-            *_, ladder = FactoredModulus(0, [(p, k)])._root_steps[0][-1]
+            *_, ladder = indexing._build_root_steps(FactoredModulus(0, [(p, k)]))[0][-1]
             assert numbertheory._lift_inverse_root(x, r, z, pk, ladder) == expected, k
             assert hensel_lift_sqrt(x, z, p, k) == expected, k
 
