@@ -665,7 +665,7 @@ def _bad_residues(m):
 
 
 class _TableSpy:
-    """Records the tables ``encode_residues`` builds, as ``(q, entries)``,
+    """Records the square tables an encode builds, as ``(q, entries)``,
     and the per-value root calls, as the p of each Tonelli-Shanks call and
     the 2**k of each 2-adic one."""
 
