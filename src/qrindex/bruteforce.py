@@ -102,14 +102,12 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
 
     One call decodes every index and one call encodes the distinct
     residues decoded, whether N passes or fails.  The decode call takes
-    ``range(1, size + 1)``.  A modulus with at most 4096 residues
-    decodes from the table it built with them, which every decode on
-    it reads, the sampler's included, so that table is what is
-    certified; a larger one decodes each index by per-part squares and
-    their CRT sum.  When
-    the decode call raises nothing and gives ``size`` distinct residues,
-    that list, in decode order, is what is encoded, each residue owned by
-    its own index; any other outcome is read index by index, keeping the
+    ``range(1, size + 1)``, and reads what every decode on the modulus
+    reads, the sampler's included: the core that ``decode_index`` runs,
+    so that core is what is certified.  When the decode call raises
+    nothing and gives ``size`` distinct residues, that list, in decode
+    order, is what is encoded, each residue owned by its own index; any
+    other outcome is read index by index, keeping the
     first index of each residue and naming every collision.  Every
     violation is read off those two result lists and reported grouped
     by kind, in this order: the index space size disagrees with the

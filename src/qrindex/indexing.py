@@ -26,53 +26,62 @@ Each direction of the codec is one batch loop, ``decode_indices`` and
 steps once, then checks and maps each value in turn, raising at the
 first bad one.  ``decode_index`` and ``encode_residue`` are their
 one-element case.  Decoding an index to its residue takes
-O(log^3 N) bit work.  The first encode on a modulus builds its root
-steps, which it keeps: each part's Tonelli-Shanks constants and, in
-ascending part order while the tables hold at most ``_TABLE_ENTRIES`` =
-16384 entries in all, a table that maps each unit square modulo the
-part to its digits, built by squaring every canonical root once.  A
-tabulated part is one lookup in place of its root and lift.  A part with
-one residue, 3 or ``2**e`` with e <= 3, always has its table ``{1: 0}``.
-When every part has a table and a batch has at least ``_COLUMN_MIN`` =
-16 values, the batch is encoded one part at a time, a chunk of at most
-``_COLUMN`` = 4096 values read into a list once and a list
-comprehension of lookups per part over it; a bad value sends its chunk
-back through the per-value loop, which raises as the single call does.
-The CRT basis ``E_i`` is 1 modulo its part, 0 modulo the others, and
-sums to 1 modulo N.  CRT is a ring isomorphism, so a modulus with more
-than ``_BLOCK`` = 4096 residues decodes the 0-based value v part by
-part over one step ``(count, half, p, q, E)`` per part with a digit,
-prepared with the modulus: the part's digit splits into c and x - 1,
-its root ``y = x + c*p`` (``1 + 2*c`` for the 2-part) is squared
-modulo its own q, the 2-part by the mask ``q - 1``, and the residue is
-``1 + sum((y*y mod q - 1) * E)`` mod N, with no square of an N-sized
-root.  A smaller modulus walks its whole index space once instead, as
-it is built, in the root domain: the root is the linear form ``1 +
-sum(digit * scale * E)`` mod N, scale 1 for the x digit and p for the
-c digit, so every root sum is built in index order, one term per
-digit, and each is squared once modulo N.  It keeps the residues as a
-tuple, and every decode on it, the index sampler's included, is a
-lookup there.  Encoding inverts the decode, per residue, in
-one pass over one prepared root step per prime power: the odd parts in
-ascending-prime order, then the 2-part, whose root ``1 + 2*c`` is an
-odd part's ``x + c*p`` with p = 2 and x fixed at 1.  Each part's
-digits ``x - 1 + c*(p-1)/2`` (the 2-part's c alone) enter the index at
-the part's place, the product of the residue counts before it,
-prepared with the modulus.  An odd part's digits come from a
-Tonelli-Shanks root on the step's non-residue power, computed on the
-first encode, that also yields its inverse, which
-starts the Newton lift to ``p**e`` over the step's prepared ladder; the
-2-part digit comes from the 2-adic root of z masked by ``q - 1``.  Both
-lifts start from a root exact at the base precision, the Tonelli-Shanks
-root modulo p or r = 1 modulo 2**3, take their rungs from one exponent
-plan, planned top-down so no rung overshoots, and end with one
-Karp-Markstein step from half precision; with no rung (e <= 2, or a 2-part up to 2**4) the starting
-root is the half-precision one.  No digit list is built and no
-modular inverse is taken.  The unit test, a gcd with N, runs only on
-the error path and is the only one: z = 0 mod p fails that prime's
-Tonelli-Shanks step, an even z fails the 2-part step's congruence
-class, a table miss reaches either, and the gcd then names either one
-not a unit.  The ``RootProfile`` views are ``decode_index`` and
+O(log^3 N) bit work.
+
+A modulus lays its factorization out once, as it is built, in one
+record per prime power, ``(p, q, half, count, place, k, E)``: the odd
+parts ascending, then the 2-part as the part with p = 2 and half = 1,
+whose root ``1 + 2*c`` is an odd part's ``x + c*p`` with x fixed at 1.
+``count`` is the part's residues, ``place`` the product of the counts
+before it, and ``E`` the CRT basis element, 1 modulo the part's q =
+p**k and 0 modulo the others, so the basis sums to 1 modulo N.  The
+radix schedule, the profile views and both directions of the codec are
+read off these records.  Every table a modulus keeps is built by its
+first reader and kept, never by the constructor, which only validates
+and lays out the parts.
+
+CRT is a ring isomorphism, so a modulus with more than ``_BLOCK`` =
+4096 residues decodes the 0-based value v part by part over the records
+of its parts with a digit: the part's digit splits into c and x - 1,
+its root ``y = x + c*p`` is squared modulo its own q, the 2-part's by
+the mask ``q - 1``, and the residue is ``1 + sum((y*y mod q - 1) * E)``
+mod N, with no square of an N-sized root.  On a smaller modulus the
+first decode walks the whole index space once instead, in the root
+domain: the root is the linear form ``1 + sum(digit * scale * E)`` mod
+N, scale 1 for the x digit and p for the c digit, so every root sum is
+built in index order, one term per digit, and each is squared once
+modulo N.  The modulus keeps the residues as a tuple, and every later
+decode on it, the index sampler's included, is a lookup there.
+
+Encoding inverts the decode, per residue, in one pass over one root
+step per record, in record order: each part's digits ``x - 1 +
+c*(p-1)/2`` (the 2-part's c alone) enter the index at the part's place.
+The first encode on a modulus builds those steps, which it keeps: each
+part's Tonelli-Shanks constants and, in record order while the tables
+hold at most ``_TABLE_ENTRIES`` = 16384 entries in all, a table that
+maps each unit square modulo the part to its digits, built by squaring
+every canonical root once.  A tabulated part is one lookup in place of
+its root and lift.  A part with one residue, 3 or ``2**e`` with e <= 3,
+always has its table ``{1: 0}``.  When every part has a table and a
+batch has at least ``_COLUMN_MIN`` = 16 values, the batch is encoded
+one part at a time, a chunk of at most ``_COLUMN`` = 4096 values read
+into a list once and a list comprehension of lookups per part over it;
+a bad value sends its chunk back through the per-value loop, which
+raises as the single call does.  Elsewhere an odd part's digits come
+from a Tonelli-Shanks root on the step's non-residue power, which also
+yields its inverse, which starts the Newton lift to ``p**e`` over the
+step's prepared ladder; the 2-part digit comes from the 2-adic root of
+z masked by ``q - 1``.  Both lifts start from a root exact at the base
+precision, the Tonelli-Shanks root modulo p or r = 1 modulo 2**3, take
+their rungs from one exponent plan, planned top-down so no rung
+overshoots, and end with one Karp-Markstein step from half precision;
+with no rung (e <= 2, or a 2-part up to 2**4) the starting root is the
+half-precision one.  No digit list is built and no modular inverse is
+taken.  The unit test, a gcd with N, runs only on the error path and is
+the only one: z = 0 mod p fails that prime's Tonelli-Shanks step, an
+even z fails the 2-part step's congruence class, a table miss reaches
+either, and the gcd then names either one not a unit.  The
+``RootProfile`` views are ``decode_index`` and
 ``encode_residue`` composed with ``mixedradix.pack``/``unpack``.
 """
 
@@ -140,25 +149,26 @@ class FactoredModulus:
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
     of distinct odd primes) and ``phi`` (Euler's totient).  Built here
-    once: ``|QR(N)|``, the radix schedule and its layout, one ``(radix,
-    p, k, name, offset)`` per schedule digit (an odd part's ``x - 1`` and
-    ``c``, then the 2-part's digit when k2 > 3), the decode steps, one
-    ``(count, half, p, p**k, E)`` per part with more than one residue,
-    with ``E`` the CRT basis element of its part (1 modulo that part, 0
-    modulo the others), and the parts, one ``(p, p**k, half, count,
-    place, k)`` per prime power, holding the schedule's own radix
-    integers.  Both list the odd parts ascending and then the 2-part
-    when k2 >= 1.  ``count`` is the part's residues and ``place`` the
-    product of the counts before it; an odd part has ``half = (p-1)/2``
-    and ``count = half * p**(k-1)``, the 2-part ``p = 2``, ``half = 1``
-    and ``count = 2**max(k2-3, 0)``.  When ``|QR(N)| <= _BLOCK`` = 4096,
-    the residues of every index, in order, as a tuple built by one walk
-    of the roots over the decode steps, each root squared modulo N; None
-    otherwise, and each decode then squares every part's root modulo the
-    part alone.
+    once, in one loop: the parts, one record ``(p, p**k, half, count,
+    place, k, E)`` per prime power, the odd parts ascending and then the
+    2-part when k2 >= 1, the only per-part layout.  ``count`` is the
+    part's residues, ``place`` the product of the counts before it and
+    ``E`` the CRT basis element of the part (1 modulo that part, 0 modulo
+    the others); an odd part has ``half = (p-1)/2`` and ``count = half *
+    p**(k-1)``, the 2-part ``p = 2``, ``half = 1`` and ``count =
+    2**max(k2-3, 0)``.  From them: ``|QR(N)|``, the radix schedule (an
+    odd part's ``half`` and ``p**(k-1)``, then the 2-part's count when
+    k2 > 3) and the parts with a digit, the same records, which decode
+    reads.  The profile views derive each digit's name and range from the
+    records when they need them.
 
-    Built on the first encode, and kept: the root steps, one ``(p, p**k,
-    half, count, place, table, root)`` per part.  An odd part's ``root =
+    Every table is built by its first reader, and kept in a plain
+    attribute set once, never by the constructor.  The first decode of a
+    modulus with ``|QR(N)| <= _BLOCK`` = 4096 walks the residues of every
+    index, in order, into a tuple; a larger modulus never has one, and
+    each decode squares every part's root modulo the part alone.  The
+    first encode builds the root steps, one ``(p, p**k, half, count,
+    place, table, root)`` per record.  An odd part's ``root =
     (s, e, c, ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the
     Tonelli-Shanks non-residue power of order 2**s, and ``ladder`` the
     Newton precisions ``p**j`` that ``numbertheory._precision_ladder``
@@ -167,8 +177,9 @@ class FactoredModulus:
     ``root = k2``.  ``table`` is ``{1: 0}`` when count is 1, the part's
     square table while the tables hold at most ``_TABLE_ENTRIES`` =
     16384 entries in all, and None otherwise.  Equality and hashing
-    compare the factorization alone.  No state changes a result, so a
-    modulus is freely shareable across threads.
+    compare the factorization alone, and a pickle carries no table: a
+    loaded copy builds its own on its first read.  No state changes a
+    result, so a modulus is freely shareable across threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -205,55 +216,40 @@ class FactoredModulus:
         self.two_exponent = two_exponent
         self.odd_parts = tuple(sorted(PrimePower(p, k) for p, k in parts.items()))
         self.r = len(self.odd_parts)
-
-        n = 1 << self.two_exponent
-        phi = 1 << max(self.two_exponent - 1, 0)
-        # One entry per prime power, the odd parts ascending and then the
-        # 2-part, ending with its schedule digits as (radix, p, k, name,
-        # offset): the radix schedule, the profile views, the decode steps
-        # and the root steps are all built from this list.
-        parts = []
-        for p, k in self.odd_parts:
-            q = p ** k
-            half, lower = (p - 1) // 2, q // p
-            n *= q
-            phi *= (p - 1) * lower
-            digits = ((half, p, k, "root x", 1), (lower, p, k, "lift digit c", 0))
-            parts.append((p, q, half, half * lower, k, digits))
-        if self.two_exponent:
-            # The 2-part root 1 + 2c is an odd part's x + cp with x fixed at 1.
-            k2 = self.two_exponent
-            count = 1 << max(k2 - 3, 0)
-            digits = ((count, 2, k2, "2-part digit", 0),) if count > 1 else ()
-            parts.append((2, 1 << k2, 1, count, k2, digits))
+        # The odd parts ascending, then the 2-part: its root 1 + 2c is an odd
+        # part's x + cp with p = 2 and x fixed at 1, so half = p >> 1 = 1.
+        powers = [(p, p**k, k) for p, k in self.odd_parts]
+        if two_exponent:
+            powers.append((2, 1 << two_exponent, two_exponent))
+        self.n = n = math.prod([q for _, q, _ in powers])
         if n < 2:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
+        self.phi = math.prod([q - q // p for p, q, _ in powers])
 
-        self.n = n
-        self.phi = phi
-        # The CRT basis E of part q is 1 mod q and 0 mod every other part.
-        place = 1
-        layout, placed, steps = [], [], []
-        for p, q, half, count, k, digits in parts:
-            layout += digits
-            placed.append((p, q, half, count, place, k))
+        # The one record per part; the CRT basis E of part q is 1 mod q and 0
+        # mod every other part.  Tuples of lists: a tuple of a generator is
+        # allocated oversized and shrunk, so each modulus would park one more
+        # block on the interpreter's tuple free lists.
+        place, records, radices = 1, [], []
+        for p, q, k in powers:
+            half = p >> 1
+            count = half * (q // p) if p > 2 else max(q >> 3, 1)
+            radices += (half, q // p) if p > 2 else [count] * (count > 1)
+            records.append((p, q, half, count, place, k, (cofactor := n // q) * pow(cofactor, -1, q)))
             place *= count
-            if count > 1:  # the part has a digit
-                basis = (cofactor := n // q) * pow(cofactor, -1, q)
-                steps.append((count, half, p, q, basis))
         self._size = place
-        # Tuples of lists: a tuple of a generator is allocated oversized and
-        # shrunk, so each modulus would park one more block on the
-        # interpreter's tuple free lists, about 0.4 MB over N = 2..3000.
-        self._layout = tuple(layout)
-        self._radices = tuple([slot[0] for slot in layout])
-        self._decode_steps = tuple(steps)
-        self._parts = tuple(placed)
-        self._root_steps = None  # built by _build_root_steps on the first encode
-        # Every residue in index order when there are at most _BLOCK of them:
-        # decoding such a modulus is a lookup.  A tuple, so no caller can
-        # change what later decodes return.
-        self._residues = tuple(_decode_all(self)) if place <= _BLOCK else None
+        self._radices = tuple(radices)
+        self._parts = tuple(records)
+        self._digit_parts = tuple([part for part in records if part[3] > 1])
+        # Built by their first reader and kept: _root_steps by the first
+        # encode, _residues by the first decode of a modulus with at most
+        # _BLOCK residues.
+        self._root_steps = self._residues = None
+
+    def __getstate__(self):
+        # The tables are rebuilt by their first reader, so they stay out of a
+        # pickle, which keeps its size whatever the modulus has decoded.
+        return {**self.__dict__, "_root_steps": None, "_residues": None}
 
     def factor_string(self) -> str:
         """The factorization as ``parse_factorization`` reads it, bases
@@ -375,11 +371,15 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
         return mixedradix.pack(digits, m._radices) + 1
     except IndexRangeError as exc:
         position = exc.position
-    # Re-raised naming the value the caller passed (x, not x - 1).
-    radix, p, k, name, low = m._layout[position]
+    # Re-raised naming the value the caller passed (x, not x - 1) and its
+    # part: an odd part's digits are x - 1 and c, the 2-part's c alone.
+    p, k, name, low = [
+        (p, k, *slot) for p, _, _, count, _, k, _ in m._parts
+        for slot in ((("root x", 1), ("lift digit c", 0)) if p > 2 else [("2-part digit", 0)] * (count > 1))
+    ][position]
     raise IndexRangeError(
         f"{name} = {_format_int(digits[position] + low)} out of range"
-        f" {low}..{_format_int(radix - 1 + low)}"
+        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
         f" for prime power {_power(p, k, _format_int)}"
     )
 
@@ -426,14 +426,16 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     Checks the modulus once, then each index in turn: a non-integer
     raises TypeError, as ``range(2.0)`` does, and one outside the index
     space IndexRangeError, at the first bad index.  A modulus with at
-    most ``_BLOCK`` residues looks each one up in the table it built
-    with them.  A larger one squares each part's canonical root modulo
-    that part alone, the 2-part by a mask, and recombines the squares as
-    ``1 + sum((y*y mod q - 1) * E)`` mod N over its prepared decode
-    steps: no root modulo N is built or squared.  No profile is built.
+    most ``_BLOCK`` residues looks each one up in its table of them,
+    which the first decode that reads it walks and the modulus keeps.
+    A larger one squares each part's canonical root modulo that part
+    alone, the 2-part by a mask, and recombines the squares as ``1 +
+    sum((y*y mod q - 1) * E)`` mod N over the records of its parts with
+    a digit: no root modulo N is built or squared.  No profile is built.
 
-    On a modulus with a table, a step-1 ``range`` inside ``1..|QR(N)|``
-    is a slice of the table, copied into a new list.  Any other
+    On a modulus with at most ``_BLOCK`` residues, a step-1 ``range``
+    inside ``1..|QR(N)|`` is a slice of the table, copied into a new
+    list.  Any other
     iterable, every other range included, takes the per-index path,
     with the same results:
 
@@ -445,12 +447,12 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    size, table = m._size, m._residues
+    size = m._size
     if (
-        table is not None and type(indices) is range and indices.step == 1
+        size <= _BLOCK and type(indices) is range and indices.step == 1
         and indices.start >= 1 and indices.stop <= size + 1
     ):
-        return list(table[indices.start - 1:indices.stop - 1])
+        return list((m._residues or _decode_all(m))[indices.start - 1:indices.stop - 1])
     residues = []
     for index in indices:
         index = operator.index(index)
@@ -552,7 +554,7 @@ def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
                 if digit is None:
                     # No table, or a miss: the part's root step, which raises.
                     if p == 2:
-                        # The class test of _two_part_is_square: zq is below 8
+                        # is_quadratic_residue's 2-part class test: zq is below 8
                         # when k2 <= 3, so a miss of its table {1: 0} fails here.
                         if zq & 7 != 1:
                             raise NotAResidueError(
@@ -588,7 +590,7 @@ def _build_root_steps(m: FactoredModulus) -> tuple:
     # attributes into a dict and slow every later load, _decode's too.
     # Two threads racing here build equal steps, and either may be kept.
     steps, entries = [], _TABLE_ENTRIES
-    for p, q, half, count, place, k in m._parts:
+    for p, q, half, count, place, k, _ in m._parts:
         root = k
         if p > 2:  # p is proven prime, so the non-residue scan ends
             root = (*_two_adic_split(p), _nonresidue_power(p), _precision_ladder(p, k))
@@ -636,7 +638,10 @@ def _decode(m: FactoredModulus, value: int) -> int:
     table = m._residues
     if table is not None:
         return table[value]
-    return _decode_sum(m, value)
+    # One comparison before the sum: a table-less modulus pays no call here.
+    if m._size > _BLOCK:
+        return _decode_sum(m, value)
+    return _decode_all(m)[value]
 
 
 def _decode_sum(m: FactoredModulus, value: int) -> int:
@@ -644,7 +649,7 @@ def _decode_sum(m: FactoredModulus, value: int) -> int:
     # its own q, the 2-part's by a mask: CRT is a ring isomorphism and the
     # basis sums to 1 mod N, so z = 1 + sum((y*y mod q - 1) * E) mod N.
     z = 1
-    for count, half, p, q, e in m._decode_steps:
+    for p, q, half, count, _, _, e in m._digit_parts:
         value, digit = divmod(value, count)
         c, x = divmod(digit, half)
         y = 1 + x + c * p
@@ -658,26 +663,31 @@ _COLUMN_MIN = 16  # the shortest batch a column encode is faster on
 _TABLE_ENTRIES = 1 << 14  # the most entries the square tables of one modulus hold
 
 
-def _decode_all(m: FactoredModulus) -> list[int]:
-    # The residue of every index, in order, in the root domain, apart from
-    # _decode_sum's per-part squares: the roots 1 + sum(digit * t) with one t
-    # = scale * E mod n per digit above radix 1 (scale 1 for x, p for c), the
-    # newest, more significant digit outermost, each squared modulo n.  The
-    # first digit's roots are a range, so no comprehension runs over [1].
+def _decode_all(m: FactoredModulus) -> tuple[int, ...]:
+    # The residue of every index, in order, walked by the first decode that
+    # reads them and kept in m._residues, a tuple, so no caller can change
+    # what later decodes return.  A plain attribute, set once, as _root_steps
+    # is; two threads racing here build equal tables, and either is kept.
+    # The walk is in the root domain, apart from _decode_sum's per-part
+    # squares: the roots 1 + sum(digit * t) with one t = scale * E mod n per
+    # digit above radix 1 (scale 1 for x, p for c), the newest, more
+    # significant digit outermost, each squared modulo n.  The first digit's
+    # roots are a range, so no comprehension runs over [1].
     n = m.n
     terms = [
         (radix, scale * e % n)
-        for count, half, p, _, e in m._decode_steps
+        for p, _, half, count, _, _, e in m._digit_parts
         for radix, scale in ((half, 1), (count // half, p))
         if radix > 1
     ]
-    if not terms:
-        return [1]
-    (radix, t), *rest = terms
-    roots = range(1, 1 + radix * t, t)
-    for radix, t in rest:
-        roots = [u + r for u in range(0, radix * t, t) for r in roots]
-    return [r * r % n for r in roots]
+    roots = [1]
+    if terms:
+        (radix, t), *rest = terms
+        roots = range(1, 1 + radix * t, t)
+        for radix, t in rest:
+            roots = [u + r for u in range(0, radix * t, t) for r in roots]
+    m._residues = table = tuple([r * r % n for r in roots])
+    return table
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
@@ -694,20 +704,16 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     for p, _ in m.odd_parts:
         if pow(z % p, p >> 1, p) != 1:
             return False
-    return _two_part_is_square(m.two_exponent, z)
-
-
-def _two_part_is_square(k2: int, z: int) -> bool:
     # A unit square modulo 2**k2 is exactly z = 1 modulo 2**min(k2, 3); for
     # k2 = 1 that means odd, and an even z, not a unit, is never one.
+    k2 = m.two_exponent
     return not k2 or z % (1 << min(k2, 3)) == 1
 
 
 def _profile(m: FactoredModulus, digits) -> RootProfile:
     # Each part's schedule digits, back at the values the profile holds: an
-    # odd part's (x, c), and the 2-part's digit when the 2-part has one.
-    roots = {}
-    for (_, p, _, _, low), digit in zip(m._layout, digits):
-        roots.setdefault(p, []).append(digit + low)
-    two = roots.pop(2, [None])
-    return RootProfile(tuple(map(tuple, roots.values())), *two)
+    # odd part's (x, c), two digits each, then the 2-part's digit when the
+    # 2-part has one.
+    digits = iter(digits)
+    odd_roots = tuple([(next(digits) + 1, next(digits)) for _ in m.odd_parts])
+    return RootProfile(odd_roots, next(digits, None))

@@ -11,8 +11,7 @@ draw_uniform settles once per call, exact on every exit path.  Two
 strategies are implemented on top of the same rejection primitive:
 
 * index sampling: draw a uniform index in [1, |QR(N)|] and decode it
-  with the core decode_index uses, a lookup in the modulus' table of
-  residues when |QR(N)| <= 4096, spending ceil(log2 |QR(N)|) bits per
+  with the core decode_index uses, spending ceil(log2 |QR(N)|) bits per
   attempt;
 * classical sampling: draw x in [1, N-1], retry until gcd(x, N) = 1,
   and square it, spending ceil(log2 (N-1)) bits per attempt, for at
@@ -239,11 +238,8 @@ def sample_residue_by_index(
 
     The drawn value is the 0-based index, decoded by the core that
     ``decode_index`` runs after its range check, which a value below
-    |QR(N)| cannot fail: one lookup in the table of residues a modulus
-    with at most 4096 of them holds, or else each part's root squared
-    modulo its own prime power and the squares recombined by CRT.
-    Returns the residue and a fresh ledger holding this call's bit and
-    attempt counts.
+    |QR(N)| cannot fail.  Returns the residue and a fresh ledger
+    holding this call's bit and attempt counts.
     """
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)

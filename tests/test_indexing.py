@@ -31,9 +31,12 @@ from qrindex import (
     NotAResidueError,
     NotCoprimeError,
     PrimePower,
+    RandomBitLedger,
     RootProfile,
+    SeededBitSource,
     decode_index,
     decode_indices,
+    draw_uniform,
     encode_residue,
     encode_residues,
     enumerate_qr,
@@ -47,6 +50,7 @@ from qrindex import (
     profile_to_residue,
     radix_schedule,
     residue_to_profile,
+    sample_residue_by_index,
     sqrt_mod_2k,
 )
 
@@ -994,8 +998,9 @@ class TestEncodeState:
 
 
 class _WalkSpy:
-    """Records the modulus of each whole-space walk, which a modulus with
-    at most ``_BLOCK`` residues takes once, as it is built."""
+    """Records the modulus of each whole-space walk, which the first
+    decode that reads the table of a modulus with at most ``_BLOCK``
+    residues takes."""
 
     def __init__(self, monkeypatch):
         self.walks = []
@@ -1008,6 +1013,21 @@ class _WalkSpy:
         monkeypatch.setattr(indexing, "_decode_all", walk)
 
 
+class _BuildSpy:
+    """Records the name of each table builder that runs: the walk of the
+    residues, a square table or a non-residue scan."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("_decode_all", "_square_table", "_nonresidue_power"):
+
+            def spy(*args, name=name, real=getattr(indexing, name)):
+                self.calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(indexing, name, spy)
+
+
 def _crt_sums(m):
     """Every residue of m by per-part squares, the arithmetic decode path."""
     return [indexing._decode_sum(m, value) for value in range(index_space_size(m))]
@@ -1015,17 +1035,21 @@ def _crt_sums(m):
 
 class TestResidueTable:
     """A modulus with at most ``_BLOCK`` residues holds all of them, in
-    index order, and decodes by lookup.  The table is built in the root
-    domain, one square modulo N per root; the per-part squares and their
-    CRT sum, a second decoder, are the reference."""
+    index order, once a decode has read them, and then decodes by lookup.
+    The table is walked in the root domain, one square modulo N per root;
+    the per-part squares and their CRT sum, a second decoder, are the
+    reference."""
 
     def test_the_table_matches_the_crt_sum_for_every_small_n(self):
-        # Criterion 1's range: every modulus there has a table, which the
-        # gate certifies, so the sum that larger moduli take is checked here.
+        # Criterion 1's range: every modulus there has a table after its
+        # first decode, which the gate certifies, so the sum that larger
+        # moduli take is checked here.  No table exists before that decode.
         for n in range(2, 3001):
             m = factor_trial_division(n)
-            assert m._residues is not None, n
-            assert list(m._residues) == _crt_sums(m), n
+            assert m._residues is None and m._root_steps is None, n
+            expected = _crt_sums(m)
+            assert decode_index(m, 1) == expected[0], n
+            assert list(m._residues) == expected, n
 
     @pytest.mark.parametrize(
         "factors,table",
@@ -1037,12 +1061,14 @@ class TestResidueTable:
         m = parse_factorization(factors)
         size = index_space_size(m)
         assert (size <= indexing._BLOCK) is table
-        assert (m._residues is not None) is table
+        assert m._residues is None
         expected = _crt_sums(m)
-        assert indexing._decode_all(m) == expected
+        # The walk itself, on a copy, agrees on both sides of the bound.
+        assert list(indexing._decode_all(parse_factorization(factors))) == expected
         assert decode_indices(m, range(1, size + 1)) == expected
         assert decode_indices(m, list(range(1, size + 1))) == expected
         assert [decode_index(m, i) for i in (1, 2, size - 1, size)] == expected[:2] + expected[-2:]
+        assert (m._residues is not None) is table
         if table:
             # A tuple: no caller can change what later decodes return.
             assert type(m._residues) is tuple
@@ -1062,40 +1088,103 @@ class TestResidueTable:
 
     def test_equality_and_hash_ignore_the_table(self):
         a, b = parse_factorization("2^3 * 5 * 7"), FactoredModulus(3, [(7, 1), (5, 1)])
-        b._residues = None
+        assert decode_index(a, 1) == 1
+        assert a._residues is not None and b._residues is None
         assert a == b
         assert hash(a) == hash(b)
         assert {a, b} == {a}
 
     @pytest.mark.parametrize("factors", ["3*5*7*11*13", "2^15", "5 * 4099"])
-    def test_a_pickled_modulus_decodes_the_same(self, factors):
+    def test_a_pickled_modulus_decodes_the_same(self, factors, monkeypatch):
+        # The copy leaves the original's table behind and walks its own, the
+        # same one, on its first decode; above the bound neither has one.
         m = parse_factorization(factors)
+        size = index_space_size(m)
+        expected = decode_indices(m, range(1, size + 1))
         back = pickle.loads(pickle.dumps(m))
         assert back == m
-        size = index_space_size(m)
+        assert back._residues is None and back._root_steps is None
+        spy = _WalkSpy(monkeypatch)
+        assert decode_indices(back, range(1, size + 1)) == expected
+        assert spy.walks == ([back] if size <= indexing._BLOCK else [])
         assert back._residues == m._residues
-        assert decode_indices(back, range(1, size + 1)) == decode_indices(m, range(1, size + 1))
+
+    @pytest.mark.parametrize("factors", ["2^17", "2^15", "3*5*7*11*13", "5 * 4099", "1009 * 1013"])
+    def test_a_pickle_carries_no_table(self, factors):
+        # The same bytes, so the same size, for a fresh modulus, after a
+        # decode and after an encode, whatever tables those built: 2^15's
+        # residues and 2^17's 16,384-entry square table among them.
+        m = parse_factorization(factors)
+        fresh = pickle.dumps(m)
+        assert decode_index(m, 1) == 1
+        assert (m._residues is not None) is (index_space_size(m) <= indexing._BLOCK)
+        after_decode = pickle.dumps(m)
+        assert encode_residue(m, 1) == 1
+        assert m._root_steps is not None
+        assert fresh == after_decode == pickle.dumps(m)
+
+    @pytest.mark.parametrize("factors", ["2^17", "2^15", "2^6 * 3^2 * 5", "16381 * 16411"])
+    def test_a_loaded_copy_decodes_and_encodes_as_the_original(self, factors):
+        m = parse_factorization(factors)
+        size = index_space_size(m)
+        indices = sorted({1, 2, size // 3, size // 2 + 1, size - 1, size})
+        residues = decode_indices(m, indices)
+        assert [encode_residue(m, z) for z in residues] == indices
+        back = pickle.loads(pickle.dumps(m))
+        assert decode_indices(back, indices) == residues
+        assert [encode_residue(back, z) for z in residues] == indices
+        assert encode_residues(back, residues * 4) == indices * 4
+        for bad in _bad_residues(m):
+            assert _outcome(encode_residue, back, bad) == _outcome(encode_residue, m, bad), bad
+        assert back._root_steps == m._root_steps and back._residues == m._residues
 
 
-class TestRangeWalk:
-    """The whole-space walk runs once per modulus with at most ``_BLOCK``
-    residues, as it is built, and never above; no decode walks again.  A
-    step-1 range inside the index space is a slice of the table; every
-    other iterable takes the per-index path, the reference here."""
+class TestTableLifecycle:
+    """Construction only validates and lays out the parts: every table a
+    modulus keeps is built by its first reader and kept.  The first
+    decode that reads the residues of a modulus with at most ``_BLOCK``
+    of them walks them, once, and the first encode builds the square
+    tables and the Tonelli-Shanks constants."""
 
     @pytest.mark.parametrize(
-        "factors", ["2^6 * 3^2 * 5", "3^2 * 5^2 * 7 * 11", "2^9 * 3^3 * 5 * 7", "2^15"]
+        "factors",
+        ["2", "2^3 * 3", "3*5*7*11*13", "2^15", "5 * 4099", "2^16", "2^6 * 3^2 * 5 * 1009", "16381 * 16411"],
     )
-    def test_the_walk_runs_once_as_the_modulus_is_built(self, factors, monkeypatch):
+    def test_only_a_decode_or_an_encode_builds_a_table(self, factors, monkeypatch):
+        spy = _BuildSpy(monkeypatch)
+        m = parse_factorization(factors)
+        moduli = [m, FactoredModulus(m.two_exponent, m.odd_parts)]
+        if m.n <= 10**6:  # the trial-division cap
+            moduli.append(factor_trial_division(m.n))
+        for each in moduli:
+            assert each._residues is None and each._root_steps is None
+            size = index_space_size(each)
+            assert math.prod(radix_schedule(each)) == size
+            for index in (1, size):
+                assert profile_to_index(each, index_to_profile(each, index)) == index
+            assert is_quadratic_residue(each, 1) and not is_quadratic_residue(each, 0)
+            assert each._residues is None and each._root_steps is None
+        assert spy.calls == []
+
+    @pytest.mark.parametrize("factors", ["2^6 * 3^2 * 5", "2^15"])
+    @pytest.mark.parametrize("first", ["index", "list", "range", "draw", "profile"])
+    def test_one_walk_over_any_mix_of_reads(self, factors, first, monkeypatch):
         spy = _WalkSpy(monkeypatch)
         m = parse_factorization(factors)
-        assert len(spy.walks) == 1 and spy.walks[0] is m
-        indices = range(1, index_space_size(m) + 1)
+        size = index_space_size(m)
         expected = _crt_sums(m)
-        assert decode_indices(m, indices) == expected
-        assert decode_indices(m, list(indices)) == expected
-        assert decode_index(m, indices[-1]) == expected[-1]
-        assert len(spy.walks) == 1
+        drawn = draw_uniform(size, SeededBitSource(7), RandomBitLedger())
+        reads = {
+            "index": lambda: [decode_index(m, i) for i in (1, size)] == [expected[0], expected[-1]],
+            "list": lambda: decode_indices(m, [size, 1, 7]) == [expected[-1], expected[0], expected[6]],
+            "range": lambda: decode_indices(m, range(1, size + 1)) == expected,
+            "draw": lambda: sample_residue_by_index(m, SeededBitSource(7))[0] == expected[drawn],
+            "profile": lambda: profile_to_residue(m, index_to_profile(m, 5)) == expected[4],
+        }
+        assert spy.walks == []
+        for name in [first, *reads] * 2:
+            assert reads[name](), name
+            assert spy.walks == [m], name
 
     def test_no_walk_above_the_block(self, monkeypatch):
         spy = _WalkSpy(monkeypatch)
@@ -1105,7 +1194,67 @@ class TestRangeWalk:
             assert len(indices) > indexing._BLOCK
             assert decode_indices(m, indices) == decode_indices(m, list(indices))
             assert decode_indices(m, range(3, 9)) == decode_indices(m, list(range(3, 9)))
+            assert decode_index(m, indices[-1]) == profile_to_residue(m, index_to_profile(m, indices[-1]))
+            assert sample_residue_by_index(m, SeededBitSource(7))[0] in set(decode_indices(m, indices))
+            assert m._residues is None
         assert spy.walks == []
+
+    def test_racing_first_decodes_agree_with_serial_ones(self):
+        # 2^15 has exactly _BLOCK residues.  Two threads take the per-index
+        # path and two the range slice, each the first to read the table.
+        # A short switch interval interleaves the walks.
+        m = parse_factorization("2^15")
+        size = index_space_size(m)
+        indices = [*range(1, size + 1, 97), size]
+        serial = decode_indices(m, indices)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                fresh = parse_factorization("2^15")
+                barrier = threading.Barrier(4, timeout=60)
+                results = [None] * 4
+
+                def work(i):
+                    barrier.wait()
+                    if i % 2:
+                        every = decode_indices(fresh, range(1, size + 1))
+                        results[i] = [every[index - 1] for index in indices]
+                    else:
+                        results[i] = [decode_index(fresh, index) for index in indices]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == [serial] * 4
+                assert fresh._residues is not None and fresh._residues == m._residues
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestRangeWalk:
+    """A step-1 range inside the index space of a modulus with at most
+    ``_BLOCK`` residues is a slice of its table; every other iterable
+    takes the per-index path, the reference here, and no read walks the
+    table a second time."""
+
+    @pytest.mark.parametrize(
+        "factors", ["2^6 * 3^2 * 5", "3^2 * 5^2 * 7 * 11", "2^9 * 3^3 * 5 * 7", "2^15"]
+    )
+    def test_a_range_walks_once_and_then_slices(self, factors, monkeypatch):
+        spy = _WalkSpy(monkeypatch)
+        m = parse_factorization(factors)
+        indices = range(1, index_space_size(m) + 1)
+        expected = _crt_sums(m)
+        assert decode_indices(m, indices) == expected
+        assert spy.walks == [m]
+        assert decode_indices(m, list(indices)) == expected
+        assert decode_indices(m, indices) == expected
+        assert decode_index(m, indices[-1]) == expected[-1]
+        assert spy.walks == [m]
 
     def test_every_other_range_matches_the_list_path(self, monkeypatch):
         m = parse_factorization("2^6 * 3^2 * 5")
@@ -1118,22 +1267,25 @@ class TestRangeWalk:
             range(size + 3, 2),
         ):
             assert decode_indices(m, indices) == decode_indices(m, list(indices)), indices
-        assert spy.walks == []
+        assert spy.walks == [m]
 
     def test_bad_ranges_raise_as_the_list_path_does(self, monkeypatch):
         m = parse_factorization("2^6 * 3^2 * 5")
         size = index_space_size(m)
         spy = _WalkSpy(monkeypatch)
-        for indices in (
-            range(0, 3), range(-2, 5), range(size + 1, size + 5), range(1, size + 2),
-            range(size, size + 2), range(0, size + 1), range(1, size + 2, 1),
-        ):
+        # Each raises at its first index, so none of them reads the table.
+        for indices in (range(0, 3), range(-2, 5), range(size + 1, size + 5), range(0, size + 1)):
+            raised = _outcome(decode_indices, m, list(indices))
+            assert raised[0] is IndexRangeError, indices
+            assert _outcome(decode_indices, m, indices) == raised, indices
+        assert spy.walks == []
+        for indices in (range(1, size + 2), range(size, size + 2), range(1, size + 2, 1)):
             raised = _outcome(decode_indices, m, list(indices))
             assert raised[0] is IndexRangeError, indices
             assert _outcome(decode_indices, m, indices) == raised, indices
         # Too long to list: it raises for the first index past the end.
         assert _outcome(decode_indices, m, range(1, 10**100)) == _outcome(decode_index, m, size + 1)
-        assert spy.walks == []
+        assert spy.walks == [m]
 
 
 class TestProfiles:
@@ -1295,18 +1447,16 @@ def _basis_moduli():
     ]
 
 
-def _parts_and_steps(m):
-    # The prime-power parts, and (count, half, p, q, part) for each part
-    # with a digit, the odd parts ascending and then the 2-part: the decode
-    # steps m should hold, with the part's position in place of its E.
+def _expected_parts(m):
+    # (p, q, half, count, k) per prime power, the odd parts ascending and
+    # then the 2-part: the records m should hold, short of place and E.
     parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
-    steps = []
-    for i, (p, k) in enumerate(parts):
+    expected = []
+    for p, k in parts:
         half = max((p - 1) // 2, 1)
         count = half * p ** (k - 1) if p > 2 else 1 << max(k - 3, 0)
-        if count > 1:
-            steps.append((count, half, p, p**k, i))
-    return [p**k for p, k in parts], steps
+        expected.append((p, p**k, half, count, k))
+    return expected
 
 
 class TestCrtBasis:
@@ -1314,14 +1464,16 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_basis_elements_are_idempotents(self, m):
-        # Each step's E is 1 modulo its own part and 0 modulo every other.
-        parts, expected = _parts_and_steps(m)
+        # Each record's E is 1 modulo its own part and 0 modulo every other,
+        # so the basis sums to 1 modulo N.
+        parts = [q for _, q, *_ in _expected_parts(m)]
         assert math.prod(parts) == m.n
-        assert len(m._decode_steps) == len(expected)
-        for (*_, i), (*_, e) in zip(expected, m._decode_steps):
+        assert len(m._parts) == len(parts)
+        for i, (*_, e) in enumerate(m._parts):
             assert 0 <= e < m.n
             for j, q in enumerate(parts):
                 assert e % q == (1 if i == j else 0), (i, j)
+        assert sum(e for *_, e in m._parts) % m.n == 1
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_decode_matches_crt_combine(self, m):
@@ -1338,24 +1490,29 @@ class TestCrtBasis:
             assert decode_index(m, index) == root * root % m.n
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
-    def test_decode_steps_follow_the_root_steps(self, m):
-        # One step per part with a digit, in root-step order, holding that
-        # root step's residue count, x radix, prime and power; a part with
-        # no digit (3, or 2^k with k <= 3) has none.  Each count is its
-        # part's schedule radices multiplied, and the counts multiply to
-        # the index space.
-        parts, expected = _parts_and_steps(m)
-        assert [step[:4] for step in m._decode_steps] == [step[:4] for step in expected]
-        roots = [(count, half, p, q) for p, q, half, count, *_ in _steps(m) if count > 1]
-        assert [step[:4] for step in m._decode_steps] == roots
-        assert math.prod(count for count, *_ in m._decode_steps) == index_space_size(m)
+    def test_records_lay_out_the_schedule(self, m):
+        # One record per part, in root-step order, holding that root step's
+        # prime, power, x radix, residue count and place, and the part's
+        # exponent.  Decode reads the same record objects for the parts
+        # with a digit, every part but 3 and 2^k with k <= 3.  Each count
+        # is its part's schedule radices multiplied, and the counts
+        # multiply to the index space.
+        expected = _expected_parts(m)
+        assert [(p, q, half, count, k) for p, q, half, count, _, k, _ in m._parts] == expected
+        assert [part[:5] for part in m._parts] == [step[:5] for step in _steps(m)]
+        place = 1
+        for _, q, _, count, part_place, *_ in m._parts:
+            assert part_place == place, q
+            place *= count
+        assert place == index_space_size(m)
+        digit_parts = [part for part in m._parts if part[1] not in (2, 3, 4, 8)]
+        assert len(m._digit_parts) == len(digit_parts)
+        assert all(a is b for a, b in zip(m._digit_parts, digit_parts))
         radices = iter(m._radices)
-        for p, q, half, count, *_ in _steps(m):
+        for p, q, half, count, *_ in m._parts:
             width = 2 if p > 2 else int(count > 1)
             assert math.prod(itertools.islice(radices, width)) == count, q
         assert next(radices, None) is None
-        with_digit = {i for i, q in enumerate(parts) if q not in (2, 3, 4, 8)}
-        assert {i for *_, i in expected} == with_digit
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
