@@ -8,8 +8,10 @@ certifier decodes every index in one call and encodes the image in one
 call, whether the modulus passes or fails, and reads every violation
 off those two result lists, reported grouped by kind.  A clean decode,
 distinct residues with nothing raised, is the image as it stands; only
-another outcome is searched index by index for collisions.  Kept
-separate so a bug in the fast path cannot hide itself.
+another outcome is searched index by index for collisions.  The image
+and the squares are compared as sets, and neither is sorted; only the
+public ``enumerate_qr`` sorts its residues.  Kept separate so a bug in
+the fast path cannot hide itself.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ def enumerate_qr(n: int) -> list[int]:
     The units are found first: the module's own trial division gives the
     prime divisors of n, and their multiples are struck out.  x and n - x
     have the same square, so only the units in [1, n // 2] are squared,
-    and the square of a unit is a unit, so every square is kept.  Capped
-    at n <= 10**6 to keep the scan and its memory bounded.
+    and the square of a unit is a unit, so every square is kept.  The
+    squares form a set, which is sorted here.  Capped at n <= 10**6 to
+    keep the scan and its memory bounded.
     """
+    return sorted(_unit_squares(n))
+
+
+def _unit_squares(n: int) -> set[int]:
+    """The set of quadratic residues modulo n, as ``enumerate_qr`` finds
+    them, unsorted: the certifier compares it with the decoded image as
+    a set."""
     n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {_format_int(n)}")
@@ -46,7 +56,7 @@ def enumerate_qr(n: int) -> list[int]:
         units[::p] = bytes(half // p + 1)
     step = 2 - n % 2  # an even n has only odd units, so no even x is read
     survivors = itertools.compress(range(1, half + 1, step), units[1::step])
-    return sorted({x * x % n for x in survivors})
+    return {x * x % n for x in survivors}
 
 
 def _trial_division(n: int) -> list[tuple[int, int]]:
@@ -113,22 +123,24 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
     by kind, in this order: the index space size disagrees with the
     enumeration; an index fails to decode; two indices collide; a
     residue fails to encode; encode does not invert decode; the decoded
-    image differs from the enumeration as a set.  A result list of the
-    wrong length is a violation too.  Only a call that raises is run
-    again, one value at a time, to name each value that raises.  Every
-    violation lands in the report instead of raising, so a sweep over
-    many moduli reports all offenders at once.
+    image differs from the set of squared units.  Both sides of that
+    last check are sets, compared without sorting either; a failure
+    names the first five missing and extraneous residues in ascending
+    order.  A result list of the wrong length is a violation too.  Only
+    a call that raises is run again, one value at a time, to name each
+    value that raises.  Every violation lands in the report instead of
+    raising, so a sweep over many moduli reports all offenders at once.
     """
     size = index_space_size(m)
     report = CertificationReport(n=m.n, indices_checked=size)
     failures = report.failures
-    expected = enumerate_qr(m.n)
+    expected = _unit_squares(m.n)
     if size != len(expected):
         failures.append(f"index space size {size} but enumeration found {len(expected)} residues")
     indices = range(1, size + 1)
     named = len(failures)
     decoded = _results(decode_indices, m, indices, "decode", failures)
-    if len(failures) == named and len(set(decoded)) == size:
+    if len(failures) == named and len(image := set(decoded)) == size:
         # A clean decode: size distinct residues, each owned by its index.
         residues, owners = decoded, list(indices)
     else:
@@ -137,6 +149,7 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
             if z is not _RAISED and first.setdefault(z, index) != index:
                 failures.append(f"decode collision: indices {first[z]} and {index} both give {z}")
         residues, owners = list(first), list(first.values())
+        image = set(residues)
     back = _results(encode_residues, m, residues, "encode", failures)
     if back != owners:
         for z, index, got in zip(residues, owners, back):
@@ -144,10 +157,9 @@ def certify_bijection(m: FactoredModulus) -> CertificationReport:
                 failures.append(
                     f"roundtrip broke: index {index} decodes to {z} but encodes to {got}"
                 )
-    image = sorted(residues)
     if image != expected:
-        missing = sorted(set(expected) - set(image))[:5]
-        extra = sorted(set(image) - set(expected))[:5]
+        missing = sorted(expected - image)[:5]
+        extra = sorted(image - expected)[:5]
         failures.append(f"image mismatch: missing {missing}, extraneous {extra}")
     return report
 

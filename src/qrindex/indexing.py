@@ -433,11 +433,11 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     sum((y*y mod q - 1) * E)`` mod N over the records of its parts with
     a digit: no root modulo N is built or squared.  No profile is built.
 
-    On a modulus with at most ``_BLOCK`` residues, a step-1 ``range``
-    inside ``1..|QR(N)|`` is a slice of the table, copied into a new
-    list.  Any other
-    iterable, every other range included, takes the per-index path,
-    with the same results:
+    On a modulus with at most ``_BLOCK`` residues, a non-empty step-1
+    ``range`` inside ``1..|QR(N)|`` is a slice of the table, copied into
+    a new list.  Any other iterable, every other range included, takes
+    the per-index path, with the same results; an empty range gives
+    ``[]`` and walks no table:
 
     >>> from qrindex import index_space_size, parse_factorization
     >>> m = parse_factorization("2^5 * 3^2 * 5")
@@ -450,7 +450,7 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     size = m._size
     if (
         size <= _BLOCK and type(indices) is range and indices.step == 1
-        and indices.start >= 1 and indices.stop <= size + 1
+        and 1 <= indices.start < indices.stop <= size + 1
     ):
         return list((m._residues or _decode_all(m))[indices.start - 1:indices.stop - 1])
     residues = []

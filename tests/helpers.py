@@ -6,7 +6,15 @@ borrowed from the code under test.
 
 import random
 
-from qrindex import RandomBitLedger, decode_index, draw_uniform, index_space_size, is_prime
+import qrindex.bruteforce as bruteforce
+from qrindex import (
+    CertificationReport,
+    RandomBitLedger,
+    decode_index,
+    draw_uniform,
+    index_space_size,
+    is_prime,
+)
 
 # Enough odd primes to build every small test modulus from.
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -127,3 +135,66 @@ def squarefree_semiprime_modulus(bits, rng: random.Random):
     while q == p:
         q = random_prime(half, rng)
     return FactoredModulus(0, [(min(p, q), 1), (max(p, q), 1)])
+
+
+_RAISED = object()  # the result of a value whose call raised: equals no result
+
+
+def certify_bijection_reference(m):
+    """The certifier as it was before it compared sets: the decoded image
+    is sorted and compared with the sorted enumeration.  It reads the
+    codec, the index space size and the enumeration through
+    ``qrindex.bruteforce``'s names at call time, so a stand-in patched
+    there reaches this reference and the certifier alike."""
+    size = bruteforce.index_space_size(m)
+    report = CertificationReport(n=m.n, indices_checked=size)
+    failures = report.failures
+    expected = bruteforce.enumerate_qr(m.n)
+    if size != len(expected):
+        failures.append(f"index space size {size} but enumeration found {len(expected)} residues")
+    indices = range(1, size + 1)
+    named = len(failures)
+    decoded = _results_reference(bruteforce.decode_indices, m, indices, "decode", failures)
+    if len(failures) == named and len(set(decoded)) == size:
+        residues, owners = decoded, list(indices)
+    else:
+        first = {}
+        for index, z in zip(indices, decoded):
+            if z is not _RAISED and first.setdefault(z, index) != index:
+                failures.append(f"decode collision: indices {first[z]} and {index} both give {z}")
+        residues, owners = list(first), list(first.values())
+    back = _results_reference(bruteforce.encode_residues, m, residues, "encode", failures)
+    if back != owners:
+        for z, index, got in zip(residues, owners, back):
+            if got is not _RAISED and got != index:
+                failures.append(
+                    f"roundtrip broke: index {index} decodes to {z} but encodes to {got}"
+                )
+    image = sorted(residues)
+    if image != expected:
+        missing = sorted(set(expected) - set(image))[:5]
+        extra = sorted(set(image) - set(expected))[:5]
+        failures.append(f"image mismatch: missing {missing}, extraneous {extra}")
+    return report
+
+
+def _results_reference(batch, m, values, name, failures):
+    """``batch(m, values)``, or each value alone if that raises, naming
+    every value that raises and a result list of the wrong length."""
+    try:
+        results = batch(m, values)
+    except Exception as batch_exc:
+        results, named = [], len(failures)
+        for value in values:
+            try:
+                results.append(batch(m, (value,))[0])
+            except Exception as exc:
+                failures.append(f"{name}({value}) raised {exc!r}")
+                results.append(_RAISED)
+        if len(failures) == named:
+            failures.append(
+                f"{name} raised {batch_exc!r} on {len(values)} values but on no single value"
+            )
+    if len(results) != len(values):
+        failures.append(f"{name} gave {len(results)} results for {len(values)} values")
+    return results

@@ -9,6 +9,7 @@ import pytest
 import qrindex.bruteforce as bruteforce
 import qrindex.indexing as indexing
 import qrindex.numbertheory as numbertheory
+from helpers import certify_bijection_reference
 from qrindex import (
     CertificationReport,
     FactorizationError,
@@ -17,6 +18,7 @@ from qrindex import (
     enumerate_qr,
     factor_trial_division,
     index_space_size,
+    parse_factorization,
 )
 
 
@@ -57,6 +59,32 @@ class TestEnumerateQr:
     def test_non_integer_modulus_is_a_type_error(self, n):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             enumerate_qr(n)
+
+    def test_the_certifiers_set_is_the_enumeration_unsorted(self):
+        for n in range(2, 300):
+            squares = bruteforce._unit_squares(n)
+            assert type(squares) is set
+            assert sorted(squares) == enumerate_qr(n), n
+
+    @pytest.mark.parametrize(
+        "n,error,message",
+        [
+            (1, ValueError, "modulus must be >= 2, got 1"),
+            (10**6 + 1, ValueError, "modulus 1000001 exceeds the enumeration cap 1000000"),
+            (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+        ],
+    )
+    def test_the_set_and_the_sorted_list_refuse_alike(self, n, error, message):
+        for oracle in (bruteforce._unit_squares, enumerate_qr):
+            with pytest.raises(Exception) as info:
+                oracle(n)
+            assert (info.type, str(info.value)) == (error, message), oracle
+
+    def test_the_certifier_refuses_a_modulus_past_the_cap(self):
+        # 1000003 is prime, so it parses; only the enumeration refuses it.
+        with pytest.raises(ValueError) as info:
+            certify_bijection(parse_factorization("1000003"))
+        assert str(info.value) == "modulus 1000003 exceeds the enumeration cap 1000000"
 
 
 class TestFactorTrialDivision:
@@ -130,6 +158,24 @@ class TestCertifyBijection:
             "decode collision: indices 1 and 3 both give 1",
             "image mismatch: missing [4, 16], extraneous []",
         ]
+
+    @pytest.mark.parametrize("encode", ["codec", "rubber stamp"])
+    def test_a_clean_decode_onto_a_wrong_image_is_reported(self, monkeypatch, encode):
+        # Three distinct residues for the three indices of 21, nothing
+        # raised, so the clean-decode path takes them as the image; but 2
+        # is not a residue and 16 is never given.  A rubber-stamp encode
+        # that owns each residue by its place leaves the image check the
+        # only one to see it.
+        monkeypatch.setattr(bruteforce, "decode_indices", lambda m, indices: [1, 4, 2])
+        if encode == "rubber stamp":
+            monkeypatch.setattr(
+                bruteforce, "encode_residues", lambda m, residues: list(range(1, len(residues) + 1))
+            )
+            raised = []
+        else:
+            raised = ["encode(2) raised NotAResidueError('2 is not a quadratic residue modulo 3')"]
+        report = certify_bijection(factor_trial_division(21))
+        assert report.failures == raised + ["image mismatch: missing [16], extraneous [2]"]
 
     def test_decode_exception_is_captured(self, monkeypatch):
         def broken(m, indices):
@@ -289,6 +335,107 @@ class TestCertifyBijection:
         assert report.failures == [
             f"{name} raised RuntimeError('batch only') on 3 values but on no single value"
         ]
+
+
+def _permuted(batch):
+    return lambda m, values: batch(m, values)[::-1]
+
+
+def _duplicated(batch):
+    def call(m, values):
+        results = batch(m, values)
+        return results[:-1] + results[:1] if len(results) > 1 else results
+
+    return call
+
+
+def _substituted(batch):
+    # The middle result is replaced: a decode's by the least unit that
+    # is no residue (0 for n = 2, which has no such unit), an encode's
+    # by 0, which is no index.
+    def call(m, values):
+        results = list(batch(m, values))
+        if results:
+            if batch is _DECODE:
+                squares = {x * x % m.n for x in range(1, m.n) if math.gcd(x, m.n) == 1}
+                units = (x for x in range(2, m.n) if math.gcd(x, m.n) == 1)
+                results[len(results) // 2] = next((x for x in units if x not in squares), 0)
+            else:
+                results[len(results) // 2] = 0
+        return results
+
+    return call
+
+
+def _short(batch):
+    return lambda m, values: batch(m, values)[:-1]
+
+
+def _raising_on_one(batch):
+    # Index 2 for a decode, residue 1, always the first decoded, for an encode.
+    bad = 2 if batch is _DECODE else 1
+
+    def call(m, values):
+        values = list(values)
+        if bad in values:
+            raise RuntimeError(f"boom at {bad}")
+        return batch(m, values)
+
+    return call
+
+
+def _raising_on_many(batch):
+    def call(m, values):
+        values = list(values)
+        if len(values) > 1:
+            raise RuntimeError("batch only")
+        return batch(m, values)
+
+    return call
+
+
+_DECODE = bruteforce.decode_indices
+_RIGS = (_permuted, _duplicated, _substituted, _short, _raising_on_one, _raising_on_many)
+
+
+class TestAgainstTheSortedListCertifier:
+    """The certifier compares its image with the squares as sets; the
+    reference sorts both, as the certifier once did.  Their reports,
+    failures and their order included, agree on every modulus up to 400,
+    on the real codec and under each rigged stand-in, for one direction
+    or for both at once."""
+
+    @staticmethod
+    def _passed():
+        """Whether every modulus up to 400 passed, once both certifiers
+        agree on each."""
+        passed = True
+        for n in range(2, 401):
+            m = factor_trial_division(n)
+            report = certify_bijection(m)
+            assert report == certify_bijection_reference(m), n
+            passed &= report.passed
+        return passed
+
+    def test_the_real_codec(self):
+        assert self._passed()
+
+    def test_a_wrong_index_space_size(self, monkeypatch):
+        size = bruteforce.index_space_size
+        monkeypatch.setattr(bruteforce, "index_space_size", lambda m: size(m) + 1)
+        assert not self._passed()
+
+    @pytest.mark.parametrize("rig", _RIGS, ids=lambda rig: rig.__name__.strip("_"))
+    @pytest.mark.parametrize(
+        "directions",
+        [("decode_indices",), ("encode_residues",), ("decode_indices", "encode_residues")],
+        ids=["decode", "encode", "both"],
+    )
+    def test_a_rigged_stand_in(self, monkeypatch, directions, rig):
+        for attr in directions:
+            monkeypatch.setattr(bruteforce, attr, rig(getattr(bruteforce, attr)))
+        # Reversing both directions is a bijection of its own, and passes.
+        assert self._passed() is (rig is _permuted and len(directions) == 2)
 
 
 def _spy(monkeypatch, decode, encode):

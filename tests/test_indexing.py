@@ -1269,6 +1269,21 @@ class TestRangeWalk:
             assert decode_indices(m, indices) == decode_indices(m, list(indices)), indices
         assert spy.walks == [m]
 
+    def test_an_empty_range_walks_no_table(self, monkeypatch):
+        # 2^15 has exactly _BLOCK residues, so range(4097, 4097) ends at
+        # the last place a slice could.  An empty range takes the
+        # per-index path; the first non-empty one still walks, once.
+        spy = _WalkSpy(monkeypatch)
+        m = parse_factorization("2^15")
+        assert index_space_size(m) == indexing._BLOCK == 4096
+        for indices in (range(1, 1), range(5, 3), range(4097, 4097)):
+            assert decode_indices(m, indices) == [], indices
+            assert m._residues is None, indices
+        assert spy.walks == []
+        assert decode_indices(m, range(4095, 4097)) == _crt_sums(m)[-2:]
+        assert decode_indices(m, range(1, 3)) == _crt_sums(m)[:2]
+        assert spy.walks == [m]
+
     def test_bad_ranges_raise_as_the_list_path_does(self, monkeypatch):
         m = parse_factorization("2^6 * 3^2 * 5")
         size = index_space_size(m)
