@@ -14,8 +14,9 @@ factors anything.
 
 ``decode --index -`` and ``encode --residue -`` read one decimal
 integer per line of stdin and print one record per line, as the single
-call prints it; a line that is not an integer is a usage error naming
-the line.
+call prints it; a line that is not an integer, or has more digits than
+the largest modulus the size bound allows, is a usage error naming the
+line.
 
 Exit codes: 0 success, 1 selftest found violations, 2 command line
 usage error or a bad stdin line, 3 domain error (index out of range,
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 
 from .bruteforce import _ENUMERATION_CAP, certify_bijection, factor_trial_division
 from .errors import FactorizationError
 from .indexing import decode_index, encode_residue, index_space_size, parse_factorization
+from .numbertheory import _MAX_MODULUS_BITS
 from .sampling import (
     _SAMPLERS, _SEED_BOUND, SeededBitSource, SystemBitSource, _sample_run, compare_bit_budgets,
 )
@@ -116,24 +119,26 @@ def _values(value):
             raise _LineError(f"line {number}: invalid int value: {text!r}") from None
 
 
-def _int_or_stdin(text: str):
-    if text == _STDIN:
-        return text
+def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # worded as argparse words a bad type=int value
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _int_or_stdin(text: str):
+    return text if text == _STDIN else _int(text)
+
+
 def _uint64(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 0 <= value < _SEED_BOUND:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {text}")
     return value
@@ -235,11 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):
         return _run(argv)
-    # Moduli of tens of thousands of bits are read and printed in decimal;
-    # the modulus size bound keeps that conversion cheap.  The caller's
-    # limit comes back on every exit, argparse's SystemExit included.
+    # Moduli of tens of thousands of bits are read and printed in decimal,
+    # up to the digits of the largest modulus the size bound allows; a
+    # longer numeral, whose parse would take quadratic time, is refused as
+    # a non-integer is.  The caller's limit comes back on every exit,
+    # argparse's SystemExit included.
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(math.ceil(_MAX_MODULUS_BITS * math.log10(2)))
     try:
         return _run(argv)
     finally:

@@ -26,63 +26,11 @@ Each direction of the codec is one batch loop, ``decode_indices`` and
 steps once, then checks and maps each value in turn, raising at the
 first bad one.  ``decode_index`` and ``encode_residue`` are their
 one-element case.  Decoding an index to its residue takes
-O(log^3 N) bit work.
-
-A modulus lays its factorization out once, as it is built, in one
-record per prime power, ``(p, q, half, count, place, k, E)``: the odd
-parts ascending, then the 2-part as the part with p = 2 and half = 1,
-whose root ``1 + 2*c`` is an odd part's ``x + c*p`` with x fixed at 1.
-``count`` is the part's residues, ``place`` the product of the counts
-before it, and ``E`` the CRT basis element, 1 modulo the part's q =
-p**k and 0 modulo the others, so the basis sums to 1 modulo N.  The
-radix schedule, the profile views and both directions of the codec are
-read off these records.  Every table a modulus keeps is built by its
-first reader and kept, never by the constructor, which only validates
-and lays out the parts.
-
-CRT is a ring isomorphism, so a modulus with more than ``_BLOCK`` =
-4096 residues decodes the 0-based value v part by part over the records
-of its parts with a digit: the part's digit splits into c and x - 1,
-its root ``y = x + c*p`` is squared modulo its own q, the 2-part's by
-the mask ``q - 1``, and the residue is ``1 + sum((y*y mod q - 1) * E)``
-mod N, with no square of an N-sized root.  On a smaller modulus the
-first decode walks the whole index space once instead, in the root
-domain: the root is the linear form ``1 + sum(digit * scale * E)`` mod
-N, scale 1 for the x digit and p for the c digit, so every root sum is
-built in index order, one term per digit, and each is squared once
-modulo N.  The modulus keeps the residues as a tuple, and every later
-decode on it, the index sampler's included, is a lookup there.
-
-Encoding inverts the decode, per residue, in one pass over one root
-step per record, in record order: each part's digits ``x - 1 +
-c*(p-1)/2`` (the 2-part's c alone) enter the index at the part's place.
-The first encode on a modulus builds those steps, which it keeps: each
-part's Tonelli-Shanks constants and, in record order while the tables
-hold at most ``_TABLE_ENTRIES`` = 16384 entries in all, a table that
-maps each unit square modulo the part to its digits, built by squaring
-every canonical root once.  A tabulated part is one lookup in place of
-its root and lift.  A part with one residue, 3 or ``2**e`` with e <= 3,
-always has its table ``{1: 0}``.  When every part has a table and a
-batch has at least ``_COLUMN_MIN`` = 16 values, the batch is encoded
-one part at a time, a chunk of at most ``_COLUMN`` = 4096 values read
-into a list once and a list comprehension of lookups per part over it;
-a bad value sends its chunk back through the per-value loop, which
-raises as the single call does.  Elsewhere an odd part's digits come
-from a Tonelli-Shanks root on the step's non-residue power, which also
-yields its inverse, which starts the Newton lift to ``p**e`` over the
-step's prepared ladder; the 2-part digit comes from the 2-adic root of
-z masked by ``q - 1``.  Both lifts start from a root exact at the base
-precision, the Tonelli-Shanks root modulo p or r = 1 modulo 2**3, take
-their rungs from one exponent plan, planned top-down so no rung
-overshoots, and end with one Karp-Markstein step from half precision;
-with no rung (e <= 2, or a 2-part up to 2**4) the starting root is the
-half-precision one.  No digit list is built and no modular inverse is
-taken.  The unit test, a gcd with N, runs only on the error path and is
-the only one: z = 0 mod p fails that prime's Tonelli-Shanks step, an
-even z fails the 2-part step's congruence class, a table miss reaches
-either, and the gcd then names either one not a unit.  The
-``RootProfile`` views are ``decode_index`` and
-``encode_residue`` composed with ``mixedradix.pack``/``unpack``.
+O(log^3 N) bit work.  ``FactoredModulus`` says how a modulus lays out
+its parts and which tables it keeps; the two batch functions say how
+each direction reads them.  The ``RootProfile`` views are
+``decode_index`` and ``encode_residue`` composed with
+``mixedradix.pack``/``unpack``.
 """
 
 from __future__ import annotations
@@ -148,38 +96,40 @@ class FactoredModulus:
 
     Attributes: ``two_exponent`` (exponent of 2), ``odd_parts`` (tuple of
     PrimePower, strictly ascending p), ``n`` (the product), ``r`` (count
-    of distinct odd primes) and ``phi`` (Euler's totient).  Built here
-    once, in one loop: the parts, one record ``(p, p**k, half, count,
-    place, k, E)`` per prime power, the odd parts ascending and then the
-    2-part when k2 >= 1, the only per-part layout.  ``count`` is the
-    part's residues, ``place`` the product of the counts before it and
-    ``E`` the CRT basis element of the part (1 modulo that part, 0 modulo
-    the others); an odd part has ``half = (p-1)/2`` and ``count = half *
-    p**(k-1)``, the 2-part ``p = 2``, ``half = 1`` and ``count =
-    2**max(k2-3, 0)``.  From them: ``|QR(N)|``, the radix schedule (an
-    odd part's ``half`` and ``p**(k-1)``, then the 2-part's count when
-    k2 > 3) and the parts with a digit, the same records, which decode
-    reads.  The profile views derive each digit's name and range from the
-    records when they need them.
+    of distinct odd primes) and ``phi`` (Euler's totient).
 
-    Every table is built by its first reader, and kept in a plain
-    attribute set once, never by the constructor.  The first decode of a
-    modulus with ``|QR(N)| <= _BLOCK`` = 4096 walks the residues of every
-    index, in order, into a tuple; a larger modulus never has one, and
-    each decode squares every part's root modulo the part alone.  The
-    first encode builds the root steps, one ``(p, p**k, half, count,
-    place, table, root)`` per record.  An odd part's ``root =
-    (s, e, c, ladder)``: ``p - 1 = (2e+1) * 2**s``, ``c`` the
-    Tonelli-Shanks non-residue power of order 2**s, and ``ladder`` the
-    Newton precisions ``p**j`` that ``numbertheory._precision_ladder``
-    plans top-down from ``p**ceil(k/2)``, where the lift's
-    Karp-Markstein finish starts (empty when k <= 2); the 2-part's
-    ``root = k2``.  ``table`` is ``{1: 0}`` when count is 1, the part's
-    square table while the tables hold at most ``_TABLE_ENTRIES`` =
-    16384 entries in all, and None otherwise.  Equality and hashing
-    compare the factorization alone, and a pickle carries no table: a
-    loaded copy builds its own on its first read.  No state changes a
-    result, so a modulus is freely shareable across threads.
+    The constructor lays the parts out once, in one loop, as one record
+    ``(p, q, half, count, place, k, E)`` per prime power ``q = p**k``:
+    the odd parts ascending, then the 2-part when k2 >= 1, as the part
+    with p = 2 and half = 1, whose root ``1 + 2*c`` is an odd part's
+    ``x + c*p`` with x fixed at 1.  An odd part has ``half = (p-1)/2``
+    and ``count = half * p**(k-1)`` residues, the 2-part ``count =
+    2**max(k2-3, 0)``; ``place`` is the product of the counts before it
+    and ``E`` the CRT basis element, 1 modulo q and 0 modulo the other
+    parts, so the basis sums to 1 modulo N.  ``|QR(N)|``, the radix
+    schedule, the profile views and both directions of the codec are
+    read off these records.
+
+    Each table is built by its first reader and kept in a plain
+    attribute, set once, never by the constructor:
+
+    * the residues of every index, in order, as a tuple, when ``|QR(N)|
+      <= _BLOCK`` = 4096: one square modulo N per canonical root, walked
+      in index order;
+    * the root steps, one ``(p, q, half, count, place, table, root)`` per
+      record.  An odd part's ``root = (s, e, c, ladder)``: ``p - 1 =
+      (2e+1) * 2**s``, ``c`` the Tonelli-Shanks non-residue power of
+      order 2**s and ``ladder`` the Newton precisions of the lift to q
+      (``numbertheory._precision_ladder``); the 2-part's ``root = k2``.
+      ``table`` maps each unit square modulo q to the part's digits ``x -
+      1 + c*half``: ``{1: 0}`` when count is 1, else the part's own table
+      of residues inverted while the tables, in record order, hold at
+      most ``_TABLE_ENTRIES`` = 16384 entries in all, and None past that.
+
+    Equality and hashing compare the factorization alone, and a pickle
+    carries no table: a loaded copy builds its own on its first read.
+    No state changes a result, so a modulus is freely shareable across
+    threads.
     """
 
     def __init__(self, two_exponent: int = 0, odd_parts=()):
@@ -216,8 +166,7 @@ class FactoredModulus:
         self.two_exponent = two_exponent
         self.odd_parts = tuple(sorted(PrimePower(p, k) for p, k in parts.items()))
         self.r = len(self.odd_parts)
-        # The odd parts ascending, then the 2-part: its root 1 + 2c is an odd
-        # part's x + cp with p = 2 and x fixed at 1, so half = p >> 1 = 1.
+        # The 2-part comes last, as p = 2: half = p >> 1 = 1 fixes its x at 1.
         powers = [(p, p**k, k) for p, k in self.odd_parts]
         if two_exponent:
             powers.append((2, 1 << two_exponent, two_exponent))
@@ -226,10 +175,9 @@ class FactoredModulus:
             raise FactorizationError("empty factorization: the modulus must be at least 2")
         self.phi = math.prod([q - q // p for p, q, _ in powers])
 
-        # The one record per part; the CRT basis E of part q is 1 mod q and 0
-        # mod every other part.  Tuples of lists: a tuple of a generator is
-        # allocated oversized and shrunk, so each modulus would park one more
-        # block on the interpreter's tuple free lists.
+        # Tuples of lists: a tuple of a generator is allocated oversized and
+        # shrunk, so each modulus would park one more block on the
+        # interpreter's tuple free lists.
         place, records, radices = 1, [], []
         for p, q, k in powers:
             half = p >> 1
@@ -241,9 +189,6 @@ class FactoredModulus:
         self._radices = tuple(radices)
         self._parts = tuple(records)
         self._digit_parts = tuple([part for part in records if part[3] > 1])
-        # Built by their first reader and kept: _root_steps by the first
-        # encode, _residues by the first decode of a modulus with at most
-        # _BLOCK residues.
         self._root_steps = self._residues = None
 
     def __getstate__(self):
@@ -426,8 +371,7 @@ def decode_indices(m: FactoredModulus, indices) -> list[int]:
     Checks the modulus once, then each index in turn: a non-integer
     raises TypeError, as ``range(2.0)`` does, and one outside the index
     space IndexRangeError, at the first bad index.  A modulus with at
-    most ``_BLOCK`` residues looks each one up in its table of them,
-    which the first decode that reads it walks and the modulus keeps.
+    most ``_BLOCK`` residues looks each one up in its table of them.
     A larger one squares each part's canonical root modulo that part
     alone, the 2-part by a mask, and recombines the squares as ``1 +
     sum((y*y mod q - 1) * E)`` mod N over the records of its parts with
@@ -508,10 +452,7 @@ def encode_residues(m: FactoredModulus, residues) -> list[int]:
 
 
 def _encode_columns(m: FactoredModulus, steps, residues) -> list[int]:
-    # Every part has a table.  A chunk of at most _COLUMN values is read into
-    # a list once and encoded one part at a time; a bad value replays its
-    # chunk through the per-value loop, which raises at the first one, so a
-    # batch is read at most one chunk past its first bad value.
+    # encode_residues' column pass: every part has a table.
     (_, q0, _, _, _, table0, _), *rest = steps
     residues = iter(residues)
     indices = []
@@ -533,8 +474,6 @@ def _encode_columns(m: FactoredModulus, steps, residues) -> list[int]:
 
 
 def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
-    # The per-value loop, over steps that may carry tables: a tabulated part
-    # is one lookup, and a miss goes on to the part's own root step.
     # Digits are in range by construction (x <= (p-1)/2, c < p**(k-1), the
     # 2-adic root below 2**(k2-2)); ascending steps, the 2-part last, name
     # the first bad prime.
@@ -584,11 +523,11 @@ def _encode_each(m: FactoredModulus, steps, residues) -> list[int]:
 
 
 def _build_root_steps(m: FactoredModulus) -> tuple:
-    # Everything only encoding reads, built on the first encode and kept: a
-    # decode-only modulus scans for no non-residue.  A plain attribute, set
-    # once: writing a cached_property would turn the modulus' inline
-    # attributes into a dict and slow every later load, _decode's too.
-    # Two threads racing here build equal steps, and either may be kept.
+    # Built on the first encode, so a decode-only modulus scans for no
+    # non-residue.  A plain attribute, set once: writing a cached_property
+    # would turn the modulus' inline attributes into a dict and slow every
+    # later load, _decode's too.  Two threads racing here build equal steps,
+    # and either may be kept.
     steps, entries = [], _TABLE_ENTRIES
     for p, q, half, count, place, k, _ in m._parts:
         root = k
@@ -605,16 +544,10 @@ def _build_root_steps(m: FactoredModulus) -> tuple:
 
 
 def _square_table(p: int, q: int, half: int, count: int) -> dict[int, int]:
-    """Each unit square modulo the part q mapped to its digit ``(x - 1) +
-    c*half``, by squaring every canonical root ``y = x + c*p``, ``1 <= x
-    <= half``, ``c < count/half``.  The 2-part is p = 2 with half = 1."""
-    if half == 1:  # 3**k and the 2-part: x = 1, so the roots are one range
-        squares = [y * y % q for y in range(1, count * p, p)]
-    else:
-        squares = [
-            y * y % q for base in range(0, count // half * p, p) for y in range(base + 1, base + half + 1)
-        ]
-    return dict(zip(squares, range(count)))
+    """Each unit square modulo the part q mapped to its 0-based digit
+    ``x - 1 + c*half``.  The part alone is a modulus whose basis element
+    is 1, so this is its table of residues, inverted."""
+    return dict(zip(_walk(q, ((half, 1), (count // half, p))), range(count)))
 
 
 def _zero_based(m: FactoredModulus, index: int) -> int:
@@ -664,30 +597,31 @@ _TABLE_ENTRIES = 1 << 14  # the most entries the square tables of one modulus ho
 
 
 def _decode_all(m: FactoredModulus) -> tuple[int, ...]:
-    # The residue of every index, in order, walked by the first decode that
-    # reads them and kept in m._residues, a tuple, so no caller can change
-    # what later decodes return.  A plain attribute, set once, as _root_steps
-    # is; two threads racing here build equal tables, and either is kept.
-    # The walk is in the root domain, apart from _decode_sum's per-part
-    # squares: the roots 1 + sum(digit * t) with one t = scale * E mod n per
-    # digit above radix 1 (scale 1 for x, p for c), the newest, more
-    # significant digit outermost, each squared modulo n.  The first digit's
-    # roots are a range, so no comprehension runs over [1].
+    # Walked by the first decode that reads the table and kept in a plain
+    # attribute, set once, as _root_steps is; a tuple, so no caller can change
+    # what later decodes return.  Two threads racing here build equal tables.
     n = m.n
-    terms = [
-        (radix, scale * e % n)
-        for p, _, half, count, _, _, e in m._digit_parts
-        for radix, scale in ((half, 1), (count // half, p))
-        if radix > 1
-    ]
-    roots = [1]
-    if terms:
-        (radix, t), *rest = terms
-        roots = range(1, 1 + radix * t, t)
-        for radix, t in rest:
-            roots = [u + r for u in range(0, radix * t, t) for r in roots]
-    m._residues = table = tuple([r * r % n for r in roots])
+    m._residues = table = tuple(_walk(n, [
+        digit for p, _, half, count, _, _, e in m._digit_parts
+        for digit in ((half, e), (count // half, p * e % n))
+    ]))
     return table
+
+
+def _walk(n: int, digits) -> list[int]:
+    # The squares modulo n of the roots 1 + sum(digit * t), one (radix, t) per
+    # digit, in index order: each digit's terms are added to every root so far,
+    # the newer, more significant digit outermost.  A radix-1 digit adds
+    # nothing, and the first other digit's roots are a range.
+    roots = None
+    for radix, t in digits:
+        if radix == 1:
+            continue
+        if roots is None:
+            roots = range(1, 1 + radix * t, t)
+        else:
+            roots = [u + r for u in range(0, radix * t, t) for r in roots]
+    return [r * r % n for r in roots or (1,)]
 
 
 def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:

@@ -93,8 +93,8 @@ def is_prime(n: int) -> bool:
     with Q = 1.  It costs one full-size exponentiation plus a Lucas ladder
     of two multiplications per bit of n.  No composite is known to pass
     Baillie-PSW with either this Lucas test or the strong one with
-    Selfridge's parameters, which earlier versions ran, so the two could
-    give different verdicts only on such an unknown counterexample.
+    Selfridge's parameters, so the two could give different verdicts
+    only on such an unknown counterexample.
     """
     n = operator.index(n)  # a float or string raises TypeError, as an index does
     if n < 2:

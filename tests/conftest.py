@@ -25,3 +25,10 @@ def least_int_str_limit():
     # The lowest limit the interpreter allows, 640 digits, which every
     # base past about 2,126 bits exceeds, within the per-base bound too.
     yield from _int_str_limit(lambda info: info.str_digits_check_threshold)
+
+
+@pytest.fixture
+def no_int_str_limit():
+    # No limit, so a test can write and read numerals as long as the
+    # command line's limit allows.
+    yield from _int_str_limit(lambda info: 0)

@@ -173,11 +173,63 @@ class TestBatchMode:
         assert err == f"error: line 2: invalid int value: {shown}\n"
 
     def test_a_bad_single_value_still_reads_as_argparse_words_it(self, capsys):
-        for option, command in (("--index", "decode"), ("--residue", "encode")):
+        # Every numeric option of every command, not only the two that take -.
+        modulus = ["--modulus", "3*5"]
+        for argv, option in (
+            (["decode", *modulus], "--index"),
+            (["encode", *modulus], "--residue"),
+            (["sample", *modulus], "--count"),
+            (["sample", *modulus], "--seed"),
+            (["selftest"], "--max-n"),
+            (["bench", *modulus, "--seed", "1"], "--count"),
+            (["bench", *modulus], "--seed"),
+        ):
             with pytest.raises(SystemExit) as excinfo:
-                main([command, "--modulus", "3*5", option, "abc"])
+                main([*argv, option, "abc"])
             assert excinfo.value.code == 2
-            assert f"error: argument {option}: invalid int value: 'abc'" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument {option}: invalid int value: 'abc'\n"), argv
+
+    @pytest.mark.parametrize(
+        "command,option", [("decode", "--index"), ("encode", "--residue")]
+    )
+    def test_a_numeral_longer_than_the_largest_modulus_is_a_usage_error(
+        self, capsys, monkeypatch, command, option
+    ):
+        # 2^65536, the largest modulus the size bound allows, has 19,729
+        # digits; a longer numeral is refused before its quadratic-time
+        # parse, on stdin and in argv alike.
+        numeral = "9" * 20_000
+        argv = [command, "--modulus", "3*5", option]
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, f"1\n{numeral}\n".encode(), *argv, "-"
+        )
+        assert code == 2
+        assert out == run(capsys, *argv, "1")[1]
+        assert err == f"error: line 2: invalid int value: '{numeral}'\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, numeral])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: invalid int value: '{numeral}'\n"
+        )
+
+    def test_numerals_of_the_largest_modulus_still_read_and_print(
+        self, capsys, monkeypatch, no_int_str_limit
+    ):
+        # The last index of 2^65536 and its residue, 2^65535 + 1, both
+        # 19,729 digits long as N is, through argv and stdin.
+        n, index_text, residue_text = map(str, (1 << 65536, 1 << 65533, (1 << 65535) + 1))
+        assert len(n) == len(residue_text) == 19_729
+        code, out, err = run(capsys, "decode", "--modulus", "2^65536", "--index", index_text)
+        assert (code, err) == (0, "")
+        assert out == f"decode n={n} index={index_text} residue={residue_text}\n"
+        code, out, err = self.run_with_stdin(
+            capsys, monkeypatch, f"{residue_text}\n".encode(),
+            "encode", "--modulus", "2^65536", "--residue", "-",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"encode n={n} residue={residue_text} index={index_text}\n"
 
 
 class TestSizeCommand:
@@ -208,6 +260,15 @@ class TestSizeCommand:
             assert out.getvalue().startswith("size n=") and not err.getvalue()
         else:
             assert err.getvalue().startswith("error: FactorizationError: ")
+
+    def test_a_factor_numeral_past_the_largest_modulus_is_a_validation_error(self, capsys):
+        # The command line reads numerals up to the 19,729 digits of 2^65536;
+        # a longer exponent is refused by parse_factorization, by its length.
+        code, out, err = run(capsys, "size", "--modulus", "3^" + "9" * 20_000)
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: FactorizationError: numeral longer than the int/str limit of 19729 digits\n"
+        )
 
 
 class TestSampleCommand:

@@ -1474,6 +1474,72 @@ def _expected_parts(m):
     return expected
 
 
+# Built afresh by each test, so their square tables, about 1.95 million
+# entries for the primes, are freed when it ends.
+_ONE_PART_SHAPES = {
+    "odd primes below 2^13": lambda: [
+        FactoredModulus(0, [(p, 1)]) for p in range(3, 1 << 13, 2) if is_prime(p)
+    ],
+    "odd p^k, p < 128, at most 16384 residues": lambda: [
+        FactoredModulus(0, [(p, k)])
+        for p in range(3, 128, 2) if is_prime(p)
+        for k in range(2, 20) if (p - 1) // 2 * p ** (k - 1) <= indexing._TABLE_ENTRIES
+    ],
+    "3^2 to 3^9": lambda: [FactoredModulus(0, [(3, k)]) for k in range(2, 10)],
+    "2^4 to 2^17": lambda: [FactoredModulus(k) for k in range(4, 18)],
+}
+
+
+def _assert_root_steps(m):
+    # One root step per part, the odd parts ascending and the 2-part
+    # last, each with its residue count and place (the product of the
+    # counts before it), and its table: {1: 0} when the part has one
+    # residue, else every canonical root's square mapped to its digit
+    # while the tables so far hold at most _TABLE_ENTRIES entries, and
+    # None past that.  An odd step holds the schedule's x radix itself and
+    # its Newton ladder, planned top-down: it ends on the half rung
+    # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
+    # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.  The
+    # 2-part step holds k2, with half 1 and 2^max(k2-3, 0) residues.
+    parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
+    assert len(_steps(m)) == len(parts)
+    assert [step[:5] for step in _steps(m)] == [part[:5] for part in m._parts]
+    expected_place, entries = 1, indexing._TABLE_ENTRIES
+    for i, ((p, k), step) in enumerate(zip(parts, _steps(m))):
+        sp, q, x_radix, count, place, table, root = step
+        assert sp == p and q == p**k and m._parts[i][5] == k
+        assert place == expected_place
+        expected_place *= count
+        if count == 1:
+            assert table == {1: 0}
+        elif count <= entries:
+            entries -= count
+            assert table == {
+                (x + c * p) ** 2 % q: x - 1 + c * x_radix
+                for c in range(count // x_radix) for x in range(1, x_radix + 1)
+            }
+        else:
+            assert table is None
+        if p == 2:
+            assert x_radix == 1 and root == k
+            assert count == 1 << max(k - 3, 0)
+            assert count == 1 or count is m._radices[-1]
+            continue
+        assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
+        s, e, c, ladder = root
+        assert (2 * e + 1) << s == p - 1 and s >= 1
+        assert pow(c, 1 << (s - 1), p) == p - 1
+        assert isinstance(ladder, tuple)
+        if k <= 2:
+            assert ladder == ()
+            continue
+        exponents = [round(math.log(rung, p)) for rung in ladder]
+        assert ladder == tuple(p**j for j in exponents)
+        assert exponents[0] == 2 and exponents[-1] == (k + 1) // 2
+        assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
+    assert expected_place == index_space_size(m)
+
+
 class TestCrtBasis:
     """The basis a FactoredModulus prepares, against crt_combine."""
 
@@ -1531,53 +1597,19 @@ class TestCrtBasis:
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_root_steps_share_the_schedule(self, m):
-        # One root step per part, the odd parts ascending and the 2-part
-        # last, each with its residue count and place (the product of the
-        # counts before it), and its table: {1: 0} when the part has one
-        # residue, else every canonical root's square mapped to its digit
-        # while the tables so far hold at most _TABLE_ENTRIES entries, and
-        # None past that.  An odd step holds the schedule's x radix itself and
-        # its Newton ladder, planned top-down: it ends on the half rung
-        # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
-        # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.  The
-        # 2-part step holds k2, with half 1 and 2^max(k2-3, 0) residues.
-        parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
-        assert len(_steps(m)) == len(parts)
-        assert [step[:5] for step in _steps(m)] == [part[:5] for part in m._parts]
-        expected_place, entries = 1, indexing._TABLE_ENTRIES
-        for i, ((p, k), step) in enumerate(zip(parts, _steps(m))):
-            sp, q, x_radix, count, place, table, root = step
-            assert sp == p and q == p**k and m._parts[i][5] == k
-            assert place == expected_place
-            expected_place *= count
-            if count == 1:
-                assert table == {1: 0}
-            elif count <= entries:
-                entries -= count
-                assert table == {
-                    (x + c * p) ** 2 % q: x - 1 + c * x_radix
-                    for c in range(count // x_radix) for x in range(1, x_radix + 1)
-                }
-            else:
-                assert table is None
-            if p == 2:
-                assert x_radix == 1 and root == k
-                assert count == 1 << max(k - 3, 0)
-                assert count == 1 or count is m._radices[-1]
-                continue
-            assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
-            s, e, c, ladder = root
-            assert (2 * e + 1) << s == p - 1 and s >= 1
-            assert pow(c, 1 << (s - 1), p) == p - 1
-            assert isinstance(ladder, tuple)
-            if k <= 2:
-                assert ladder == ()
-                continue
-            exponents = [round(math.log(rung, p)) for rung in ladder]
-            assert ladder == tuple(p**j for j in exponents)
-            assert exponents[0] == 2 and exponents[-1] == (k + 1) // 2
-            assert all((b + 1) // 2 == a for a, b in zip(exponents, exponents[1:]))
-        assert expected_place == index_space_size(m)
+        _assert_root_steps(m)
+
+    @pytest.mark.parametrize("shape", list(_ONE_PART_SHAPES))
+    def test_one_part_root_steps_share_the_schedule(self, shape):
+        # Each part alone is tabulated, so its square table is checked
+        # against the definition: the one-digit parts p and 3^k, whose roots
+        # are a single range, the 2-parts up to the largest table, 2^17, and
+        # counts past what criterion 1's moduli reach.
+        moduli = _ONE_PART_SHAPES[shape]()
+        assert moduli
+        for m in moduli:
+            _assert_root_steps(m)
+            assert _steps(m)[0][5] is not None, m
 
     @pytest.mark.parametrize("m", _basis_moduli(), ids=repr)
     def test_encode_matches_the_checked_pack_path(self, m):

@@ -2,11 +2,13 @@
 
 The names are listed only in the modules that define them; these checks
 join those lists rather than write the names out again.  The records
-keep the behaviour of the dataclasses they once were.  The last check
-runs every subcommand with only the standard library imported, and
+keep the behaviour of the dataclasses they once were.  README's library
+quick start gives the values its comments show.  The last check runs
+every subcommand with only the standard library imported, and
 without the modules a dataclass would load.
 """
 
+import ast
 import copy
 import json
 import pickle
@@ -100,6 +102,30 @@ def test_records_keep_their_behaviour(cls, args, shown, frozen):
         setattr(record, names[-1], "other")
         assert record != cls(*values)
     assert repr(cls(*args)) == shown  # a default is never shared between records
+
+
+def _quick_start():
+    """The lines of the Python block under README's "Library quick start"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_quick_start_holds():
+    # A line whose comment is a Python literal is an expression that must
+    # evaluate to it; every other line runs as written.  The values pin the
+    # table order on 15015.
+    namespace, shown = {}, []
+    for line in _quick_start():
+        code, _, comment = line.partition("#")
+        try:
+            value = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+            continue
+        assert eval(code, namespace) == value, line
+        shown.append(value)
+    assert shown == [180, 3004, 40, [1, 3004, 2146], [1, 2, 3]]
 
 
 # Every subcommand, sample both seeded and from system entropy.
