@@ -116,14 +116,22 @@ def _values(value):
             yield int(line)
         except ValueError:
             text = line.strip().decode(errors="replace")
-            raise _LineError(f"line {number}: invalid int value: {text!r}") from None
+            raise _LineError(f"line {number}: {_invalid_int(text)}") from None
 
 
 def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # worded as argparse words a bad type=int value
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(_invalid_int(text)) from None
+
+
+def _invalid_int(text: str) -> str:
+    # A text past 64 characters, such as a numeral over the digit limit, is
+    # cut to its first 32 and its length, so the message stays one short line.
+    if len(text) > 64:
+        return f"invalid int value: {text[:32]!r}... ({len(text)} characters)"
+    return f"invalid int value: {text!r}"
 
 
 def _int_or_stdin(text: str):

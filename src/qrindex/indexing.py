@@ -178,15 +178,13 @@ class FactoredModulus:
         # Tuples of lists: a tuple of a generator is allocated oversized and
         # shrunk, so each modulus would park one more block on the
         # interpreter's tuple free lists.
-        place, records, radices = 1, [], []
+        place, records = 1, []
         for p, q, k in powers:
             half = p >> 1
             count = half * (q // p) if p > 2 else max(q >> 3, 1)
-            radices += (half, q // p) if p > 2 else [count] * (count > 1)
             records.append((p, q, half, count, place, k, (cofactor := n // q) * pow(cofactor, -1, q)))
             place *= count
         self._size = place
-        self._radices = tuple(radices)
         self._parts = tuple(records)
         self._digit_parts = tuple([part for part in records if part[3] > 1])
         self._root_steps = self._residues = None
@@ -285,15 +283,19 @@ def index_space_size(m: FactoredModulus) -> int:
 
 
 def radix_schedule(m: FactoredModulus) -> tuple[int, ...]:
-    """The ordered radix list the index codec packs against."""
+    """The ordered radix list the index codec packs against: ``(p-1)/2``
+    and ``p**(k-1)`` per odd part, then the 2-part's count when above 1."""
     if not isinstance(m, FactoredModulus):
         raise _wrong_type("modulus", m, FactoredModulus)
-    return m._radices
+    radices = []
+    for p, q, half, count, *_ in m._parts:
+        radices += (half, q // p) if p > 2 else [count] * (count > 1)
+    return tuple(radices)
 
 
 def index_to_profile(m: FactoredModulus, index: int) -> RootProfile:
     """Unpack a 1-based index into its per-factor root choices."""
-    return _profile(m, mixedradix.unpack(_zero_based(m, index), m._radices))
+    return _profile(m, mixedradix.unpack(_zero_based(m, index), radix_schedule(m)))
 
 
 def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
@@ -313,7 +315,7 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     if profile.two_part_digit is not None:
         digits.append(profile.two_part_digit)
     try:
-        return mixedradix.pack(digits, m._radices) + 1
+        return mixedradix.pack(digits, radix_schedule(m)) + 1
     except IndexRangeError as exc:
         position = exc.position
     # Re-raised naming the value the caller passed (x, not x - 1) and its
@@ -324,7 +326,7 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     ][position]
     raise IndexRangeError(
         f"{name} = {_format_int(digits[position] + low)} out of range"
-        f" {low}..{_format_int(m._radices[position] - 1 + low)}"
+        f" {low}..{_format_int(radix_schedule(m)[position] - 1 + low)}"
         f" for prime power {_power(p, k, _format_int)}"
     )
 
@@ -342,7 +344,7 @@ def residue_to_profile(m: FactoredModulus, z: int) -> RootProfile:
 
     Raises as ``encode_residue`` does.
     """
-    return _profile(m, mixedradix.unpack(encode_residue(m, z) - 1, m._radices))
+    return _profile(m, mixedradix.unpack(encode_residue(m, z) - 1, radix_schedule(m)))
 
 
 def decode_index(m: FactoredModulus, index: int) -> int:
@@ -357,12 +359,8 @@ def encode_residue(m: FactoredModulus, z: int) -> int:
     """Map a quadratic residue modulo N to its index; inverse of decode_index.
 
     The one-element case of ``encode_residues``, which raises as it does.
-    The first encode on a modulus, this one too, builds its root steps and
-    tables; the value then goes straight to the per-value loop.
     """
-    if not isinstance(m, FactoredModulus):
-        raise _wrong_type("modulus", m, FactoredModulus)
-    return _encode_each(m, m._root_steps or _build_root_steps(m), (z,))[0]
+    return encode_residues(m, (z,))[0]
 
 
 def decode_indices(m: FactoredModulus, indices) -> list[int]:

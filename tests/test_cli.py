@@ -162,7 +162,16 @@ class TestBatchMode:
         assert err.startswith("error: NotAResidueError: ")
 
     @pytest.mark.parametrize(
-        "data,shown", [(b"1\ntwo\n2\n", "'two'"), (b"1\n\n", "''"), (b"1\n\xff\n", "'\ufffd'")]
+        "data,shown",
+        [
+            (b"1\ntwo\n2\n", "'two'"),
+            (b"1\n\n", "''"),
+            (b"1\n\xff\n", "'\ufffd'"),
+            # At most 64 characters are echoed whole, a longer text as its
+            # first 32 and its length.
+            (b"1\n" + b"x" * 64 + b"\n", repr("x" * 64)),
+            (b"1\n" + b"x" * 65 + b"\n", f"{'x' * 32!r}... (65 characters)"),
+        ],
     )
     def test_a_line_that_is_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, data, shown):
         code, out, err = self.run_with_stdin(
@@ -198,21 +207,21 @@ class TestBatchMode:
     ):
         # 2^65536, the largest modulus the size bound allows, has 19,729
         # digits; a longer numeral is refused before its quadratic-time
-        # parse, on stdin and in argv alike.
+        # parse, on stdin and in argv alike, and echoed as its first 32
+        # characters and its length.
         numeral = "9" * 20_000
+        shown = f"invalid int value: '{numeral[:32]}'... (20000 characters)\n"
         argv = [command, "--modulus", "3*5", option]
         code, out, err = self.run_with_stdin(
             capsys, monkeypatch, f"1\n{numeral}\n".encode(), *argv, "-"
         )
         assert code == 2
         assert out == run(capsys, *argv, "1")[1]
-        assert err == f"error: line 2: invalid int value: '{numeral}'\n"
+        assert err == f"error: line 2: {shown}"
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, numeral])
         assert excinfo.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"error: argument {option}: invalid int value: '{numeral}'\n"
-        )
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {shown}")
 
     def test_numerals_of_the_largest_modulus_still_read_and_print(
         self, capsys, monkeypatch, no_int_str_limit
@@ -537,6 +546,15 @@ def test_console_script_negative_index_is_domain_error(capsys):
     code, _, err = run(capsys, "decode", "--modulus", "3*5", "--index", "-2")
     assert code == 3
     assert "IndexRangeError" in err
+
+
+def test_main_runs_without_an_int_str_digit_limit(capsys, monkeypatch):
+    # CPython 3.10.0 to 3.10.6 have no sys.set_int_max_str_digits: main
+    # runs the command as it is, with no limit to set or restore.
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, "decode", "--modulus", "3*5", "--index", "2") == (
+        0, "decode n=15 index=2 residue=4\n", ""
+    )
 
 
 @pytest.mark.skipif(

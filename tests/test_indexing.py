@@ -323,6 +323,19 @@ class TestRadixSchedule:
             product = math.prod(radix_schedule(m))
             assert product == index_space_size(m), n
 
+    def test_schedule_follows_the_factorization(self):
+        # (p-1)/2 and p^(k-1) per odd part, ascending, then 2^(k2-3) when
+        # k2 > 3, for every N up to 3000 and the basis moduli.  The modulus
+        # keeps no copy: the schedule is read off its part records.
+        from qrindex import factor_trial_division
+
+        for m in [factor_trial_division(n) for n in range(2, 3001)] + _basis_moduli():
+            expected = [r for p, k in m.odd_parts for r in ((p - 1) // 2, p ** (k - 1))]
+            if m.two_exponent > 3:
+                expected.append(2 ** (m.two_exponent - 3))
+            assert radix_schedule(m) == tuple(expected), m
+            assert not hasattr(m, "_radices"), m
+
 
 class TestDecodeIndex:
     @pytest.mark.parametrize(
@@ -1496,12 +1509,13 @@ def _assert_root_steps(m):
     # counts before it), and its table: {1: 0} when the part has one
     # residue, else every canonical root's square mapped to its digit
     # while the tables so far hold at most _TABLE_ENTRIES entries, and
-    # None past that.  An odd step holds the schedule's x radix itself and
+    # None past that.  An odd step holds the schedule's x radix and
     # its Newton ladder, planned top-down: it ends on the half rung
     # p^ceil(k/2), where the Karp-Markstein finish starts, and each rung
     # p^j follows p^ceil(j/2), from p^2 up.  k <= 2 needs no rung.  The
     # 2-part step holds k2, with half 1 and 2^max(k2-3, 0) residues.
     parts = list(m.odd_parts) + ([(2, m.two_exponent)] if m.two_exponent else [])
+    radices = radix_schedule(m)
     assert len(_steps(m)) == len(parts)
     assert [step[:5] for step in _steps(m)] == [part[:5] for part in m._parts]
     expected_place, entries = 1, indexing._TABLE_ENTRIES
@@ -1523,9 +1537,9 @@ def _assert_root_steps(m):
         if p == 2:
             assert x_radix == 1 and root == k
             assert count == 1 << max(k - 3, 0)
-            assert count == 1 or count is m._radices[-1]
+            assert count == 1 or count == radices[-1]
             continue
-        assert x_radix is m._radices[2 * i] and count == x_radix * m._radices[2 * i + 1]
+        assert x_radix == radices[2 * i] and count == x_radix * radices[2 * i + 1]
         s, e, c, ladder = root
         assert (2 * e + 1) << s == p - 1 and s >= 1
         assert pow(c, 1 << (s - 1), p) == p - 1
@@ -1589,7 +1603,7 @@ class TestCrtBasis:
         digit_parts = [part for part in m._parts if part[1] not in (2, 3, 4, 8)]
         assert len(m._digit_parts) == len(digit_parts)
         assert all(a is b for a, b in zip(m._digit_parts, digit_parts))
-        radices = iter(m._radices)
+        radices = iter(radix_schedule(m))
         for p, q, half, count, *_ in m._parts:
             width = 2 if p > 2 else int(count > 1)
             assert math.prod(itertools.islice(radices, width)) == count, q

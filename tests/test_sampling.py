@@ -121,6 +121,18 @@ class TestBitSources:
                 assert words.next_bits(k) == expected, (seed, k)
                 assert words.next_bits(1) == int(next(reference))
 
+    def test_a_bare_subclass_serves_empty_words_only(self):
+        # A subclass that defines neither next_bits nor _fresh_bits serves
+        # the empty word and has no bits to refill from.
+        class Bare(BitSource):
+            pass
+
+        source = Bare()
+        assert source.next_bits(0) == 0
+        with pytest.raises(NotImplementedError):
+            source.next_bits(1)
+        assert source._remaining == 0
+
     def test_negative_bit_counts_are_refused(self):
         for source in (SeededBitSource(1), SystemBitSource(), ScriptedBitSource("101")):
             with pytest.raises(ValueError):
