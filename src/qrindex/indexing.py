@@ -54,8 +54,8 @@ from .errors import (
     _wrong_type,
 )
 from .numbertheory import (
-    _MAX_BASE_BITS, _MAX_MODULUS_BITS, _lift_inverse_root, _nonresidue_power, _precision_ladder,
-    _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k,
+    _MAX_BASE_BITS, _MAX_MODULUS_BITS, _lift_inverse_root, _nonresidue_power, _power,
+    _precision_ladder, _tonelli_shanks, _two_adic_split, is_prime, sqrt_mod_2k,
 )
 
 __all__ = [
@@ -210,8 +210,8 @@ class FactoredModulus:
         return f"FactoredModulus({self._terms(_format_int)!r})"
 
     def _terms(self, fmt) -> str:
-        terms = [_power(2, self.two_exponent, fmt)] if self.two_exponent else []
-        terms += [_power(p, k, fmt) for p, k in self.odd_parts]
+        terms = [_power_text(2, self.two_exponent, fmt)] if self.two_exponent else []
+        terms += [_power_text(p, k, fmt) for p, k in self.odd_parts]
         return " * ".join(terms)
 
     def __eq__(self, other):
@@ -223,7 +223,7 @@ class FactoredModulus:
         return hash((self.two_exponent, self.odd_parts))
 
 
-def _power(p: int, k: int, fmt) -> str:
+def _power_text(p: int, k: int, fmt) -> str:
     return fmt(p) if k == 1 else f"{fmt(p)}^{k}"
 
 
@@ -327,7 +327,7 @@ def profile_to_index(m: FactoredModulus, profile: RootProfile) -> int:
     raise IndexRangeError(
         f"{name} = {_format_int(digits[position] + low)} out of range"
         f" {low}..{_format_int(radix_schedule(m)[position] - 1 + low)}"
-        f" for prime power {_power(p, k, _format_int)}"
+        f" for prime power {_power_text(p, k, _format_int)}"
     )
 
 
@@ -634,7 +634,7 @@ def is_quadratic_residue(m: FactoredModulus, z: int) -> bool:
     z %= m.n
     # Euler's criterion also refuses z = 0 mod p, as 0**((p-1)/2) = 0.
     for p, _ in m.odd_parts:
-        if pow(z % p, p >> 1, p) != 1:
+        if _power(z % p, p >> 1, p) != 1:
             return False
     # A unit square modulo 2**k2 is exactly z = 1 modulo 2**min(k2, 3); for
     # k2 = 1 that means odd, and an even z, not a unit, is never one.

@@ -4,9 +4,12 @@ Everything here operates on plain ``int`` values with no fixed word size,
 so moduli of thousands of bits behave exactly like small ones.  All public
 results are reduced, non-negative representatives.
 
-Every function is pure and safe to call from any number of threads; the
-module keeps no state.  Every public function reads its integer arguments
-through ``operator.index``, so a float or a string raises TypeError.
+Every function is pure and safe to call from any number of threads.  The
+module's one state is a process-wide handle on the platform's libcrypto,
+set once by the first exponentiation modulo ``_NATIVE_POW_BITS`` bits or
+more; two loaders that race set equal handles.  Every public function
+reads its integer arguments through ``operator.index``, so a float or a
+string raises TypeError.
 """
 
 from __future__ import annotations
@@ -36,9 +39,21 @@ _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 _MAX_MODULUS_BITS = 1 << 16
 
 # Largest prime base accepted, in bits.  Proving a base prime costs about
-# 8x more per doubling of its length: some 8 s at 8,192 bits, and about an
-# hour at 65,536.  A larger base is refused before any primality test.
+# 8x more per doubling of its length: some 3 s at 8,192 bits, and about
+# half an hour at 65,536.  A larger base is refused before any primality
+# test.
 _MAX_BASE_BITS = 1 << 13
+
+# Smallest modulus, in bits, that ``_power`` hands to libcrypto's
+# BN_mod_exp, a Montgomery exponentiation about 12x faster than builtin
+# pow from here up.  Below it a builtin pow takes at most about 0.2 ms, and
+# the first native call pays about 5 ms to import ctypes and load the
+# library, so commands on smaller moduli never load it.
+_NATIVE_POW_BITS = 512
+
+# The process-wide libcrypto handle: None until a wide ``_power`` first
+# loads it, False when it did not load, so builtin pow takes every call.
+_libcrypto = None
 
 
 def crt_combine(parts) -> int:
@@ -84,14 +99,96 @@ def crt_combine(parts) -> int:
     return x
 
 
+def _power(a: int, e: int, m: int) -> int:
+    """``pow(a, e, m)`` for e >= 0 and m >= 1: by libcrypto's BN_mod_exp
+    when m has ``_NATIVE_POW_BITS`` bits or more and the library loads,
+    by builtin pow otherwise.  The result is the same integer either way.
+    A BN call that fails raises MemoryError.
+    """
+    if m.bit_length() < _NATIVE_POW_BITS:
+        return pow(a, e, m)
+    handle = _libcrypto
+    if handle is None:
+        handle = _load_libcrypto()
+    if not handle:
+        return pow(a, e, m)
+    lib, buffer = handle
+    size = (m.bit_length() + 7) >> 3
+    out = buffer(size)
+    numbers = []
+    ctx = lib.BN_CTX_new()  # one per call, so no two threads share one
+    try:
+        if not ctx:
+            raise MemoryError("BN_CTX_new failed")
+        for v in (a % m, e, m, 0):  # the zero becomes the result
+            data = v.to_bytes((v.bit_length() + 7) >> 3, "big")
+            numbers.append(lib.BN_bin2bn(data, len(data), None))
+            if not numbers[-1]:
+                raise MemoryError("BN_bin2bn failed")
+        base, exponent, modulus, result = numbers
+        if lib.BN_mod_exp(result, base, exponent, modulus, ctx) != 1:
+            raise MemoryError("BN_mod_exp failed")
+        if lib.BN_bn2binpad(result, out, size) != size:
+            raise MemoryError("BN_bn2binpad failed")
+    finally:
+        for bn in numbers:
+            lib.BN_free(bn)
+        lib.BN_CTX_free(ctx)
+    return int.from_bytes(out.raw, "big")
+
+
+def _load_libcrypto():
+    """Set and return the libcrypto handle: the library under the first
+    versioned soname that loads, with the BN functions ``_power`` calls
+    declared, and ctypes' buffer constructor; or False, when none loads,
+    for every later call to read.
+
+    ctypes is imported here, at the first wide exponentiation, not when
+    the package is.  No unversioned name is tried: on macOS, loading the
+    system's unversioned libcrypto aborts the process.
+    """
+    global _libcrypto
+    handle = False
+    try:
+        import ctypes
+    except ImportError:  # an interpreter built without _ctypes
+        _libcrypto = handle
+        return handle
+    # Pointers come back as c_void_p: the default c_int restype would cut
+    # them to 32 bits.
+    c_void_p, c_int, c_char_p = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+    declarations = (
+        ("BN_CTX_new", c_void_p, ()),
+        ("BN_CTX_free", None, (c_void_p,)),
+        ("BN_bin2bn", c_void_p, (c_char_p, c_int, c_void_p)),
+        ("BN_bn2binpad", c_int, (c_void_p, c_char_p, c_int)),
+        ("BN_free", None, (c_void_p,)),
+        ("BN_mod_exp", c_int, (c_void_p,) * 5),
+    )
+    for name in ("libcrypto.so.3", "libcrypto.so.1.1"):
+        try:
+            lib = ctypes.CDLL(name)
+            for symbol, restype, argtypes in declarations:
+                function = getattr(lib, symbol)
+                function.restype, function.argtypes = restype, argtypes
+        except (OSError, AttributeError):  # not there, or a function missing
+            continue
+        handle = lib, ctypes.create_string_buffer
+        break
+    _libcrypto = handle
+    return handle
+
+
 def is_prime(n: int) -> bool:
     """Primality test with no randomness: the same n always gets the same verdict.
 
     Below ~3.3e24 it is Miller-Rabin with the first 13 primes as bases,
     proven deterministic there.  From that bound up it is Baillie-PSW: a
     strong Miller-Rabin test to base 2, then an extra strong Lucas test
-    with Q = 1.  It costs one full-size exponentiation plus a Lucas ladder
-    of two multiplications per bit of n.  No composite is known to pass
+    with Q = 1.  It costs one full-size exponentiation, which libcrypto
+    runs from ``_NATIVE_POW_BITS`` bits up where it loads, plus a Lucas
+    ladder of two multiplications per bit of n in pure Python, the larger
+    share from there up.  No composite is known to pass
     Baillie-PSW with either this Lucas test or the strong one with
     Selfridge's parameters, so the two could give different verdicts
     only on such an unknown counterexample.
@@ -108,7 +205,7 @@ def is_prime(n: int) -> bool:
     d = 2 * e + 1
     baillie_psw = n >= _MR_DETERMINISTIC_BOUND
     for a in (2,) if baillie_psw else _MR_DETERMINISTIC_BASES:
-        x = pow(a, d, n)
+        x = _power(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
@@ -185,7 +282,7 @@ def _nonresidue_power(p: int) -> int:
     b = 2
     while _jacobi(b, p) != -1:
         b += 1 if b == 2 else 2
-    return pow(b, 2 * e + 1, p)
+    return _power(b, 2 * e + 1, p)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -230,7 +327,7 @@ def _tonelli_shanks(a: int, p: int, s: int, e: int, c: int) -> tuple[int, int]:
     takes, so ``x*r = t`` throughout and the loop exits at t = 1 with r
     the inverse.  Raises NotAResidueError for a non-residue.
     """
-    w = pow(a, e, p)
+    w = _power(a, e, p)
     x = a * w % p
     t = x * w % p
     r, m = w, s

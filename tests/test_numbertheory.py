@@ -1,6 +1,8 @@
+import ctypes
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -342,15 +344,18 @@ class TestIsPrime:
 
     def test_one_full_size_exponentiation_above_the_bound(self, monkeypatch):
         # Baillie-PSW's one full-size exponentiation is the strong base-2
-        # test; the Lucas ladder uses only multiplications.
+        # test; the Lucas ladder uses only multiplications.  Calls are
+        # counted at _power, so the count holds whether the 1024-bit power
+        # runs in libcrypto or in builtin pow.
         p = random_prime(1024, random.Random(1024), test=miller_rabin_reference)
         calls = []
+        power = numbertheory._power
 
-        def counting_pow(*args):
+        def counting_power(*args):
             calls.append(args)
-            return pow(*args)
+            return power(*args)
 
-        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(numbertheory, "_power", counting_power)
         assert is_prime(p)
         assert len(calls) == 1
 
@@ -461,8 +466,10 @@ class TestSqrtModPrime:
                     assert str(excinfo.value) == f"{a} is not a quadratic residue modulo {p}"
 
     def test_full_size_exponentiations_per_path(self, monkeypatch):
-        # Builtin pow calls are counted the way the benchmark tracer
-        # counts them, by shadowing the module's global name.  The loop's
+        # Calls through _power, which takes the full-size exponentiations,
+        # and to builtin pow are counted together by shadowing both global
+        # names with one builtin-pow counter, so no call is counted twice
+        # and the counts hold whether or not libcrypto loads.  The loop's
         # pow(c, 2**j) calls have exponents below 2**s, so they are not
         # full size, and c is a constant the modulus keeps from its first
         # encode, which pays one more full-size pow for it when s > 1 (c is
@@ -480,6 +487,7 @@ class TestSqrtModPrime:
         moduli = {p: FactoredModulus(0, [(p, 1)]) for p in (p3, p5, p_high)}
         for module in (numbertheory, indexing):
             monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+            monkeypatch.setattr(module, "_power", counting_pow)
 
         def full_size_pows(z, p):
             s = 0
@@ -770,3 +778,110 @@ class TestSqrtMod2k:
         # to 3 bits.  None overshoots.
         assert tuple(j + 2 for j in numbertheory._lift_exponents(k - 2)) == bits
 
+
+def _power_cases():
+    """Seeded ``(a, e, m)`` with m from 1 to 4,096 bits, odd and even, 511
+    to 513 bits included, each with a = 0, 1, m - 1, a value past m, a
+    negative value and a random value below m, and e = 0, 1 and a random
+    exponent as wide as m, up to 1,024 bits: wider ones cost builtin pow
+    seconds and exercise nothing more."""
+    rng = random.Random(41)
+    cases = [(a, e, 1) for a in (-3, 0, 1, 5) for e in (0, 1, 7)]
+    for bits in (2, 3, 8, 64, 127, 128, 255, 511, 512, 513, 1024, 2048, 4096):
+        for low in (0, 1):
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            m += low - (m & 1)
+            wide = rng.getrandbits(min(bits, 1024))
+            for a in (0, 1, m - 1, m + rng.randrange(m), -rng.randrange(1, 3 * m), rng.randrange(m)):
+                cases += [(a, e, m) for e in (0, 1, wide)]
+    return cases
+
+
+_POWER_CASES = _power_cases()
+
+
+@pytest.fixture(scope="module")
+def power_reference():
+    return [pow(a, e, m) for a, e, m in _POWER_CASES]
+
+
+class TestPower:
+    """``_power`` against builtin pow, the reference: natively at every
+    size, with no library, and from racing threads."""
+
+    def test_native_at_every_size(self, power_reference, monkeypatch):
+        monkeypatch.setattr(numbertheory, "_libcrypto", None)
+        if not numbertheory._load_libcrypto():
+            pytest.skip("no libcrypto loads here")
+        monkeypatch.setattr(numbertheory, "_NATIVE_POW_BITS", 1)
+        assert [numbertheory._power(*case) for case in _POWER_CASES] == power_reference
+
+    def test_without_the_library(self, power_reference, monkeypatch):
+        monkeypatch.setattr(numbertheory, "_libcrypto", False)
+        assert [numbertheory._power(*case) for case in _POWER_CASES] == power_reference
+
+    def test_racing_threads_agree(self, power_reference, monkeypatch):
+        # Each thread may be the first wide call and load the library; a
+        # short switch interval interleaves the loads.
+        monkeypatch.setattr(numbertheory, "_libcrypto", None)
+        barrier = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait()
+            results[i] = [numbertheory._power(*case) for case in _POWER_CASES]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [power_reference] * 4
+        assert numbertheory._libcrypto is not None
+
+    def test_a_failed_load_sends_every_later_call_to_builtin_pow(self, power_reference, monkeypatch):
+        opened, builtin = [], []
+
+        def refuse(name, *args, **kwargs):
+            opened.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        def counting_pow(*args):
+            builtin.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(numbertheory, "_libcrypto", None)
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        monkeypatch.setattr(numbertheory, "pow", counting_pow, raising=False)
+        wide = [i for i, (_, _, m) in enumerate(_POWER_CASES) if m.bit_length() >= 512]
+        for i in wide:
+            assert numbertheory._power(*_POWER_CASES[i]) == power_reference[i]
+        # Versioned sonames only, each tried once, and never again.
+        assert opened == ["libcrypto.so.3", "libcrypto.so.1.1"]
+        assert numbertheory._libcrypto is False
+        assert builtin == [_POWER_CASES[i] for i in wide]
+
+    def test_a_wide_call_is_native_where_libcrypto_loads(self, monkeypatch):
+        # A loader that failed silently would send this call to builtin
+        # pow, which is refused here.
+        try:
+            ctypes.CDLL("libcrypto.so.3")
+        except OSError:
+            pytest.skip("libcrypto.so.3 does not load here")
+
+        def refuse(*args):
+            raise AssertionError(f"builtin pow called with {args}")
+
+        rng = random.Random(1024)
+        m = rng.getrandbits(1024) | 1 << 1023 | 1
+        a, e = rng.randrange(m), rng.randrange(m)
+        monkeypatch.setattr(numbertheory, "_libcrypto", None)
+        monkeypatch.setattr(numbertheory, "pow", refuse, raising=False)
+        assert numbertheory._power(a, e, m) == pow(a, e, m)
+        assert numbertheory._libcrypto

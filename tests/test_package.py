@@ -3,15 +3,17 @@
 The names are listed only in the modules that define them; these checks
 join those lists rather than write the names out again.  The records
 keep the behaviour of the dataclasses they once were.  README's library
-quick start gives the values its comments show.  The last check runs
+quick start gives the values its comments show.  The last checks run
 every subcommand with only the standard library imported, and
-without the modules a dataclass would load.
+without the modules a dataclass would load, and show that small moduli
+never import ctypes.
 """
 
 import ast
 import copy
 import json
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,15 +21,18 @@ from pathlib import Path
 import pytest
 
 import qrindex
+from helpers import random_prime
 from qrindex import (
     CertificationReport,
     RandomBitLedger,
     RootProfile,
     SampleReport,
     bruteforce,
+    decode_index,
     errors,
     indexing,
     numbertheory,
+    parse_factorization,
     sampling,
 )
 
@@ -128,10 +133,18 @@ def test_readme_quick_start_holds():
     assert shown == [180, 3004, 40, [1, 3004, 2146], [1, 2, 3]]
 
 
-# Every subcommand, sample both seeded and from system entropy.
+# A 2048-bit semiprime of two 1024-bit primes, wide enough for the
+# native exponentiation path, and a residue on it.
+_WIDE = "*".join(str(random_prime(1024, random.Random(seed))) for seed in (1, 2))
+_WIDE_RESIDUE = decode_index(parse_factorization(_WIDE), 12345)
+
+# Every subcommand, sample both seeded and from system entropy, and a
+# decode and an encode that exponentiate modulo 1024-bit primes.
 _COMMANDS = [
     ["decode", "--modulus", "3*5", "--index", "2"],
     ["encode", "--modulus", "3*5", "--residue", "4"],
+    ["decode", "--modulus", _WIDE, "--index", "12345"],
+    ["encode", "--modulus", _WIDE, "--residue", str(_WIDE_RESIDUE)],
     ["size", "--modulus", "2^4*3"],
     ["sample", "--modulus", "3*5*7", "--count", "4", "--seed", "7"],
     ["sample", "--modulus", "3*5*7", "--count", "4", "--method", "classical"],
@@ -163,6 +176,7 @@ print(json.dumps([
     sorted(names - set(sys.stdlib_module_names) - {{"__main__"}}),
     sorted(imported),
     sorted((names - by_argparse) & heavy),
+    "ctypes" in sys.modules,
 ]))
 """
 
@@ -174,8 +188,26 @@ def test_runtime_needs_only_the_standard_library():
     # be found and show up in sys.modules.  Nor does importing qrindex load
     # dataclasses, inspect or typing, which cost start-up time and memory,
     # nor does any command load them beyond what argparse itself loads.
+    # The wide commands import ctypes to load libcrypto, which is all the
+    # native exponentiation path adds.
     src = str(Path(qrindex.__file__).resolve().parent.parent)
     child = _CHILD.format(path=[src, *sys.path], commands=_COMMANDS)
     proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * len(_COMMANDS), ["qrindex"], [], []]
+    assert json.loads(proc.stdout) == [[0] * len(_COMMANDS), ["qrindex"], [], [], True]
+
+
+def test_small_moduli_never_import_ctypes():
+    # Every exponentiation here is modulo a prime far below the native
+    # floor, so the library is never loaded, nor ctypes imported.
+    src = str(Path(qrindex.__file__).resolve().parent.parent)
+    child = (
+        f"import sys; sys.path[:0] = {[src]!r}\n"
+        "import qrindex\n"
+        "m = qrindex.parse_factorization('3*5*7*11*13')\n"
+        "assert qrindex.decode_index(m, qrindex.encode_residue(m, 4)) == 4\n"
+        "print('ctypes' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
